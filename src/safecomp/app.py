@@ -23,7 +23,7 @@ from .contracts import (
 )
 from .network import Network, Layer, classify_batch, normalize
 from .regions import LabeledDataset, Region
-from .verifier import FullResult, Verdict, verify_full
+from .verifier import Counterexample, FullResult, Verdict, VerdictStats, verify_full
 
 TOOL_VERSION = "0.1.0"
 SEMAPHORE_LABELS = ("red", "green", "yellow")
@@ -64,8 +64,7 @@ def generate_grid(cutpoints, names, network: Network | None = None):
     points = np.array(list(iter_grid(cutpoints)), dtype=np.float64)
     labels = None
     if network is not None:
-        normalized = np.array([normalize(network, p) for p in points])
-        labels = classify_batch(network, normalized)
+        labels = classify_batch(network, normalize(network, points))
     return points, labels
 
 
@@ -123,6 +122,18 @@ def verdict_to_json(v: Verdict) -> dict:
             "scores": [float(s) for s in v.counterexample.scores],
         }
     return obj
+
+
+def verdict_from_json(obj: dict) -> Verdict:
+    ce = None
+    if "counterexample" in obj:
+        ce = Counterexample(np.array(obj["counterexample"]["point"]),
+                            np.array(obj["counterexample"]["scores"]))
+    stats = obj.get("stats", {})
+    return Verdict(obj["status"], ce,
+                   VerdictStats(stats.get("nodes", 0), stats.get("deepest_split", 0),
+                                stats.get("elapsed", 0.0)),
+                   obj.get("reason"))
 
 
 def _polar_annotation(net: Network, attributes, point: np.ndarray) -> dict | None:
@@ -199,45 +210,6 @@ def mask_timing(obj):
     if isinstance(obj, list):
         return [mask_timing(v) for v in obj]
     return obj
-
-
-def write_counterexample_artifacts(report: dict, csv_path, plot_path=None) -> bool:
-    """Dump the report's polar-projected counterexamples as a CSV data file
-    and, when matplotlib is importable, a static scatter plot.
-
-    Returns False when the report has no projected counterexamples.
-    """
-    import csv as csv_module
-
-    rows = [(ce["region"], ce["target"], ce["polar"]["downrange"], ce["polar"]["crossrange"])
-            for ce in report.get("counterexamples", []) if "polar" in ce]
-    if not rows:
-        return False
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv_module.writer(handle, lineterminator="\n")
-        writer.writerow(["region", "target", "downrange", "crossrange"])
-        writer.writerows(rows)
-    if plot_path is not None:
-        try:
-            import matplotlib
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-        except ImportError:
-            return True  # the CSV is the canonical artifact; the plot is best effort
-        fig, ax = plt.subplots(figsize=(6, 6))
-        targets = sorted({r[1] for r in rows})
-        for target in targets:
-            xs = [r[3] for r in rows if r[1] == target]
-            ys = [r[2] for r in rows if r[1] == target]
-            ax.scatter(xs, ys, label=f"misclassified as {target}", s=18)
-        ax.set_xlabel("crossrange")
-        ax.set_ylabel("downrange")
-        ax.legend(loc="best", fontsize=8)
-        ax.set_title("counterexample inputs (polar projection)")
-        fig.tight_layout()
-        fig.savefig(plot_path, dpi=120)
-        plt.close(fig)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +352,6 @@ def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2"),
             cm.Wire("Vehicle", "velocity", "BreakingSystem", "velocity"),
             cm.Wire("BreakingSystem", "brake", "Vehicle", "brake"),
         ),
-        ticks_per_second=1,
     )
     c1 = ComponentContract(
         name="C1",
@@ -414,7 +385,6 @@ def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2"),
             cm.Wire("BreakingSystem", "brake", "Vehicle", "brake"),
             cm.Wire("NN", "Class", "BreakingSystem", "Class"),
         ),
-        ticks_per_second=1,
     )
     return EbsDemo(m1=m1, c1=c1, dnn_contract=dnn_stub, p=p, full_system=full)
 

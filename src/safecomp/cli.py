@@ -30,7 +30,7 @@ from .contracts import (
 from .guard import build_guard, stream_guard
 from .network import classify_batch, normalize, parse_network
 from .regions import DiscoveryConfig, discover_regions, load_dataset_csv, region_from_dict, region_to_dict
-from .verifier import Counterexample, FullResult, FullSummary, Verdict, VerdictStats
+from .verifier import FullResult, FullSummary
 
 _METRICS = {"l1": "L1", "l2": "L2", "linf": "Linf"}
 
@@ -110,24 +110,8 @@ def cmd_verify(args) -> int:
         _write_output("\n".join(lines) + "\n", args.out)
     else:
         _write_output(_dump_json(report), args.out)
-    if args.out and args.out != "-":
-        base = os.path.splitext(args.out)[0]
-        app.write_counterexample_artifacts(report, f"{base}.counterexamples.csv",
-                                           f"{base}.counterexamples.png")
     any_unsafe = any(v.status == "Unsafe" for _, r in results for v in r.verdicts.values())
     return 1 if any_unsafe else 0
-
-
-def _verdict_from_json(obj: dict) -> Verdict:
-    ce = None
-    if "counterexample" in obj:
-        ce = Counterexample(np.array(obj["counterexample"]["point"]),
-                            np.array(obj["counterexample"]["scores"]))
-    stats = obj.get("stats", {})
-    return Verdict(obj["status"], ce,
-                   VerdictStats(stats.get("nodes", 0), stats.get("deepest_split", 0),
-                                stats.get("elapsed", 0.0)),
-                   obj.get("reason"))
 
 
 def cmd_emit_contracts(args) -> int:
@@ -136,7 +120,7 @@ def cmd_emit_contracts(args) -> int:
     rebuilt = []
     for entry in report["regions"]:
         region = region_from_dict(entry, net.labels)
-        verdicts = {net.labels.index(name): _verdict_from_json(v)
+        verdicts = {net.labels.index(name): app.verdict_from_json(v)
                     for name, v in entry["verdicts"].items()}
         summary = FullSummary(entry["summary"],
                               tuple(net.labels.index(n) for n in entry["safe_targets"]))
@@ -244,8 +228,7 @@ def cmd_grid(args) -> int:
                 return
             pts = np.array(batch, dtype=np.float64)
             if net is not None:
-                normalized = np.array([normalize(net, p) for p in pts])
-                labels = classify_batch(net, normalized)
+                labels = classify_batch(net, normalize(net, pts))
                 for p, l in zip(pts, labels):
                     writer.writerow([repr(float(v)) for v in p] + [net.labels[int(l)]])
             else:

@@ -50,6 +50,8 @@ class ComponentModel:
             raise ValueError(f"{self.name}: no states")
         if not self.initial or any(s not in self.states for s in self.initial):
             raise ValueError(f"{self.name}: bad initial states")
+        if len(set(self.initial)) != len(self.initial):
+            raise ValueError(f"{self.name}: repeated initial state")
         for port, domain in {**self.inputs, **self.outputs}.items():
             if not domain:
                 raise ValueError(f"{self.name}: port {port!r} has an empty domain")
@@ -71,8 +73,7 @@ class ComponentModel:
         return sorted(self.inputs)
 
     def input_keys(self):
-        ports = self.input_ports()
-        return itertools.product(*(self.inputs[p] for p in ports)) if ports else [()]
+        return itertools.product(*(self.inputs[p] for p in self.input_ports()))
 
     def input_key(self, valuation: dict[str, str]) -> tuple[str, ...]:
         return tuple(valuation[p] for p in self.input_ports())
@@ -93,7 +94,6 @@ class Wire:
 class System:
     components: tuple[ComponentModel, ...]
     wiring: tuple[Wire, ...] = ()
-    ticks_per_second: int = 1
 
     def __post_init__(self):
         names = [c.name for c in self.components]
@@ -171,10 +171,7 @@ class Product:
         return valuation
 
     def env_valuations(self):
-        names = [n for n, _ in self.env_ports]
-        domains = [d for _, d in self.env_ports]
-        for combo in itertools.product(*domains) if names else [()]:
-            yield dict(zip(names, combo))
+        return _valuations(dict(self.env_ports))
 
     def valuation(self, states: tuple[str, ...], env: dict[str, str]) -> dict[str, str]:
         v = self.outputs_of(states)
@@ -199,27 +196,55 @@ class Product:
             ports.update(c.outputs)
         return ports
 
-    def explore(self, limit: int | None = None) -> list[tuple[str, ...]]:
+    def explore(self) -> list[tuple[str, ...]]:
         """Reachable product states in BFS order."""
-        initial = self.initial_states()
-        seen = set(initial)
-        order = list(initial)
-        queue = deque(initial)
-        while queue:
-            states = queue.popleft()
+        def successors(states):
             for env in self.env_valuations():
-                nxt = self.step(states, env)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-                    queue.append(nxt)
-                    if limit is not None and len(order) > limit:
-                        raise RuntimeError(f"state space exceeds {limit} states")
-        return order
+                yield env, self.step(states, env), False
+
+        return _search(self.initial_states(), successors)[0]
 
 
 def compose(system: System) -> Product:
     return Product(system)
+
+
+def _valuations(ports: dict[str, tuple[str, ...]]):
+    """Every assignment of one domain value per port, as dicts keyed in
+    sorted port order, enumerated lexicographically."""
+    names = sorted(ports)
+    for combo in itertools.product(*(ports[n] for n in names)):
+        yield dict(zip(names, combo))
+
+
+def _search(roots, successors):
+    """Breadth-first search: the one reachability loop of the model checker.
+
+    `successors(node)` yields `(label, next_node, bad)` edges. A bad edge
+    stops the search; a `None` next node ends that branch. Returns
+    `(order, explored, path)`: the nodes in discovery order, the number of
+    nodes expanded, and the shortest edge path from a root to the first bad
+    edge as `(source node, label)` pairs ending with that edge, or None when
+    no bad edge is reachable.
+    """
+    parents = dict.fromkeys(roots)
+    queue = deque(parents)
+    explored = 0
+    while queue:
+        node = queue.popleft()
+        explored += 1
+        for label, nxt, bad in successors(node):
+            if bad:
+                path = [(node, label)]
+                while parents[node] is not None:
+                    node, label = parents[node]
+                    path.append((node, label))
+                path.reverse()
+                return list(parents), explored, path
+            if nxt is not None and nxt not in parents:
+                parents[nxt] = (node, label)
+                queue.append(nxt)
+    return list(parents), explored, None
 
 
 # ---------------------------------------------------------------------------
@@ -362,39 +387,19 @@ def check_property(system: System, p: Property) -> CheckResult:
     prod = compose(system)
     _bind_check(prod.ports(), p)
     mon = PropertyMonitor(p)
-    roots = [(s, mon.initial()) for s in prod.initial_states()]
-    visited = set(roots)
-    parents: dict = {node: None for node in roots}
-    queue = deque(roots)
-    explored = 0
-    while queue:
-        node = queue.popleft()
+    envs = list(prod.env_valuations())
+
+    def successors(node):
         states, mem = node
-        explored += 1
-        for env in prod.env_valuations():
-            v = prod.valuation(states, env)
-            violated, mem2 = mon.step(mem, v)
-            if violated:
-                steps = _path_to(parents, node, prod)
-                steps.append(TraceStep(states, env, v))
-                return CheckResult(False, tuple(steps), explored)
-            nxt = (prod.step(states, env), mem2)
-            if nxt not in visited:
-                visited.add(nxt)
-                parents[nxt] = (node, env)
-                queue.append(nxt)
-    return CheckResult(True, None, explored)
+        for env in envs:
+            violated, mem2 = mon.step(mem, prod.valuation(states, env))
+            yield env, None if violated else (prod.step(states, env), mem2), violated
 
-
-def _path_to(parents: dict, node, prod: Product) -> list[TraceStep]:
-    edges = []
-    while parents[node] is not None:
-        prev, env = parents[node]
-        edges.append((prev, env))
-        node = prev
-    edges.reverse()
-    return [TraceStep(states, env, prod.valuation(states, env))
-            for (states, _mem), env in edges]
+    _, explored, path = _search([(s, mon.initial()) for s in prod.initial_states()], successors)
+    if path is None:
+        return CheckResult(True, None, explored)
+    return CheckResult(False, tuple(TraceStep(states, env, prod.valuation(states, env))
+                                    for (states, _mem), env in path), explored)
 
 
 def replay_violation(system: System, p: Property, trace) -> bool:
@@ -428,41 +433,24 @@ def check_implication(constraints: list, p: Property,
     the same tick absolves the trace). Exact for safety languages.
     """
     _bind_check(ports, p)
-    names = sorted(ports)
-    domains = [ports[n] for n in names]
     pmon = PropertyMonitor(p)
-    root = (tuple(c.initial() for c in constraints), pmon.initial())
-    visited = {root}
-    parents: dict = {root: None}
-    queue = deque([root])
-    explored = 0
-    while queue:
-        node = queue.popleft()
+    valuations = list(_valuations(ports))
+
+    def successors(node):
         cstates, pmem = node
-        explored += 1
-        for combo in itertools.product(*domains) if names else [()]:
-            v = dict(zip(names, combo))
+        for v in valuations:
             new_c = tuple(c.step(s, v) for c, s in zip(constraints, cstates))
             in_language = all(not c.is_bad(s) for c, s in zip(constraints, new_c))
             p_viol, pmem2 = pmon.step(pmem, v)
-            if p_viol and in_language:
-                chain = []
-                cursor = node
-                while parents[cursor] is not None:
-                    prev, prev_v = parents[cursor]
-                    chain.append(prev_v)
-                    cursor = prev
-                chain.reverse()
-                steps = [TraceStep((), sv, sv) for sv in chain] + [TraceStep((), v, v)]
-                return CheckResult(False, tuple(steps), explored)
-            if not in_language or p_viol:
-                continue  # absorbing either way; no counterexample can follow
-            nxt = (new_c, pmem2)
-            if nxt not in visited:
-                visited.add(nxt)
-                parents[nxt] = (node, v)
-                queue.append(nxt)
-    return CheckResult(True, None, explored)
+            # leaving the language or violating p is absorbing either way
+            absorbed = p_viol or not in_language
+            yield v, None if absorbed else (new_c, pmem2), p_viol and in_language
+
+    root = (tuple(c.initial() for c in constraints), pmon.initial())
+    _, explored, path = _search([root], successors)
+    if path is None:
+        return CheckResult(True, None, explored)
+    return CheckResult(False, tuple(TraceStep((), v, v) for _node, v in path), explored)
 
 
 # ---------------------------------------------------------------------------
@@ -496,39 +484,26 @@ def contract_monitor(c: ComponentContract | Property,
     ports = {p: tuple(ports[p]) for p in sorted(needed)}
 
     cm = ContractMonitor(c)
-    port_names = sorted(ports)
-    state_names: dict = {}
-    transitions: dict = {}
+    valuations = list(_valuations(ports))
+    edges = []
 
-    def intern(mstate) -> str:
-        if mstate not in state_names:
-            state_names[mstate] = f"m{len(state_names)}"
-        return state_names[mstate]
-
-    queue = deque([cm.initial()])
-    intern(cm.initial())
-    seen = {cm.initial()}
-    while queue:
-        mstate = queue.popleft()
-        for combo in itertools.product(*(ports[p] for p in port_names)) if port_names else [()]:
-            v = dict(zip(port_names, combo))
+    def successors(mstate):
+        for v in valuations:
             nxt = cm.step(mstate, v)
-            if nxt not in seen:
-                seen.add(nxt)
-                intern(nxt)
-                queue.append(nxt)
-            transitions[(state_names[mstate], tuple(combo))] = state_names[nxt]
+            edges.append((mstate, tuple(v.values()), nxt))
+            yield None, nxt, False
 
-    output_map = {sn: {"ok": "false" if ContractMonitor.is_bad(ms) else "true"}
-                  for ms, sn in state_names.items()}
+    order, _, _ = _search([cm.initial()], successors)
+    state_names = {ms: f"m{i}" for i, ms in enumerate(order)}
     return ComponentModel(
         name=name,
         inputs=ports,
         outputs={"ok": ("true", "false")},
         states=tuple(state_names.values()),
         initial=(state_names[cm.initial()],),
-        output_map=output_map,
-        transitions=transitions,
+        output_map={sn: {"ok": "false" if ContractMonitor.is_bad(ms) else "true"}
+                    for ms, sn in state_names.items()},
+        transitions={(state_names[src], key): state_names[dst] for src, key, dst in edges},
     )
 
 
@@ -544,7 +519,6 @@ def most_general_environment(c: ComponentContract, name: str | None = None) -> C
     out_ports = sorted(c.outputs)
     if not out_ports:
         raise ValueError("contract declares no output ports to generate")
-    in_ports = sorted(c.inputs)
 
     def check_realizable(prop: Property):
         cons_atom = prop.consequent.atom if isinstance(prop.consequent, Eventually) else prop.consequent
@@ -560,10 +534,8 @@ def most_general_environment(c: ComponentContract, name: str | None = None) -> C
     check_realizable(c.guarantee)
 
     cm = ContractMonitor(c)
-    out_vals = [dict(zip(out_ports, combo))
-                for combo in itertools.product(*(c.outputs[p] for p in out_ports))]
-    in_vals = [dict(zip(in_ports, combo))
-               for combo in itertools.product(*(c.inputs[p] for p in in_ports))] or [{}]
+    out_vals = list(_valuations(c.outputs))
+    in_vals = list(_valuations(c.inputs))
 
     def allowed(mstate, w: dict[str, str]) -> bool:
         return all(not ContractMonitor.is_bad(cm.step(mstate, {**i, **w})) for i in in_vals)
@@ -574,55 +546,48 @@ def most_general_environment(c: ComponentContract, name: str | None = None) -> C
                 return w
         raise ValueError("contract admits no continuation; conflicting obligations")
 
-    pick_ports = {f"{p}_pick": c.outputs[p] for p in out_ports}
-    state_names: dict = {}
-
-    def key_of(mstate, w):
-        return (mstate, tuple(w[p] for p in out_ports))
-
-    def intern(mstate, w) -> str:
-        k = key_of(mstate, w)
-        if k not in state_names:
-            state_names[k] = f"g{len(state_names)}"
-        return state_names[k]
-
-    initial = [(cm.initial(), w) for w in out_vals if allowed(cm.initial(), w)]
-    if not initial:
+    # a node is (monitor state, emitted output values in out_ports order)
+    roots = [(cm.initial(), tuple(w.values())) for w in out_vals if allowed(cm.initial(), w)]
+    if not roots:
         raise ValueError("contract rejects every initial valuation")
-    for ms, w in initial:
-        intern(ms, w)
-    queue = deque(initial)
-    seen = {key_of(ms, w) for ms, w in initial}
-    transitions: dict = {}
+    pick_ports = {f"{p}_pick": c.outputs[p] for p in out_ports}
     input_names = sorted(list(c.inputs) + list(pick_ports))
-    while queue:
-        mstate, w = queue.popleft()
-        sn = state_names[key_of(mstate, w)]
+    edges = []
+
+    def successors(node):
+        mstate, w = node
+        w = dict(zip(out_ports, w))
         for i in in_vals:
             m2 = cm.step(mstate, {**i, **w})
             if ContractMonitor.is_bad(m2):
                 raise AssertionError("generator emitted a forbidden valuation")
-            for combo in itertools.product(*(pick_ports[f"{p}_pick"] for p in out_ports)):
-                pick = dict(zip(out_ports, combo))
+            for pick in out_vals:
                 w2 = pick if allowed(m2, pick) else fallback(m2)
-                nsn = intern(m2, w2)
                 full_inputs = {**i, **{f"{p}_pick": pick[p] for p in out_ports}}
                 key = tuple(full_inputs[p] for p in input_names)
-                transitions[(sn, key)] = nsn
-                if key_of(m2, w2) not in seen:
-                    seen.add(key_of(m2, w2))
-                    queue.append((m2, w2))
+                nxt = (m2, tuple(w2.values()))
+                edges.append((node, key, nxt))
+                yield None, nxt, False
 
-    output_map = {state_names[k]: dict(zip(out_ports, k[1])) for k in state_names}
+    order, _, _ = _search(roots, successors)
+    state_names = {node: f"g{k}" for k, node in enumerate(order)}
     return ComponentModel(
         name=name or f"env_{c.name}",
-        inputs={**{p: c.inputs[p] for p in in_ports}, **pick_ports},
+        inputs={**dict(sorted(c.inputs.items())), **pick_ports},
         outputs=dict(c.outputs),
         states=tuple(state_names.values()),
-        initial=tuple(state_names[key_of(ms, w)] for ms, w in initial),
-        output_map=output_map,
-        transitions=transitions,
+        initial=tuple(state_names[node] for node in roots),
+        output_map={sn: dict(zip(out_ports, w)) for (_m, w), sn in state_names.items()},
+        transitions={(state_names[src], key): state_names[dst] for src, key, dst in edges},
     )
+
+
+def _perception_tokens(contract: DnnContract, token_map: dict | None):
+    """The token map (by default one token per contract region, in id order)
+    and the perception-token alphabet: its tokens plus "outside"."""
+    if token_map is None:
+        token_map = {rc.id: rc.guarantee for rc in sorted(contract.regions, key=lambda r: r.id)}
+    return token_map, tuple(token_map) + (("outside",) if "outside" not in token_map else ())
 
 
 def abstract_dnn_component(contract: DnnContract, class_domain,
@@ -636,11 +601,9 @@ def abstract_dnn_component(contract: DnnContract, class_domain,
     it, label_not_in leaves the allowed labels, outside leaves all labels.
     """
     class_domain = tuple(class_domain)
-    if token_map is None:
-        if not contract.regions:
-            warnings.warn("empty contract: abstract classifier is fully nondeterministic")
-        token_map = {rc.id: rc.guarantee for rc in sorted(contract.regions, key=lambda r: r.id)}
-    tokens = tuple(token_map) + (("outside",) if "outside" not in token_map else ())
+    if token_map is None and not contract.regions:
+        warnings.warn("empty contract: abstract classifier is fully nondeterministic")
+    token_map, tokens = _perception_tokens(contract, token_map)
 
     def allowed_labels(token: str) -> tuple[str, ...]:
         g = token_map.get(token)
@@ -722,20 +685,29 @@ def wire_by_name(system: System, comp: ComponentModel) -> System:
                 continue
             if port in comp.outputs:
                 new_wires.append(Wire(comp.name, port, c.name, port))
-    return System(system.components + (comp,), tuple(new_wires), system.ticks_per_second)
+    return System(system.components + (comp,), tuple(new_wires))
 
 
-def _check_under_assumption(system: System, assumption: Property | None,
-                            guarantee: Property,
-                            port_domains: dict[str, tuple[str, ...]]) -> CheckResult:
-    if assumption is None:
-        return check_property(system, guarantee)
-    gen_ports = {p: port_domains[p] for p in sorted(property_ports(assumption))}
-    env = most_general_environment(
-        ComponentContract("assumption", None, assumption, inputs={}, outputs=gen_ports),
-        name="assumption_env",
+def _model_check_premise(name: str, system: System, c: ComponentContract) -> PremiseReport:
+    """Model check the system against c's guarantee, under the most general
+    environment of c's assumption when c has one."""
+    if c.assumption is not None:
+        port_domains = {**compose(system).ports(), **_contract_ports(c)}
+        gen_ports = {p: port_domains[p] for p in sorted(property_ports(c.assumption))}
+        env = most_general_environment(
+            ComponentContract("assumption", None, c.assumption, inputs={}, outputs=gen_ports),
+            name="assumption_env",
+        )
+        system = wire_by_name(system, env)
+    result = check_property(system, c.guarantee)
+    return PremiseReport(
+        name=name,
+        holds=result.holds,
+        method="model-checking",
+        detail=f"guarantee {render_property(c.guarantee)}",
+        counterexample=result.counterexample,
+        states_explored=result.states_explored,
     )
-    return check_property(wire_by_name(system, env), guarantee)
 
 
 def audit_dnn_contract(contract: DnnContract) -> tuple[bool, str]:
@@ -770,17 +742,7 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
 
     The conclusion m1 || m2 |= p is asserted only when all premises hold.
     """
-    prod1 = compose(m1)
-    premise1_result = _check_under_assumption(m1, c1.assumption, c1.guarantee,
-                                              {**prod1.ports(), **_contract_ports(c1)})
-    premise1 = PremiseReport(
-        name="M1 |= C1",
-        holds=premise1_result.holds,
-        method="model-checking",
-        detail=f"guarantee {render_property(c1.guarantee)}",
-        counterexample=premise1_result.counterexample,
-        states_explored=premise1_result.states_explored,
-    )
+    premise1 = _model_check_premise("M1 |= C1", m1, c1)
 
     ports: dict[str, tuple[str, ...]] = dict(_contract_ports(c1))
     constraints: list = [ContractMonitor(c1)]
@@ -790,9 +752,7 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
                                  detail=detail)
         if class_domain is None:
             raise ValueError("class_domain is required for a DNN contract")
-        if token_map is None:
-            token_map = {rc.id: rc.guarantee for rc in sorted(m2.regions, key=lambda r: r.id)}
-        tokens = tuple(token_map) + (("outside",) if "outside" not in token_map else ())
+        token_map, tokens = _perception_tokens(m2, token_map)
         ports.setdefault(token_port, tokens)
         ports.setdefault(class_port, tuple(class_domain))
         constraints.append(DnnConstraintMonitor(token_port, class_port, token_map))
@@ -800,17 +760,7 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
         if m2_model is None:
             raise ValueError("m2_model is required to check a component contract")
         m2_system = m2_model if isinstance(m2_model, System) else System((m2_model,))
-        prod2 = compose(m2_system)
-        premise2_result = _check_under_assumption(m2_system, m2.assumption, m2.guarantee,
-                                                  {**prod2.ports(), **_contract_ports(m2)})
-        premise2 = PremiseReport(
-            name="M2 |= C2",
-            holds=premise2_result.holds,
-            method="model-checking",
-            detail=f"guarantee {render_property(m2.guarantee)}",
-            counterexample=premise2_result.counterexample,
-            states_explored=premise2_result.states_explored,
-        )
+        premise2 = _model_check_premise("M2 |= C2", m2_system, m2)
         ports.update(_contract_ports(m2))
         constraints.append(ContractMonitor(m2))
 
@@ -862,7 +812,7 @@ def component_from_json(obj: dict) -> ComponentModel:
         for port in port_names:
             v = when.get(port, "*")
             choices.append(inputs[port] if v == "*" else (v,))
-        for combo in itertools.product(*choices) if port_names else [()]:
+        for combo in itertools.product(*choices):
             key = (src, combo)
             if key in transitions:
                 raise ValueError(f"transition row {row_num}: overlaps an earlier row "
@@ -901,7 +851,6 @@ def system_to_json(system: System, properties=()) -> dict:
         "components": [component_to_json(c) for c in system.components],
         "wiring": [{"from": f"{w.src_comp}.{w.src_port}",
                     "to": f"{w.dst_comp}.{w.dst_port}"} for w in system.wiring],
-        "ticks_per_second": system.ticks_per_second,
         "properties": [render_property(p) for p in properties],
     }
 
@@ -913,8 +862,7 @@ def system_from_json(obj: dict) -> tuple[System, list[Property]]:
         src_comp, src_port = w["from"].split(".", 1)
         dst_comp, dst_port = w["to"].split(".", 1)
         wires.append(Wire(src_comp, src_port, dst_comp, dst_port))
-    system = System(components, tuple(wires),
-                    ticks_per_second=int(obj.get("ticks_per_second", 1)))
+    system = System(components, tuple(wires))
     properties = [parse_property(t) for t in obj.get("properties", [])]
     return system, properties
 

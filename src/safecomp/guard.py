@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import DnnContract, LabelIs, LabelNotIn
+from .contracts import DnnContract, LabelIs, LabelNotIn, _guarantee_to_json
 from .network import Network, evaluate
 
 
@@ -97,10 +97,8 @@ def decision_to_json(decision: GuardDecision) -> dict:
         obj["reason"] = decision.reason
     if decision.action is not None:
         obj["action"] = decision.action
-    if isinstance(decision.guarantee, LabelIs):
-        obj["guarantee"] = {"label_is": decision.guarantee.label}
-    elif isinstance(decision.guarantee, LabelNotIn):
-        obj["guarantee"] = {"label_not_in": list(decision.guarantee.labels)}
+    if decision.guarantee is not None:
+        obj["guarantee"] = _guarantee_to_json(decision.guarantee)
     return obj
 
 

@@ -252,9 +252,10 @@ def render_network(net: Network) -> str:
 
 
 def normalize(net: Network, raw) -> np.ndarray:
-    """Map a raw-unit input vector into normalized space."""
+    """Map a raw-unit input vector, or a batch of them (one per row), into
+    normalized space."""
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (net.input_dim,):
+    if raw.ndim not in (1, 2) or raw.shape[-1] != net.input_dim:
         raise ValueError(f"expected {net.input_dim} inputs, got shape {raw.shape}")
     return (raw - net.input_mean) / net.input_range
 

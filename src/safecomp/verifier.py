@@ -211,9 +211,10 @@ def score_gap_bound(bounds: LinearBounds, box: Box, true_label: int, target: int
     label loses to the true label (positive means the target never wins).
 
     Three sound candidates, best wins: the margin row composed through the
-    final layer (tightest, cancels shared terms), the difference of the
-    output bounding functions minimized at box corners, and the concrete
-    interval difference.
+    final layer against the symbolic penultimate bounds (cancels shared
+    terms), the same row against the penultimate intervals, and the concrete
+    interval difference. Subtracting the two outputs' bounding functions is
+    never tighter than the composed row, so it is not a candidate.
     """
     if true_label == target:
         raise ValueError("labels must be distinct")
@@ -232,12 +233,8 @@ def score_gap_bound(bounds: LinearBounds, box: Box, true_label: int, target: int
     m_b = r_pos @ bounds.penult_lower_b + r_neg @ bounds.penult_upper_b + row_b
     composed = float(_affine_min(m_a, m_b, box))
     interval = float(r_pos @ bounds.penult_lo + r_neg @ bounds.penult_hi + row_b)
-
-    diff_a = bounds.lower_a[win] - bounds.upper_a[lose]
-    diff_b = bounds.lower_b[win] - bounds.upper_b[lose]
-    independent = float(_affine_min(diff_a, diff_b, box))
     concrete = float(bounds.concrete_lo[win] - bounds.concrete_hi[lose])
-    return max(composed, interval, independent, concrete)
+    return max(composed, interval, concrete)
 
 
 def _pull_into_region_batch(xs: np.ndarray, region: Region) -> np.ndarray:

@@ -18,11 +18,13 @@ from safecomp.app import (
     run_ebs_demo,
     run_parallel_verification,
     task_seed,
+    verdict_from_json,
+    verdict_to_json,
 )
 from safecomp.compose import check_property
 from safecomp.network import classify, evaluate
 from safecomp.regions import DiscoveryConfig, Region, discover_regions
-from safecomp.verifier import verify_full
+from safecomp.verifier import Counterexample, Verdict, VerdictStats, verify_full
 
 
 class TestPolar:
@@ -218,3 +220,22 @@ class TestReport:
         assert masked["timing"]["elapsed"] == 0.0
         assert masked["regions"][0]["verdicts"]["b"]["stats"]["elapsed"] == 0.0
         assert masked["regions"][0]["verdicts"]["b"]["stats"]["nodes"] == 7
+
+    @pytest.mark.parametrize("verdict", [
+        Verdict("Safe", None, VerdictStats(12, 3, 0.25)),
+        Verdict("Unsafe", Counterexample(np.array([0.1, -0.7]), np.array([1.5, 2.25])),
+                VerdictStats(4, 1, 0.5)),
+        Verdict("Unknown", None, VerdictStats(50, 9, 1.0), reason="budget"),
+    ])
+    def test_verdict_json_round_trip(self, verdict):
+        obj = json.loads(json.dumps(verdict_to_json(verdict)))
+        back = verdict_from_json(obj)
+        assert (back.status, back.stats, back.reason) == \
+            (verdict.status, verdict.stats, verdict.reason)
+        if verdict.counterexample is None:
+            assert back.counterexample is None
+        else:
+            np.testing.assert_array_equal(back.counterexample.point, verdict.counterexample.point)
+            np.testing.assert_array_equal(back.counterexample.scores,
+                                          verdict.counterexample.scores)
+        assert verdict_to_json(back) == obj

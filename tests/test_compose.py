@@ -104,6 +104,18 @@ class TestComponentAndSystem:
                 transitions={("s", ("0",)): "s"},  # missing x=1
             )
 
+    def test_repeated_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="repeated initial state"):
+            ComponentModel(
+                name="twice",
+                inputs={},
+                outputs={"y": BIN},
+                states=("s", "t"),
+                initial=("s", "s"),
+                output_map={"s": {"y": "0"}, "t": {"y": "1"}},
+                transitions={("s", ()): "t", ("t", ()): "s"},
+            )
+
     def test_wiring_type_mismatch_rejected(self):
         wide = const_component("wide", "v", "2", domain=("0", "1", "2"))
         narrow = ComponentModel(
@@ -386,6 +398,38 @@ class TestMostGeneralEnvironment:
         depth = 6 if len(text) < 20 else 5
         assert self._language(gen, ["p", "q"], depth) == \
             self._allowed_prefixes(contract, ["p", "q"], depth)
+
+    def test_monitor_and_generator_models_pinned(self):
+        # state names follow BFS discovery order; pinned so a change to the
+        # search shows up as a diff in the generated machines
+        contract = ComponentContract(
+            "resp", parse_property("G (c=1 => F<=1 (c=0))"),
+            parse_property("G (c=1 => F<=1 (v=1))"),
+            inputs={"c": BIN}, outputs={"v": BIN},
+        )
+
+        def table(model):
+            keys = list(model.input_keys())
+            return {s: " ".join(model.transitions[(s, k)] for k in keys) for s in model.states}
+
+        mon = contract_monitor(contract)
+        assert mon.initial == ("m0",)
+        assert [s for s in mon.states if mon.output_map[s]["ok"] == "false"] == ["m3"]
+        assert table(mon) == {  # inputs (c, v)
+            "m0": "m0 m0 m1 m2", "m1": "m3 m0 m4 m5", "m2": "m0 m0 m6 m5",
+            "m3": "m3 m3 m3 m3", "m4": "m4 m4 m4 m4", "m5": "m5 m5 m6 m5",
+            "m6": "m4 m5 m4 m5",
+        }
+
+        gen = most_general_environment(contract)
+        assert gen.initial == ("g0", "g1")
+        assert "".join(gen.output_map[s]["v"] for s in gen.states) == "01101010101"
+        assert table(gen) == {  # inputs (c, v_pick)
+            "g0": "g0 g1 g2 g2", "g1": "g0 g1 g3 g4", "g2": "g0 g1 g5 g6",
+            "g3": "g0 g1 g7 g8", "g4": "g0 g1 g5 g6", "g5": "g5 g6 g7 g8",
+            "g6": "g5 g6 g5 g6", "g7": "g9 g10 g9 g10", "g8": "g5 g6 g5 g6",
+            "g9": "g9 g10 g9 g10", "g10": "g9 g10 g9 g10",
+        }
 
     def test_unrealizable_immediate_input_response_rejected(self):
         contract = ComponentContract(

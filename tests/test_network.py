@@ -136,10 +136,14 @@ class TestNormalize:
             raw = rng.normal(size=3)
             expected = np.array([(raw[i] - mean[i]) / rang[i] for i in range(3)])
             np.testing.assert_allclose(normalize(net, raw), expected, rtol=1e-12)
+        batch = rng.normal(size=(7, 3))
+        np.testing.assert_array_equal(normalize(net, batch),
+                                      np.array([normalize(net, row) for row in batch]))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            normalize(identity_network(), [1.0, 2.0, 3.0])
+        for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], np.zeros((2, 2, 2)), 1.0):
+            with pytest.raises(ValueError):
+                normalize(identity_network(), bad)
 
 
 def straight_line_forward(net, x):
