@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -27,7 +26,7 @@ from .contracts import (
     parse_property,
     render_contract,
 )
-from .guard import build_guard, stream_guard
+from .guard import build_guard, check_network, stream_guard
 from .network import classify_batch, normalize, parse_network
 from .regions import DiscoveryConfig, discover_regions, load_dataset_csv, region_from_dict, region_to_dict
 from .verifier import FullResult, FullSummary
@@ -172,24 +171,33 @@ def cmd_check_system(args) -> int:
     return 0 if report.conclusion else 1
 
 
+def _csv_rows(lines, width: int):
+    """Data rows of a CSV stream, cut to `width` cells, as strings. A first
+    row that does not parse as numbers is a header and is skipped; any other
+    such row is passed on for the guard to reject."""
+    for i, row in enumerate(csv.reader(lines)):
+        if not row:
+            continue
+        cells = row[:width]
+        if i == 0:
+            try:
+                list(map(float, cells))
+            except ValueError:
+                continue  # header row
+        yield cells
+
+
 def cmd_guard(args) -> int:
     net = _read_net(args.net)
     contract = dnn_contract_from_json(json.loads(Path(args.contracts).read_text()))
     guard = build_guard(contract, uncertainty_threshold=args.threshold)
-    text = Path(args.data).read_text()
-    rows = []
-    for i, row in enumerate(csv.reader(io.StringIO(text))):
-        if not row:
-            continue
-        try:
-            rows.append([float(v) for v in row[:net.input_dim]])
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise
-    buf = io.StringIO()
-    stream_guard(guard, net, rows, buf)
-    _write_output(buf.getvalue(), args.out)
+    check_network(guard, net)
+    with open(args.data, newline="") as data:
+        if args.out is None or args.out == "-":
+            stream_guard(guard, net, _csv_rows(data, net.input_dim), sys.stdout)
+        else:
+            with open(args.out, "w") as out:
+                stream_guard(guard, net, _csv_rows(data, net.input_dim), out)
     return 0
 
 

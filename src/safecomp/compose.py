@@ -15,7 +15,7 @@ import itertools
 import json
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .contracts import (
     Always,
@@ -44,8 +44,11 @@ class ComponentModel:
     initial: tuple[str, ...]
     output_map: dict[str, dict[str, str]]
     transitions: dict[tuple[str, tuple[str, ...]], str]
+    # input port names in sorted order, the order of a transition key
+    _ports: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_ports", tuple(sorted(self.inputs)))
         if not self.states:
             raise ValueError(f"{self.name}: no states")
         if not self.initial or any(s not in self.states for s in self.initial):
@@ -69,14 +72,14 @@ class ComponentModel:
                 if nxt not in self.states:
                     raise ValueError(f"{self.name}: transition target {nxt!r} unknown")
 
-    def input_ports(self) -> list[str]:
-        return sorted(self.inputs)
+    def input_ports(self) -> tuple[str, ...]:
+        return self._ports
 
     def input_keys(self):
-        return itertools.product(*(self.inputs[p] for p in self.input_ports()))
+        return itertools.product(*(self.inputs[p] for p in self._ports))
 
     def input_key(self, valuation: dict[str, str]) -> tuple[str, ...]:
-        return tuple(valuation[p] for p in self.input_ports())
+        return tuple([valuation[p] for p in self._ports])
 
     def step(self, state: str, valuation: dict[str, str]) -> str:
         return self.transitions[(state, self.input_key(valuation))]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import METRICS, Region, dist
+from .regions import METRICS, Region, dist, dist_many
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,8 @@ class RegionContract:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        if np.ndim(self.centroid) != 1:
+            raise ValueError("centroid must be a vector")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         if self.uncertainty_max is not None and not 0 < self.uncertainty_max <= 1:
@@ -223,11 +225,46 @@ class DnnContract:
     network: str
     regions: tuple[RegionContract, ...]
     annex: tuple[dict, ...] = ()
+    # built once: the regions in id order, the distinct widths of their
+    # centroids, their uncertainty caps (inf where unset) and, when the
+    # centroids share one width, per metric the (columns, centroids, radii)
+    # of its regions in that order
+    ordered: tuple[RegionContract, ...] = field(init=False, compare=False, repr=False)
+    centroid_widths: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    uncertainty_caps: np.ndarray = field(init=False, compare=False, repr=False)
+    _groups: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ids = [r.id for r in self.regions]
         if len(ids) != len(set(ids)):
             raise ValueError("region ids must be unique")
+        ordered = tuple(sorted(self.regions, key=lambda r: r.id))
+        widths = tuple(sorted({len(r.centroid) for r in ordered}))
+        groups = []
+        for metric in METRICS if len(widths) == 1 else ():
+            cols = [k for k, r in enumerate(ordered) if r.metric == metric]
+            if cols:
+                contiguous = cols[-1] - cols[0] + 1 == len(cols)  # a slice is cheaper to write through
+                groups.append((metric, slice(cols[0], cols[-1] + 1) if contiguous else np.array(cols),
+                               np.array([ordered[k].centroid for k in cols], dtype=np.float64),
+                               np.array([ordered[k].radius for k in cols], dtype=np.float64)))
+        object.__setattr__(self, "ordered", ordered)
+        object.__setattr__(self, "centroid_widths", widths)
+        object.__setattr__(self, "uncertainty_caps", np.array(
+            [np.inf if r.uncertainty_max is None else r.uncertainty_max for r in ordered]))
+        object.__setattr__(self, "_groups", tuple(groups))
+
+    def first_containing(self, xs: np.ndarray) -> np.ndarray:
+        """Index into `ordered` of the lowest-id region containing each row of
+        the (n, width) batch xs, boundary included; len(ordered) where none
+        does. Distances are taken exactly as regions.dist takes them."""
+        if self.centroid_widths and self.centroid_widths != (xs.shape[-1],):
+            raise ValueError(f"dimension mismatch: rows of width {xs.shape[-1]}, "
+                             f"region centroids of width {list(self.centroid_widths)}")
+        member = np.ones((len(xs), len(self.ordered) + 1), dtype=bool)  # last: no region
+        for metric, cols, centroids, radii in self._groups:
+            member[:, cols] = dist_many(metric, xs[:, None, :], centroids) <= radii
+        return member.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -303,10 +340,14 @@ class ContractAnswer:
 
 def check_point_against_contract(contract: DnnContract, x) -> ContractAnswer:
     """First containing region in id order decides; no region means undetermined."""
-    for rc in sorted(contract.regions, key=lambda r: r.id):
-        if rc.contains(x):
-            return ContractAnswer(True, rc.id, rc.guarantee)
-    return ContractAnswer(False)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected one input vector, got shape {x.shape}")
+    k = contract.first_containing(x[None, :])[0]
+    if k == len(contract.ordered):
+        return ContractAnswer(False)
+    rc = contract.ordered[k]
+    return ContractAnswer(True, rc.id, rc.guarantee)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ class Network:
     input_mean: np.ndarray
     input_range: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
+    _domain: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) < 2:
@@ -83,6 +84,10 @@ class Network:
             raise ValueError("input_range entries must be positive")
         if np.any(self.input_min > self.input_max):
             raise ValueError("input_min must not exceed input_max")
+        lo = (self.input_min - self.input_mean) / self.input_range
+        hi = (self.input_max - self.input_mean) / self.input_range
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "_domain", (lo, hi))
 
     @property
     def n_labels(self) -> int:
@@ -95,10 +100,9 @@ class Network:
             raise KeyError(f"unknown label {name!r}") from None
 
     def normalized_domain(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-dimension [lo, hi] of the raw input bounds, in normalized space."""
-        lo = (self.input_min - self.input_mean) / self.input_range
-        hi = (self.input_max - self.input_mean) / self.input_range
-        return lo, hi
+        """Per-dimension [lo, hi] of the raw input bounds, in normalized space
+        (read-only arrays, computed once)."""
+        return self._domain
 
 
 def _parse_floats(text: str, n: int | None, line: int) -> np.ndarray:
@@ -268,17 +272,33 @@ def denormalize(net: Network, x) -> np.ndarray:
 
 
 def evaluate(net: Network, x) -> np.ndarray:
-    """Forward pass on one normalized input; returns the raw score vector."""
+    """Forward pass on one normalized input, or on an (n, input_dim) batch of
+    them; returns the raw score vector, or an (n, n_labels) array of them.
+
+    A batch row gets bit for bit the scores it gets on its own: the batch is
+    a stack of the same matrix-vector products, so a row's scores never
+    depend on the batch it sits in (evaluate_batch's matrix product gives no
+    such promise).
+    """
     a = np.asarray(x, dtype=np.float64)
-    if a.shape != (net.input_dim,):
+    if a.ndim not in (1, 2) or a.shape[-1] != net.input_dim:
         raise ValueError(f"expected {net.input_dim} inputs, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("input has non-finite entries")
+    return _forward(net, a)
+
+
+def _forward(net: Network, a: np.ndarray) -> np.ndarray:
+    """evaluate without the checks, for inputs already known to be valid."""
+    batch = a.ndim == 2
+    if batch:
+        a = a[:, :, None]
     for layer in net.layers:
-        a = layer.weights @ a + layer.bias
+        a = layer.weights @ a
+        a += layer.bias[:, None] if batch else layer.bias
         if layer.activation == "relu":
-            a = np.maximum(a, 0.0)
-    return a
+            np.maximum(a, 0.0, out=a)
+    return a[:, :, 0] if batch else a
 
 
 def evaluate_batch(net: Network, xs: np.ndarray) -> np.ndarray:

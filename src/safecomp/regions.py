@@ -90,14 +90,15 @@ def dist(metric: str, a, b) -> float:
 
 
 def dist_many(metric: str, points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Distances from each row of `points` to `center`."""
+    """Distances from each vector along the last axis of `points` to `center`
+    (broadcast against each other)."""
     diff = np.abs(points - center)
     if metric == "L1":
-        return np.sum(diff, axis=1)
+        return np.add.reduce(diff, axis=-1)
     if metric == "L2":
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
     if metric == "Linf":
-        return np.max(diff, axis=1)
+        return np.maximum.reduce(diff, axis=-1)
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -48,6 +48,19 @@ def random_network(seed, dims=(2, 8, 8, 3), score_order="max_best", scale=1.0):
                         name=f"rand{seed}")
 
 
+def capacity_network():
+    """The 5-input, 6x50-ReLU, 5-label net of acceptance criterion 8."""
+    rng = np.random.default_rng(88)
+    dims = [5] + [50] * 6 + [5]
+    layers = []
+    for i in range(len(dims) - 1):
+        activation = "identity" if i == len(dims) - 2 else "relu"
+        layers.append(Layer(rng.normal(0, 0.4, size=(dims[i + 1], dims[i])),
+                            rng.normal(0, 0.1, size=dims[i + 1]), activation))
+    return make_network(layers, labels=("COC", "WL", "WR", "SL", "SR"),
+                        score_order="min_best", name="capacity")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

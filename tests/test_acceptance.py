@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ag_fixtures import random_ag_instance
-from conftest import make_network
+from conftest import capacity_network, make_network
 from safecomp.app import (
     build_ebs_demo,
     build_semaphore_classifier,
@@ -278,15 +278,7 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_capacity_on_deep_network(self):
-        rng = np.random.default_rng(88)
-        dims = [5] + [50] * 6 + [5]
-        layers = []
-        for i in range(len(dims) - 1):
-            activation = "identity" if i == len(dims) - 2 else "relu"
-            layers.append(Layer(rng.normal(0, 0.4, size=(dims[i + 1], dims[i])),
-                                rng.normal(0, 0.1, size=dims[i + 1]), activation))
-        net = make_network(layers, labels=("COC", "WL", "WR", "SL", "SR"),
-                           score_order="min_best", name="capacity")
+        net = capacity_network()
         reparsed = parse_network(render_network(net))
         assert sum(l.out_dim for l in reparsed.layers[:-1]) == 300
 

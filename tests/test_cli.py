@@ -1,13 +1,21 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import identity_network
 from safecomp.app import build_ebs_demo, build_semaphore_classifier
 from safecomp.cli import cli_main
 from safecomp.compose import system_to_json
-from safecomp.contracts import component_contract_to_json, parse_dnn_contract
+from safecomp.contracts import (
+    DnnContract,
+    LabelIs,
+    RegionContract,
+    component_contract_to_json,
+    parse_dnn_contract,
+    render_contract,
+)
 from safecomp.network import render_network
 from safecomp.regions import render_dataset_csv
 
@@ -166,6 +174,54 @@ class TestPipeline:
                     "--format", "text", "--out", out_path]) == 0
         text = out_path.read_text()
         assert "fully_safe=" in text
+
+
+class TestGuardCli:
+    @pytest.fixture
+    def files(self, tmp_path):
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network()))
+        contract = DnnContract("test", (RegionContract("r0", np.array([0.2, 0.1]), 0.3, "Linf",
+                                                       LabelIs("a")),))
+        contract_path = tmp_path / "contract.json"
+        contract_path.write_text(render_contract(contract))
+        return net_path, contract_path
+
+    def guard(self, files, tmp_path, csv_text):
+        data_path = tmp_path / "rows.csv"
+        data_path.write_text(csv_text)
+        out = tmp_path / "decisions.jsonl"
+        code = run(["guard", "--net", files[0], "--contracts", files[1], "--data", data_path,
+                    "--out", out])
+        return code, [json.loads(l) for l in out.read_text().splitlines()] if out.exists() else None
+
+    def test_malformed_rows_fail_safe_in_place(self, files, tmp_path):
+        code, lines = self.guard(files, tmp_path,
+                                 "x1,x2\n0.2,0.1\nnan,0.1\n0.2,oops\n0.2\n0.2,0.1,extra\n0.9,0.9\n")
+        assert code == 0
+        for line in lines:
+            jsonschema.validate(line, GUARD_LINE_SCHEMA)
+        assert [(l["kind"], l.get("reason")) for l in lines] == [
+            ("Covered", None),
+            ("FailSafe", "invalid_input"),
+            ("FailSafe", "invalid_input"),
+            ("FailSafe", "invalid_input"),
+            ("Covered", None),  # cells past the network's width are ignored
+            ("FailSafe", "outside_regions"),
+        ]
+
+    def test_off_domain_row(self, files, tmp_path):
+        code, lines = self.guard(files, tmp_path, "0.2,-0.1\n")
+        assert code == 0
+        assert lines[0]["reason"] == "outside_domain"
+
+    def test_width_mismatch_exits_2_without_output(self, files, tmp_path, capsys):
+        net_path = tmp_path / "id3.net"
+        net_path.write_text(render_network(identity_network(3)))
+        code, lines = self.guard((net_path, files[1]), tmp_path, "0.2,0.1,0.0\n")
+        assert code == 2
+        assert lines is None
+        assert "2 inputs" in capsys.readouterr().err
 
 
 class TestCheckSystem:

@@ -267,6 +267,12 @@ class TestCheckPoint:
             else:
                 assert not answer.determined
 
+    @pytest.mark.parametrize("metric", ["L1", "L2", "Linf"])
+    def test_boundary_is_contained(self, metric):
+        contract = self.make_contract(("r000", [0.5, 0.5], 0.25, metric, LabelIs("COC")))
+        assert check_point_against_contract(contract, [0.75, 0.5]).determined
+        assert not check_point_against_contract(contract, [0.75 + 1e-12, 0.5]).determined
+
     def test_dimension_mismatch(self):
         contract = self.make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")))
         with pytest.raises(ValueError):

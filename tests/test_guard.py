@@ -5,21 +5,30 @@ import numpy as np
 import pytest
 
 from conftest import identity_network, random_network
-from safecomp.contracts import DnnContract, LabelIs, RegionContract
-from safecomp.guard import build_guard, guard_eval, stream_guard, uncertainty
+from safecomp.contracts import DnnContract, LabelIs, LabelNotIn, RegionContract
+from safecomp.guard import (
+    BLOCK_ROWS,
+    build_guard,
+    decision_to_json,
+    guard_eval,
+    stream_guard,
+    uncertainty,
+)
 from safecomp.regions import dist
 
 
-def make_contract(*specs, network="n"):
+def make_contract(*specs, network="n", uncertainty_max=None):
     regions = tuple(
         RegionContract(rid, np.asarray(c, dtype=float), r, metric, guarantee,
-                       provenance={"summary": "FullySafe"})
+                       provenance={"summary": "FullySafe"}, uncertainty_max=uncertainty_max)
         for rid, c, r, metric, guarantee in specs
     )
     return DnnContract(network, regions)
 
 
-COC_CONTRACT = make_contract(("r000", [0.19, 0.31, 0.28, 0.33, 0.33], 0.28, "L1", LabelIs("COC")))
+COC_CENTROID = [0.19, 0.31, 0.28, 0.33, 0.33]
+COC_CONTRACT = make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")))
+FIVE = identity_network(5, labels=("COC", "b", "c", "d", "e"))
 
 
 class TestBuildGuard:
@@ -122,7 +131,8 @@ class TestGuardEval:
             x = rng.uniform(-0.2, 1.2, size=2)
             decision = guard_eval(guard, net, x)
             inside_any = any(dist(m, x, np.asarray(c)) <= r for _, c, r, m, _ in specs)
-            assert (decision.kind == "Covered") == inside_any
+            in_domain = bool(np.all((x >= 0.0) & (x <= 1.0)))  # the net's domain is [0, 1]^2
+            assert (decision.kind == "Covered") == (inside_any and in_domain)
 
     def test_deterministic(self):
         net = identity_network(5, labels=("COC", "b", "c", "d", "e"))
@@ -176,3 +186,155 @@ class TestStreaming:
         assert lines[1]["kind"] == "FailSafe"
         assert lines[1]["reason"] == "outside_regions"
         assert all("label" in l and "uncertainty" in l for l in lines)
+
+
+
+class TestFailSafe:
+    @pytest.mark.parametrize("row", [
+        [0.19, np.nan, 0.28, 0.33, 0.33],
+        [0.19, 0.31, np.inf, 0.33, 0.33],
+        [0.19, 0.31, 0.28, 0.33],              # width - 1
+        [0.19, 0.31, 0.28, 0.33, 0.33, 0.5],   # width + 1
+        [0.19, "x", 0.28, 0.33, 0.33],         # not a number
+        [],
+        None,
+    ])
+    def test_invalid_input(self, row):
+        decision = guard_eval(build_guard(COC_CONTRACT, fail_safe_action="brake"), FIVE, row)
+        assert (decision.kind, decision.reason, decision.action) == ("FailSafe", "invalid_input",
+                                                                     "brake")
+        assert decision.region_id is decision.label is decision.uncertainty is None
+        line = decision_to_json(decision)
+        assert {k: line[k] for k in ("kind", "region", "label", "uncertainty")} == {
+            "kind": "FailSafe", "region": None, "label": None, "uncertainty": None}
+
+    def test_contained_but_outside_domain(self):
+        # the region's ball reaches below 0 in the first coordinate; the
+        # network's domain is [0, 1]^5, so the verifier proved nothing there
+        x = [-0.05, 0.31, 0.28, 0.33, 0.33]
+        decision = guard_eval(build_guard(COC_CONTRACT), FIVE, x)
+        assert (decision.kind, decision.reason, decision.region_id) == (
+            "FailSafe", "outside_domain", None)
+        assert decision.label == "d"  # the network's own label is still reported
+        assert decision.uncertainty is not None
+
+    def test_domain_boundary_is_covered(self):
+        x = [0.0, 0.31, 0.28, 0.33, 0.33]
+        assert guard_eval(build_guard(COC_CONTRACT), FIVE, x).kind == "Covered"
+
+    def test_outside_regions_wins_over_outside_domain(self):
+        decision = guard_eval(build_guard(COC_CONTRACT), FIVE, [-5.0] * 5)
+        assert decision.reason == "outside_regions"
+
+    def test_region_uncertainty_cap_without_threshold(self):
+        capped = make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")),
+                               uncertainty_max=0.1)
+        guard = build_guard(capped)
+        assert guard.uncertainty_threshold is None
+        decision = guard_eval(guard, FIVE, COC_CENTROID)
+        assert decision.uncertainty > 0.1
+        assert (decision.kind, decision.reason, decision.region_id) == (
+            "FailSafe", "uncertain", "r000")
+        assert guard_eval(build_guard(COC_CONTRACT), FIVE, COC_CENTROID).kind == "Covered"
+
+    def test_lower_of_cap_and_threshold_applies(self):
+        u = uncertainty(FIVE, COC_CENTROID)
+        capped = make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")),
+                               uncertainty_max=u + 0.01)
+        assert guard_eval(build_guard(capped, uncertainty_threshold=1.0), FIVE,
+                          COC_CENTROID).kind == "Covered"
+        assert guard_eval(build_guard(capped, uncertainty_threshold=u - 0.01), FIVE,
+                          COC_CENTROID).reason == "uncertain"
+
+    def test_width_mismatch_rejected_before_any_row(self):
+        guard = build_guard(COC_CONTRACT)
+        net = identity_network(4)
+        with pytest.raises(ValueError, match="5 inputs.*has 4"):
+            guard_eval(guard, net, [0.1] * 4)
+        out = io.StringIO()
+
+        def rows():
+            raise AssertionError("no row may be read")
+            yield
+
+        with pytest.raises(ValueError, match="5 inputs.*has 4"):
+            stream_guard(guard, net, rows(), out)
+        assert out.getvalue() == ""
+
+    def test_mixed_centroid_widths_rejected(self):
+        contract = make_contract(("r0", [0.5] * 5, 0.1, "L1", LabelIs("COC")),
+                                 ("r1", [0.5] * 4, 0.1, "L1", LabelIs("COC")))
+        with pytest.raises(ValueError, match="4 inputs"):
+            guard_eval(build_guard(contract), FIVE, [0.5] * 5)
+
+
+def mixed_rows(rng, n):
+    """Rows of every kind: inside, boundary, outside, off-domain and malformed."""
+    rows = []
+    for k in range(n):
+        kind = k % 9
+        if kind < 3:
+            x = np.asarray(COC_CENTROID) + rng.uniform(-0.06, 0.06, size=5)
+        elif kind == 3:
+            x = rng.uniform(0, 1, size=5)
+        elif kind == 4:
+            x = np.asarray(COC_CENTROID) + rng.uniform(-0.3, 0.3, size=5)
+        elif kind == 5:
+            x = np.asarray(COC_CENTROID)
+            x[int(rng.integers(5))] = -0.01
+        else:
+            x = rng.uniform(0, 1, size=5)
+        row = [float(v) for v in x]
+        if kind == 6:
+            row[int(rng.integers(5))] = float("nan")
+        elif kind == 7:
+            row = row[:4] if k % 2 else row + [0.5]
+        elif kind == 8:
+            row = [str(v) for v in row]
+        rows.append(row)
+    return rows
+
+
+class TestStreamingIdentity:
+    def contracts(self):
+        return make_contract(
+            ("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")),
+            ("r001", [0.6, 0.6, 0.6, 0.6, 0.6], 0.2, "Linf", LabelNotIn(("b",))),
+            ("a002", [0.3, 0.3, 0.3, 0.3, 0.3], 0.15, "L2", LabelIs("e")),
+        )
+
+    def test_same_bytes_for_any_chunking(self, rng):
+        net = random_network(7, dims=(5, 12, 5), score_order="min_best")
+        guard = build_guard(self.contracts(), uncertainty_threshold=0.4)
+        rows = mixed_rows(rng, 2 * BLOCK_ROWS + 300)
+
+        def streamed(chunk):
+            out = io.StringIO()
+            count = sum(stream_guard(guard, net, rows[k:k + chunk], out)
+                        for k in range(0, len(rows), chunk))
+            assert count == len(rows)
+            return out.getvalue()
+
+        whole = io.StringIO()
+        assert stream_guard(guard, net, iter(rows), whole) == len(rows)
+        one_by_one = "".join(json.dumps(decision_to_json(guard_eval(guard, net, row)),
+                                        sort_keys=True) + "\n" for row in rows)
+        assert whole.getvalue() == one_by_one
+        for chunk in (1, 7, 1000):
+            assert streamed(chunk) == one_by_one
+        reasons = {json.loads(line).get("reason") for line in one_by_one.splitlines()}
+        assert reasons == {None, "invalid_input", "outside_regions", "outside_domain", "uncertain"}
+
+    def test_blocks_are_written_as_decided(self):
+        net = identity_network(5, labels=("COC", "b", "c", "d", "e"))
+        out = io.StringIO()
+
+        def rows():
+            for _ in range(BLOCK_ROWS):
+                yield COC_CENTROID
+            # the first block is out before the stream reads past it
+            assert out.getvalue().count("\n") == BLOCK_ROWS
+            yield [np.nan] * 5
+
+        assert stream_guard(build_guard(COC_CONTRACT), net, rows(), out) == BLOCK_ROWS + 1
+        assert json.loads(out.getvalue().splitlines()[-1])["reason"] == "invalid_input"

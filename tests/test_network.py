@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import identity_network, make_network, random_network
+from conftest import capacity_network, identity_network, make_network, random_network
 from safecomp.network import (
     Layer,
     NetworkFormatError,
@@ -209,6 +209,34 @@ class TestEvaluate:
                 np.testing.assert_allclose(evaluate(net, p), expected,
                                            rtol=1e-9, atol=1e-9)
             checked += 1
+
+
+    @pytest.mark.parametrize("which", ["semaphore", "capacity"])
+    def test_batch_equals_rows_bit_for_bit(self, which, rng):
+        from safecomp.app import build_semaphore_classifier
+
+        net = build_semaphore_classifier(42)[0] if which == "semaphore" else capacity_network()
+        for n in (1, 2, 7, 1024, 3000):
+            xs = rng.uniform(-0.5, 1.5, size=(n, net.input_dim))
+            batch = evaluate(net, xs)
+            assert batch.shape == (n, net.n_labels)
+            assert np.array_equal(batch, np.stack([evaluate(net, x) for x in xs]))
+
+    def test_batch_leaves_input_untouched(self, rng):
+        net = random_network(3, dims=(2, 6, 6, 3))
+        xs = rng.uniform(-1, 1, size=(5, 2))
+        before = xs.copy()
+        evaluate(net, xs)
+        assert np.array_equal(xs, before)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros((2, 2, 2)), np.float64(0.5)])
+    def test_batch_shape_rejected(self, bad):
+        with pytest.raises(ValueError, match="expected 2 inputs"):
+            evaluate(identity_network(), bad)
+
+    def test_batch_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(identity_network(), [[0.1, 0.2], [np.nan, 0.0]])
 
 
 class TestClassify:
