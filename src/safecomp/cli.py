@@ -191,9 +191,14 @@ def cmd_guard(args) -> int:
     net = _read_net(args.net)
     contract = dnn_contract_from_json(json.loads(Path(args.contracts).read_text()))
     guard = build_guard(contract, uncertainty_threshold=args.threshold)
+    # both checks run before --out is opened, so a refused run leaves it as it was
     check_network(guard, net)
+    to_stdout = args.out is None or args.out == "-"
+    if not to_stdout and os.path.exists(args.out) and os.path.samefile(args.data, args.out):
+        raise ValueError("--out must not be the --data file: decisions are written "
+                         "while the rows are read")
     with open(args.data, newline="") as data:
-        if args.out is None or args.out == "-":
+        if to_stdout:
             stream_guard(guard, net, _csv_rows(data, net.input_dim), sys.stdout)
         else:
             with open(args.out, "w") as out:

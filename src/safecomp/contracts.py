@@ -214,6 +214,8 @@ class RegionContract:
             raise ValueError("excluded-label set must not contain the expected label")
 
     def contains(self, x) -> bool:
+        """Membership of one point in this region alone. The guard and
+        check_point_against_contract ask DnnContract.first_containing."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.centroid.shape:
             raise ValueError(f"dimension mismatch: {x.shape} vs {self.centroid.shape}")
@@ -225,12 +227,12 @@ class DnnContract:
     network: str
     regions: tuple[RegionContract, ...]
     annex: tuple[dict, ...] = ()
-    # built once: the regions in id order, the distinct widths of their
-    # centroids, their uncertainty caps (inf where unset) and, when the
-    # centroids share one width, per metric the (columns, centroids, radii)
-    # of its regions in that order
+    # built once: the regions in id order, the width their centroids share
+    # (None when they have none or several), their uncertainty caps (inf
+    # where unset) and, for one shared width, per metric the (columns,
+    # centroids, radii) of its regions in that order
     ordered: tuple[RegionContract, ...] = field(init=False, compare=False, repr=False)
-    centroid_widths: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    width: int | None = field(init=False, compare=False, repr=False)
     uncertainty_caps: np.ndarray = field(init=False, compare=False, repr=False)
     _groups: tuple = field(init=False, compare=False, repr=False)
 
@@ -239,28 +241,34 @@ class DnnContract:
         if len(ids) != len(set(ids)):
             raise ValueError("region ids must be unique")
         ordered = tuple(sorted(self.regions, key=lambda r: r.id))
-        widths = tuple(sorted({len(r.centroid) for r in ordered}))
+        widths = {len(r.centroid) for r in ordered}
+        width = widths.pop() if len(widths) == 1 else None
         groups = []
-        for metric in METRICS if len(widths) == 1 else ():
+        # centroids of several widths cannot be stacked; check_width rejects
+        # such a contract before any membership is asked of it
+        for metric in METRICS if width is not None else ():
             cols = [k for k, r in enumerate(ordered) if r.metric == metric]
             if cols:
-                contiguous = cols[-1] - cols[0] + 1 == len(cols)  # a slice is cheaper to write through
-                groups.append((metric, slice(cols[0], cols[-1] + 1) if contiguous else np.array(cols),
+                groups.append((metric, np.array(cols),
                                np.array([ordered[k].centroid for k in cols], dtype=np.float64),
                                np.array([ordered[k].radius for k in cols], dtype=np.float64)))
         object.__setattr__(self, "ordered", ordered)
-        object.__setattr__(self, "centroid_widths", widths)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "uncertainty_caps", np.array(
             [np.inf if r.uncertainty_max is None else r.uncertainty_max for r in ordered]))
         object.__setattr__(self, "_groups", tuple(groups))
 
+    def check_width(self, n: int, what: str) -> None:
+        """Raise ValueError unless every region's centroid has n inputs."""
+        if self.regions and self.width != n:
+            widths = "/".join(map(str, sorted({len(r.centroid) for r in self.regions})))
+            raise ValueError(f"contract regions have {widths} inputs but {what} has {n}")
+
     def first_containing(self, xs: np.ndarray) -> np.ndarray:
         """Index into `ordered` of the lowest-id region containing each row of
         the (n, width) batch xs, boundary included; len(ordered) where none
-        does. Distances are taken exactly as regions.dist takes them."""
-        if self.centroid_widths and self.centroid_widths != (xs.shape[-1],):
-            raise ValueError(f"dimension mismatch: rows of width {xs.shape[-1]}, "
-                             f"region centroids of width {list(self.centroid_widths)}")
+        does. Distances are taken exactly as regions.dist takes them; the
+        caller has run check_width on the rows' width."""
         member = np.ones((len(xs), len(self.ordered) + 1), dtype=bool)  # last: no region
         for metric, cols, centroids, radii in self._groups:
             member[:, cols] = dist_many(metric, xs[:, None, :], centroids) <= radii
@@ -343,6 +351,7 @@ def check_point_against_contract(contract: DnnContract, x) -> ContractAnswer:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected one input vector, got shape {x.shape}")
+    contract.check_width(len(x), "the point")
     k = contract.first_containing(x[None, :])[0]
     if k == len(contract.ordered):
         return ContractAnswer(False)

@@ -90,11 +90,8 @@ def uncertainty(net: Network, x) -> float:
 
 
 def check_network(guard: Guard, net: Network) -> None:
-    """Raise ValueError unless every contract region has the network's input width."""
-    for width in guard.contract.centroid_widths:
-        if width != net.input_dim:
-            raise ValueError(f"contract regions have {width} inputs but network "
-                             f"{net.name!r} has {net.input_dim}")
+    """Raise ValueError unless the contract's regions have the network's input width."""
+    guard.contract.check_width(net.input_dim, f"network {net.name!r}")
 
 
 def _floats(row) -> list[float] | None:
@@ -105,8 +102,8 @@ def _floats(row) -> list[float] | None:
 
 
 def _decide(guard: Guard, net: Network, rows) -> list[GuardDecision]:
-    """Decisions for a sequence of rows, in order, in one pass of array work."""
-    check_network(guard, net)
+    """Decisions for a sequence of rows, in order, in one pass of array work.
+    The caller has run check_network."""
     action = guard.fail_safe_action
     parsed = [_floats(row) for row in rows]
     valid = [i for i, values in enumerate(parsed) if values is not None and len(values) == net.input_dim]
@@ -151,6 +148,7 @@ def _decide(guard: Guard, net: Network, rows) -> list[GuardDecision]:
 def guard_eval(guard: Guard, net: Network, x) -> GuardDecision:
     """Pure decision: covered by the lowest-id region that contains x, or
     fail-safe for one of the four reasons in the module docstring."""
+    check_network(guard, net)
     return _decide(guard, net, [x])[0]
 
 

@@ -54,7 +54,6 @@ class Network:
     input_mean: np.ndarray
     input_range: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
-    _domain: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) < 2:
@@ -84,10 +83,6 @@ class Network:
             raise ValueError("input_range entries must be positive")
         if np.any(self.input_min > self.input_max):
             raise ValueError("input_min must not exceed input_max")
-        lo = (self.input_min - self.input_mean) / self.input_range
-        hi = (self.input_max - self.input_mean) / self.input_range
-        lo.flags.writeable = hi.flags.writeable = False
-        object.__setattr__(self, "_domain", (lo, hi))
 
     @property
     def n_labels(self) -> int:
@@ -100,9 +95,10 @@ class Network:
             raise KeyError(f"unknown label {name!r}") from None
 
     def normalized_domain(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-dimension [lo, hi] of the raw input bounds, in normalized space
-        (read-only arrays, computed once)."""
-        return self._domain
+        """Per-dimension [lo, hi] of the raw input bounds, in normalized space."""
+        lo = (self.input_min - self.input_mean) / self.input_range
+        hi = (self.input_max - self.input_mean) / self.input_range
+        return lo, hi
 
 
 def _parse_floats(text: str, n: int | None, line: int) -> np.ndarray:

@@ -223,6 +223,15 @@ class TestGuardCli:
         assert lines is None
         assert "2 inputs" in capsys.readouterr().err
 
+    def test_out_same_as_data_exits_2_and_keeps_data(self, files, tmp_path, capsys):
+        data_path = tmp_path / "rows.csv"
+        data_path.write_text("0.2,0.1\n")
+        code = run(["guard", "--net", files[0], "--contracts", files[1], "--data", data_path,
+                    "--out", tmp_path / "." / "rows.csv"])
+        assert code == 2
+        assert data_path.read_text() == "0.2,0.1\n"
+        assert "--out must not be the --data file" in capsys.readouterr().err
+
 
 class TestCheckSystem:
     def _write_system(self, tmp_path, braking_ticks):

@@ -264,7 +264,7 @@ class TestFailSafe:
     def test_mixed_centroid_widths_rejected(self):
         contract = make_contract(("r0", [0.5] * 5, 0.1, "L1", LabelIs("COC")),
                                  ("r1", [0.5] * 4, 0.1, "L1", LabelIs("COC")))
-        with pytest.raises(ValueError, match="4 inputs"):
+        with pytest.raises(ValueError, match="4/5 inputs.*has 5"):
             guard_eval(build_guard(contract), FIVE, [0.5] * 5)
 
 
