@@ -21,8 +21,8 @@ from .contracts import (
     emit_dnn_contract,
     parse_property,
 )
-from .network import Network, Layer, classify_batch, normalize
-from .regions import LabeledDataset, Region
+from .network import Network, Layer, classify_batch, denormalize, normalize
+from .regions import DiscoveryConfig, LabeledDataset, Region, discover_regions
 from .verifier import Counterexample, FullResult, Verdict, VerdictStats, verify_full
 
 TOOL_VERSION = "0.1.0"
@@ -80,8 +80,7 @@ def task_seed(seed: int, region_id: str) -> int:
 
 def run_parallel_verification(net: Network, regions, workers: int = 1, seed: int = 0,
                               max_nodes: int = 50_000, time_budget: float | None = None,
-                              min_box_width: float = 1e-4, epsilon: float = 1e-6,
-                              ce_effort: int = 8) -> list[tuple[Region, FullResult]]:
+                              epsilon: float = 1e-6) -> list[tuple[Region, FullResult]]:
     """verify_full over every region on a fixed-size worker pool.
 
     Tasks derive their seeds from (seed, region id) and results come back
@@ -93,8 +92,7 @@ def run_parallel_verification(net: Network, regions, workers: int = 1, seed: int
 
     def run_one(region: Region) -> FullResult:
         return verify_full(net, region, max_nodes=max_nodes, time_budget=time_budget,
-                           min_box_width=min_box_width, epsilon=epsilon,
-                           seed=task_seed(seed, region.id), ce_effort=ce_effort)
+                           epsilon=epsilon, seed=task_seed(seed, region.id))
 
     if workers == 1:
         results = [run_one(r) for r in ordered]
@@ -140,7 +138,7 @@ def _polar_annotation(net: Network, attributes, point: np.ndarray) -> dict | Non
     names = [a.lower() for a in attributes]
     if "rho" not in names or "theta" not in names:
         return None
-    raw = point * net.input_range + net.input_mean
+    raw = denormalize(net, point)
     rho = float(raw[names.index("rho")])
     theta = float(raw[names.index("theta")])
     if rho < 0:
@@ -271,22 +269,20 @@ def build_semaphore_classifier(seed: int = 42) -> tuple[Network, LabeledDataset]
 # Emergency-braking demo
 
 
-def build_breaking_system(labels=SEMAPHORE_LABELS) -> cm.ComponentModel:
+def build_breaking_system() -> cm.ComponentModel:
     """Latching brake controller: starts braking on Class=red, releases only
     once the vehicle reports velocity 0 and the light is no longer red."""
     velocity_domain = ("0", "1", "2")
     transitions = {}
-    for cls in labels:
+    for cls in SEMAPHORE_LABELS:
         for v in velocity_domain:
-            key_ports = sorted(["Class", "velocity"])
-            val = {"Class": cls, "velocity": v}
-            key = tuple(val[p] for p in key_ports)
+            key = (cls, v)  # input values in sorted port order: Class, velocity
             transitions[("idle", key)] = "braking" if cls == "red" else "idle"
             release = v == "0" and cls != "red"
             transitions[("braking", key)] = "idle" if release else "braking"
     return cm.ComponentModel(
         name="BreakingSystem",
-        inputs={"Class": tuple(labels), "velocity": velocity_domain},
+        inputs={"Class": SEMAPHORE_LABELS, "velocity": velocity_domain},
         outputs={"brake": ("0", "1")},
         states=("idle", "braking"),
         initial=("idle",),
@@ -339,12 +335,11 @@ class EbsDemo:
     full_system: cm.System
 
 
-def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2"),
-                   labels=SEMAPHORE_LABELS) -> EbsDemo:
+def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2")) -> EbsDemo:
     """The braking subsystem M1 = BreakingSystem || Vehicle, its contract C1,
     a stub perception contract (one proved region per class), the system-level
     property P, and the full system with the abstract classifier wired in."""
-    bs = build_breaking_system(labels)
+    bs = build_breaking_system()
     vehicle = build_vehicle(braking_ticks, velocity_domain)
     m1 = cm.System(
         (bs, vehicle),
@@ -357,7 +352,7 @@ def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2"),
         name="C1",
         assumption=None,
         guarantee=parse_property("G (Class=red => F<=3 (velocity=0))"),
-        inputs={"Class": tuple(labels)},
+        inputs={"Class": SEMAPHORE_LABELS},
         outputs={"velocity": ("0", "1", "2")},
     )
     p = parse_property("G (x=red => F<=3 (velocity=0))")
@@ -371,12 +366,12 @@ def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2"),
             provenance={"summary": "FullySafe", "expected_label": label,
                         "network": "semaphore-stub", "note": "illustrative fixture"},
         )
-        for i, label in enumerate(labels)
+        for i, label in enumerate(SEMAPHORE_LABELS)
     )
     dnn_stub = DnnContract("semaphore-stub", stub_regions)
     nn = cm.abstract_dnn_component(
-        dnn_stub, labels, token_port="x", class_port="Class",
-        token_map={label: LabelIs(label) for label in labels}, name="NN",
+        dnn_stub, SEMAPHORE_LABELS, token_port="x", class_port="Class",
+        token_map={label: LabelIs(label) for label in SEMAPHORE_LABELS}, name="NN",
     )
     full = cm.System(
         (bs, vehicle, nn),
@@ -417,7 +412,7 @@ def ag_report_to_json(report: cm.AGReport) -> dict:
 
 
 def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, workers: int = 1,
-                 max_nodes: int = 50_000, min_members: int = 3) -> dict:
+                 max_nodes: int = 50_000) -> dict:
     """The full pipeline behind `demo ebs`:
 
     semaphore classifier -> region discovery -> parallel verification ->
@@ -426,12 +421,10 @@ def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, workers: int = 1,
     region proved for that class. Deterministic given the seed (wall-clock
     fields aside).
     """
-    from .regions import DiscoveryConfig, discover_regions
-
     t0 = time.perf_counter()
     net, data = build_semaphore_classifier(seed)
-    discovery = discover_regions(data, "Linf",
-                                 DiscoveryConfig(seed=seed, min_members=min_members))
+    cfg = DiscoveryConfig(seed=seed)
+    discovery = discover_regions(data, "Linf", cfg)
     results = run_parallel_verification(net, discovery.regions, workers=workers,
                                         seed=seed, max_nodes=max_nodes)
     contract = emit_dnn_contract(net.name, net.labels, results)
@@ -461,7 +454,7 @@ def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, workers: int = 1,
         "version": TOOL_VERSION,
         "demo": "ebs",
         "config": {"braking_ticks": braking_ticks, "seed": seed,
-                   "min_members": min_members, "max_nodes": max_nodes},
+                   "min_members": cfg.min_members, "max_nodes": max_nodes},
         "note": "component machines are illustrative fixtures",
         "pipeline": {
             "dataset_points": len(data),

@@ -49,9 +49,15 @@ def _read_net(path: str):
     return parse_network(Path(path).read_text())
 
 
+def _add_workers_flag(sp: argparse.ArgumentParser):
+    # argparse runs a string default through type=int only while it parses the
+    # subcommand that declares it, so a malformed SAFECOMP_WORKERS is a usage
+    # error (exit 2) of verify and demo alone
+    sp.add_argument("--workers", type=int, default=os.environ.get("SAFECOMP_WORKERS", "1"))
+
+
 def _add_verifier_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--workers", type=int,
-                    default=int(os.environ.get("SAFECOMP_WORKERS", "1")))
+    _add_workers_flag(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--node-budget", type=int, default=50_000)
     sp.add_argument("--time-budget", type=float, default=None)
@@ -61,6 +67,9 @@ def _add_verifier_flags(sp: argparse.ArgumentParser):
 def cmd_discover(args) -> int:
     net = _read_net(args.net)
     data = load_dataset_csv(Path(args.data).read_text(), net.labels)
+    if data.dim != net.input_dim:
+        raise ValueError(f"dataset has {data.dim} columns, network {net.name!r} "
+                         f"takes {net.input_dim} inputs")
     cfg = DiscoveryConfig(seed=args.seed, min_members=args.min_members,
                           radius_strategy=args.radius)
     result = discover_regions(data, _METRICS[args.metric], cfg)
@@ -316,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("scenario", choices=["ebs"])
     sp.add_argument("--braking-ticks", type=int, default=2)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--workers", type=int,
-                    default=int(os.environ.get("SAFECOMP_WORKERS", "1")))
+    _add_workers_flag(sp)
     sp.add_argument("--node-budget", type=int, default=50_000)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.add_argument("--out", default=None)

@@ -12,7 +12,6 @@ their cross product at tick zero.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -868,7 +867,3 @@ def system_from_json(obj: dict) -> tuple[System, list[Property]]:
     system = System(components, tuple(wires))
     properties = [parse_property(t) for t in obj.get("properties", [])]
     return system, properties
-
-
-def parse_system(text: str) -> tuple[System, list[Property]]:
-    return system_from_json(json.loads(text))

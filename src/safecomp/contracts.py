@@ -449,10 +449,6 @@ def parse_dnn_contract(text: str) -> DnnContract:
     return dnn_contract_from_json(json.loads(text))
 
 
-def parse_component_contract(text: str) -> ComponentContract:
-    return component_contract_from_json(json.loads(text))
-
-
 def contracts_equal(a: DnnContract, b: DnnContract) -> bool:
     if a.network != b.network or len(a.regions) != len(b.regions) or a.annex != b.annex:
         return False

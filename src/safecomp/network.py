@@ -88,12 +88,6 @@ class Network:
     def n_labels(self) -> int:
         return len(self.labels)
 
-    def label_index(self, name: str) -> int:
-        try:
-            return self.labels.index(name)
-        except ValueError:
-            raise KeyError(f"unknown label {name!r}") from None
-
     def normalized_domain(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension [lo, hi] of the raw input bounds, in normalized space."""
         lo = (self.input_min - self.input_mean) / self.input_range

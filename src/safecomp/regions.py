@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 METRICS = ("L1", "L2", "Linf")
+KMEANS_MAX_ITER = 100  # Lloyd iterations before k-means stops short of a fixed point
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class DiscoveryConfig:
     seed: int = 0
     min_members: int = 3
     radius_strategy: str = "separating"  # "tight" | "separating"
-    max_iter: int = 100
 
 
 @dataclass
@@ -110,7 +111,7 @@ def region_membership(region: Region, x) -> bool:
     return dist(region.metric, x, region.centroid) <= region.radius
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100):
+def kmeans(points: np.ndarray, k: int, seed: int = 0):
     """Seeded Lloyd iteration with k-means++ initialization.
 
     Returns (assignment, centroids). Empty clusters are re-seeded from the
@@ -137,7 +138,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100):
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
 
     assignment = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sq = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_assignment = np.argmin(sq, axis=1)  # ties resolve to the lowest index
         stable = np.array_equal(new_assignment, assignment)
@@ -204,8 +205,7 @@ def discover_regions(data: LabeledDataset, metric: str,
 
     def split(indices: np.ndarray, k: int) -> list[np.ndarray]:
         nonlocal split_counter
-        assignment, _ = kmeans(data.points[indices], k, seed=cfg.seed + split_counter,
-                               max_iter=cfg.max_iter)
+        assignment, _ = kmeans(data.points[indices], k, seed=cfg.seed + split_counter)
         split_counter += 1
         parts = [indices[assignment == j] for j in range(k)]
         if any(len(p) == 0 for p in parts) and k == 2:
@@ -279,7 +279,13 @@ def load_dataset_csv(text: str, label_names: list[str] | tuple[str, ...]) -> Lab
             continue
         if len(row) != len(header):
             raise ValueError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-        points.append([float(v) for v in row[:-1]])
+        try:
+            point = [float(v) for v in row[:-1]]
+        except ValueError as exc:
+            raise ValueError(f"row {row_num}: bad number: {exc}") from None
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"row {row_num}: non-finite number")
+        points.append(point)
         name = row[-1].strip()
         if name not in index:
             raise ValueError(f"row {row_num}: unknown label {name!r}")

@@ -20,6 +20,11 @@ import numpy as np
 from .network import Network, classify, evaluate, evaluate_batch
 from .regions import Region, dist_many, region_membership
 
+# random starts per counterexample search, and the box width below which a
+# node is no longer split (its verdict is then Unknown, reason "min_box")
+CE_EFFORT = 8
+MIN_BOX_WIDTH = 1e-4
+
 
 @dataclass(frozen=True)
 class Box:
@@ -102,10 +107,8 @@ class VerificationTask:
     target_label: int
     max_nodes: int = 50_000
     time_budget: float | None = None
-    min_box_width: float = 1e-4
     epsilon: float = 1e-6
     seed: int = 0
-    ce_effort: int = 8
 
     def __post_init__(self):
         if self.target_label == self.region.expected_label:
@@ -313,11 +316,7 @@ def find_counterexample(net: Network, region: Region, box: Box, target: int,
 def _box_region_gap(box: Box, region: Region) -> float:
     """Lower bound on the distance from the box to the region centroid."""
     g = np.maximum(np.maximum(box.lo - region.centroid, region.centroid - box.hi), 0.0)
-    if region.metric == "L1":
-        return float(np.sum(g))
-    if region.metric == "L2":
-        return float(np.sqrt(np.sum(g * g)))
-    return float(np.max(g))
+    return float(dist_many(region.metric, g, 0.0))
 
 
 def verify_targeted(task: VerificationTask) -> Verdict:
@@ -362,7 +361,7 @@ def verify_targeted(task: VerificationTask) -> Verdict:
         if nodes >= task.max_nodes:
             return done("Unknown", reason="budget")
         point = find_counterexample(net, region, box, task.target_label,
-                                    effort=task.ce_effort,
+                                    effort=CE_EFFORT,
                                     seed=task.seed * 1_000_003 + nodes)
         if point is not None:
             scores = evaluate(net, point)
@@ -371,7 +370,7 @@ def verify_targeted(task: VerificationTask) -> Verdict:
             return done("Unsafe", ce=Counterexample(point, scores))
         widths = box.widths()
         axis = int(np.argmax(widths))
-        if widths[axis] <= task.min_box_width:
+        if widths[axis] <= MIN_BOX_WIDTH:
             floor_hit = True
             continue
         mid = 0.5 * (box.lo[axis] + box.hi[axis])
@@ -400,8 +399,8 @@ class FullResult:
 
 
 def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
-                time_budget: float | None = None, min_box_width: float = 1e-4,
-                epsilon: float = 1e-6, seed: int = 0, ce_effort: int = 8) -> FullResult:
+                time_budget: float | None = None, epsilon: float = 1e-6,
+                seed: int = 0) -> FullResult:
     """Targeted verification against every label other than the expected one.
 
     FullySafe: all targets Safe. TargetedSafe: some Safe alongside proven
@@ -413,9 +412,8 @@ def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
         if target == region.expected_label:
             continue
         task = VerificationTask(net, region, target, max_nodes=max_nodes,
-                                time_budget=time_budget, min_box_width=min_box_width,
-                                epsilon=epsilon, seed=seed * 131 + target,
-                                ce_effort=ce_effort)
+                                time_budget=time_budget, epsilon=epsilon,
+                                seed=seed * 131 + target)
         verdicts[target] = verify_targeted(task)
 
     safe = tuple(sorted(t for t, v in verdicts.items() if v.status == "Safe"))

@@ -133,7 +133,6 @@ class TestCriterion2:
         for task, _ in unknowns:
             boosted = VerificationTask(task.network, task.region, task.target_label,
                                        max_nodes=task.max_nodes * 10,
-                                       min_box_width=task.min_box_width,
                                        epsilon=task.epsilon, seed=task.seed)
             if verify_targeted(boosted).status == "Unknown":
                 still_unknown += 1

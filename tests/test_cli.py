@@ -17,7 +17,7 @@ from safecomp.contracts import (
     render_contract,
 )
 from safecomp.network import render_network
-from safecomp.regions import render_dataset_csv
+from safecomp.regions import LabeledDataset, render_dataset_csv
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -306,6 +306,48 @@ class TestEnvDefaults:
         args = build_parser().parse_args(
             ["verify", "--net", str(net_path), "--regions", str(regions_path)])
         assert args.workers == 4
+
+    def test_malformed_workers_env_is_a_usage_error_of_verify_and_demo_only(
+            self, semaphore_files, tmp_path, monkeypatch, capsys):
+        _, _, net_path, data_path = semaphore_files
+        regions_path = tmp_path / "regions.json"
+        monkeypatch.setenv("SAFECOMP_WORKERS", "abc")
+        assert run(["discover", "--net", net_path, "--data", data_path, "--seed", 42,
+                    "--out", regions_path]) == 0
+        assert run(["verify", "--net", net_path, "--regions", regions_path]) == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert run(["demo", "ebs", "--out", tmp_path / "demo.json"]) == 2
+        assert not (tmp_path / "demo.json").exists()
+        # an explicit --workers wins over the environment
+        assert run(["verify", "--net", net_path, "--regions", regions_path,
+                    "--workers", 1, "--out", tmp_path / "report.json"]) == 0
+
+
+class TestDiscoverInput:
+    def test_dataset_narrower_than_network_exits_2_without_output(
+            self, semaphore_files, tmp_path, capsys):
+        net, data, net_path, _ = semaphore_files
+        narrow = LabeledDataset(data.attributes[:7], data.points[:, :7], data.labels)
+        data_path = tmp_path / "narrow.csv"
+        data_path.write_text(render_dataset_csv(narrow, net.labels))
+        out = tmp_path / "regions.json"
+        assert run(["discover", "--net", net_path, "--data", data_path, "--out", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "7 columns" in err and "8 inputs" in err
+
+    def test_nan_cell_exits_2_naming_the_row(self, semaphore_files, tmp_path, capsys):
+        _, _, net_path, data_path = semaphore_files
+        lines = data_path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = "nan"
+        lines[5] = ",".join(cells)
+        bad_path = tmp_path / "nan.csv"
+        bad_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "regions.json"
+        assert run(["discover", "--net", net_path, "--data", bad_path, "--out", out]) == 2
+        assert not out.exists()
+        assert "row 6: non-finite number" in capsys.readouterr().err
 
 
 class TestGridCli:

@@ -235,6 +235,17 @@ class TestCsvAndJson:
         with pytest.raises(ValueError, match="unknown label"):
             load_dataset_csv("x1,label\n0.5,mystery\n", ["zero", "one"])
 
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "row 3: non-finite number"),
+        ("inf", "row 3: non-finite number"),
+        ("-inf", "row 3: non-finite number"),
+        ("oops", "row 3: bad number"),
+        ("", "row 3: bad number"),
+    ])
+    def test_csv_bad_number_rejected_with_row(self, cell, message):
+        with pytest.raises(ValueError, match=message):
+            load_dataset_csv(f"x1,x2,label\n0.5,0.5,zero\n0.5,{cell},one\n", ["zero", "one"])
+
     def test_region_dict_round_trip(self):
         region = Region("r001", np.array([0.1, 0.2]), 0.5, "Linf", 1, 3, (1, 4, 7))
         obj = region_to_dict(region, ["a", "b"])
