@@ -373,15 +373,7 @@ def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2")) -> E
         dnn_stub, SEMAPHORE_LABELS, token_port="x", class_port="Class",
         token_map={label: LabelIs(label) for label in SEMAPHORE_LABELS}, name="NN",
     )
-    full = cm.System(
-        (bs, vehicle, nn),
-        (
-            cm.Wire("Vehicle", "velocity", "BreakingSystem", "velocity"),
-            cm.Wire("BreakingSystem", "brake", "Vehicle", "brake"),
-            cm.Wire("NN", "Class", "BreakingSystem", "Class"),
-        ),
-    )
-    return EbsDemo(m1=m1, c1=c1, dnn_contract=dnn_stub, p=p, full_system=full)
+    return EbsDemo(m1=m1, c1=c1, dnn_contract=dnn_stub, p=p, full_system=cm.wire_by_name(m1, nn))
 
 
 def _trace_to_json(trace) -> list[dict]:

@@ -98,6 +98,10 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     net = _read_net(args.net)
     regions, attributes = _load_regions(args.regions, net.labels)
+    for r in regions:
+        if r.centroid.shape != (net.input_dim,):
+            raise ValueError(f"region {r.id!r} has a centroid of width {r.centroid.size}, "
+                             f"network {net.name!r} takes {net.input_dim} inputs")
     results = app.run_parallel_verification(
         net, regions, workers=args.workers, seed=args.seed,
         max_nodes=args.node_budget, time_budget=args.time_budget, epsilon=args.eps,
@@ -156,10 +160,7 @@ def cmd_check_system(args) -> int:
     class_port = perception.get("class_port", "Class")
     class_domain = perception.get("class_domain")
     if class_domain is None:
-        for comp in system.components:
-            if class_port in comp.inputs:
-                class_domain = list(comp.inputs[class_port])
-                break
+        class_domain = system.env_ports.get(class_port)
     if class_domain is None:
         raise ValueError(f"cannot infer the domain of {class_port!r}; "
                          "declare perception.class_domain")

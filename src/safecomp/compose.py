@@ -6,7 +6,8 @@ output map, wired inputs copy producer outputs of the same tick, unbound
 inputs branch nondeterministically over their domains, and all components
 step simultaneously. Moore outputs make cyclic wiring well-defined. A
 component may declare several initial states; the product branches over
-their cross product at tick zero.
+their cross product at tick zero. The checker searches integer transition
+tables; traces replay on the name-keyed steps, kept as their oracles.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ class ComponentModel:
     transitions: dict[tuple[str, tuple[str, ...]], str]
     # input port names in sorted order, the order of a transition key
     _ports: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # compiled form: the index of each state name, and the next state's index
+    # at next[state * n_keys + key], key the position in input_keys()
+    _index: dict[str, int] = field(init=False, compare=False, repr=False)
+    _next: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_ports", tuple(sorted(self.inputs)))
@@ -57,6 +62,8 @@ class ComponentModel:
         for port, domain in {**self.inputs, **self.outputs}.items():
             if not domain:
                 raise ValueError(f"{self.name}: port {port!r} has an empty domain")
+        index = {s: i for i, s in enumerate(self.states)}
+        table = []
         for state in self.states:
             out = self.output_map.get(state)
             if out is None or set(out) != set(self.outputs):
@@ -68,8 +75,11 @@ class ComponentModel:
                 nxt = self.transitions.get((state, key))
                 if nxt is None:
                     raise ValueError(f"{self.name}: no transition from {state!r} on {key}")
-                if nxt not in self.states:
+                if nxt not in index:
                     raise ValueError(f"{self.name}: transition target {nxt!r} unknown")
+                table.append(index[nxt])
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_next", tuple(table))
 
     def input_ports(self) -> tuple[str, ...]:
         return self._ports
@@ -77,11 +87,9 @@ class ComponentModel:
     def input_keys(self):
         return itertools.product(*(self.inputs[p] for p in self._ports))
 
-    def input_key(self, valuation: dict[str, str]) -> tuple[str, ...]:
-        return tuple([valuation[p] for p in self._ports])
-
     def step(self, state: str, valuation: dict[str, str]) -> str:
-        return self.transitions[(state, self.input_key(valuation))]
+        """Name-keyed transition, the oracle the compiled table is checked against."""
+        return self.transitions[(state, tuple([valuation[p] for p in self._ports]))]
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,8 @@ class Wire:
 class System:
     components: tuple[ComponentModel, ...]
     wiring: tuple[Wire, ...] = ()
+    # unbound inputs, the environment's choices, in sorted port order
+    env_ports: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = [c.name for c in self.components]
@@ -137,6 +147,7 @@ class System:
                 if port in env_domains and env_domains[port] != domain:
                     raise ValueError(f"environment input {port!r} declared with two domains")
                 env_domains[port] = domain
+        object.__setattr__(self, "env_ports", dict(sorted(env_domains.items())))
 
     def component(self, name: str) -> ComponentModel:
         for c in self.components:
@@ -144,39 +155,46 @@ class System:
                 return c
         raise KeyError(name)
 
+    def ports(self) -> dict[str, tuple[str, ...]]:
+        """Global valuation ports: every component output plus env inputs."""
+        return {**self.env_ports, **{p: d for c in self.components for p, d in c.outputs.items()}}
+
 
 class Product:
-    """Lazily explored synchronous product of a system's components."""
+    """Synchronous product, compiled for the search: a product state is a tuple
+    of component state indices, an environment valuation an index into `envs`.
+    The name-keyed `step` and `valuation` are the oracles that replay traces."""
 
     def __init__(self, system: System):
-        self.system = system
         self.comps = system.components
         index = {c.name: i for i, c in enumerate(self.comps)}
-        wired = {}
-        for w in system.wiring:
-            wired[(index[w.dst_comp], w.dst_port)] = (index[w.src_comp], w.src_port)
-        self._wired = wired
-        env: dict[str, tuple[str, ...]] = {}
+        self._wired = {(index[w.dst_comp], w.dst_port): (index[w.src_comp], w.src_port)
+                       for w in system.wiring}
+        self.envs = list(_valuations(system.env_ports))
+        # per component: its table, its row width, each wired port's key
+        # weight per producer state, and its unbound ports' key per env index
+        self._compiled, self._interned = [], {}
         for i, c in enumerate(self.comps):
-            for port, domain in c.inputs.items():
-                if (i, port) not in wired:
-                    env[port] = domain
-        self.env_ports: list[tuple[str, tuple[str, ...]]] = sorted(env.items())
+            wires, env_key, radix = [], [0] * len(self.envs), 1
+            for port in reversed(c.input_ports()):  # the last port varies fastest in input_keys
+                weight = {v: k * radix for k, v in enumerate(c.inputs[port])}
+                radix *= len(c.inputs[port])
+                src = self._wired.get((i, port))
+                if src is None:
+                    env_key = [key + weight[env[port]] for key, env in zip(env_key, self.envs)]
+                else:
+                    producer = self.comps[src[0]]
+                    wires.append((src[0], [weight[producer.output_map[st][src[1]]]
+                                           for st in producer.states]))
+            self._compiled.append((c._next, radix, wires, env_key))
 
     def initial_states(self) -> list[tuple[str, ...]]:
         return list(itertools.product(*(c.initial for c in self.comps)))
 
-    def outputs_of(self, states: tuple[str, ...]) -> dict[str, str]:
-        valuation: dict[str, str] = {}
-        for c, s in zip(self.comps, states):
-            valuation.update(c.output_map[s])
-        return valuation
-
-    def env_valuations(self):
-        return _valuations(dict(self.env_ports))
-
     def valuation(self, states: tuple[str, ...], env: dict[str, str]) -> dict[str, str]:
-        v = self.outputs_of(states)
+        v: dict[str, str] = {}
+        for c, s in zip(self.comps, states):
+            v.update(c.output_map[s])
         v.update(env)
         return v
 
@@ -191,20 +209,38 @@ class Product:
             nxt.append(c.step(s, inputs))
         return tuple(nxt)
 
-    def ports(self) -> dict[str, tuple[str, ...]]:
-        """Global valuation ports: every component output plus env inputs."""
-        ports = dict(self.env_ports)
-        for c in self.comps:
-            ports.update(c.outputs)
-        return ports
+    def _initial(self) -> list[tuple[int, ...]]:
+        return list(itertools.product(*([c._index[s] for s in c.initial] for c in self.comps)))
+
+    def _names(self, s: tuple[int, ...]) -> tuple[str, ...]:
+        return tuple(c.states[i] for c, i in zip(self.comps, s))
+
+    def _successors(self, s: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The next product state for each environment index. Equal states
+        share one tuple, so the search's caches hold each state once."""
+        cols = []
+        for i, (table, n_keys, wires, env_key) in enumerate(self._compiled):
+            base = s[i] * n_keys + sum(weights[s[j]] for j, weights in wires)
+            cols.append([table[base + key] for key in env_key])
+        nexts = zip(*cols) if cols else [()] * len(self.envs)
+        return [self._interned.setdefault(t, t) for t in nexts]
+
+    def _truth(self, atom: Atom):
+        """A function from a product state to the atom's truth per environment
+        index. Each literal names an env port or a component's output."""
+        env_ok = [all(env.get(q, v) == v for q, v in atom.literals) for env in self.envs]
+        tests = [(j, [c.output_map[st][q] == v for st in c.states])
+                 for j, c in enumerate(self.comps) for q, v in atom.literals if q in c.outputs]
+        never = [False] * len(self.envs)
+        return lambda s: env_ok if all(ok[s[j]] for j, ok in tests) else never
 
     def explore(self) -> list[tuple[str, ...]]:
         """Reachable product states in BFS order."""
-        def successors(states):
-            for env in self.env_valuations():
-                yield env, self.step(states, env), False
+        def successors(s):
+            for nxt in self._successors(s):
+                yield None, nxt, False
 
-        return _search(self.initial_states(), successors)[0]
+        return [self._names(s) for s in _search(self._initial(), successors)[0]]
 
 
 def compose(system: System) -> Product:
@@ -263,25 +299,29 @@ class PropertyMonitor:
 
     def __init__(self, prop: Property):
         self.prop = prop
+        self.atoms = (prop.antecedent, _consequent_atom(prop))
 
     def initial(self):
         return None
 
     def step(self, mem, valuation: dict[str, str]):
+        antecedent, consequent = self.atoms
+        return self.advance(mem, antecedent.holds(valuation), consequent.holds(valuation))
+
+    def advance(self, mem, antecedent: bool, consequent: bool):
+        """One tick, given whether the antecedent and the consequent's atom hold."""
         cons = self.prop.consequent
         if isinstance(cons, Eventually):
-            if cons.atom.holds(valuation):
+            if consequent:
                 return False, None
-            pending = mem
-            if pending is not None:
-                pending -= 1
-                if pending <= 0:
+            if mem is not None:
+                mem -= 1
+                if mem <= 0:
                     return True, None
-            if self.prop.antecedent.holds(valuation):
-                pending = cons.bound if pending is None else min(pending, cons.bound)
-            return False, pending
-        violated = self.prop.antecedent.holds(valuation) and not cons.holds(valuation)
-        return violated, None
+            if antecedent:
+                mem = cons.bound if mem is None else min(mem, cons.bound)
+            return False, mem
+        return antecedent and not consequent, None
 
 
 class ContractMonitor:
@@ -373,10 +413,12 @@ class CheckResult:
             raise ValueError("a failed check needs a counterexample")
 
 
+def _consequent_atom(p: Property) -> Atom:
+    return p.consequent.atom if isinstance(p.consequent, Eventually) else p.consequent
+
+
 def _bind_check(ports: dict[str, tuple[str, ...]], p: Property):
-    atoms = [p.antecedent]
-    atoms.append(p.consequent.atom if isinstance(p.consequent, Eventually) else p.consequent)
-    for atom in atoms:
+    for atom in (p.antecedent, _consequent_atom(p)):
         for port, value in atom.literals:
             if port not in ports:
                 raise ValueError(f"property references unknown port {port!r}")
@@ -385,23 +427,36 @@ def _bind_check(ports: dict[str, tuple[str, ...]], p: Property):
 
 
 def check_property(system: System, p: Property) -> CheckResult:
-    """BFS over product x monitor states; a counterexample is a shortest trace."""
+    """BFS over product x monitor states; a counterexample is a shortest trace.
+
+    Each reached product state is expanded once into its distinct (next state,
+    antecedent, consequent) outcomes, each under the first env index giving it:
+    a later index with the same outcome finds no new node and no violation."""
+    _bind_check(system.ports(), p)
     prod = compose(system)
-    _bind_check(prod.ports(), p)
     mon = PropertyMonitor(p)
-    envs = list(prod.env_valuations())
+    truths = [prod._truth(atom) for atom in mon.atoms]
+    expanded: dict = {}
 
     def successors(node):
-        states, mem = node
-        for env in envs:
-            violated, mem2 = mon.step(mem, prod.valuation(states, env))
-            yield env, None if violated else (prod.step(states, env), mem2), violated
+        s, mem = node
+        edges = expanded.get(s)
+        if edges is None:
+            outcomes = zip(prod._successors(s), *(truth(s) for truth in truths))
+            first: dict = {}
+            for e, outcome in enumerate(outcomes):
+                first.setdefault(outcome, e)
+            edges = expanded[s] = [(e, *outcome) for outcome, e in first.items()]
+        for e, nxt, a, c in edges:
+            violated, mem2 = mon.advance(mem, a, c)
+            yield e, None if violated else (nxt, mem2), violated
 
-    _, explored, path = _search([(s, mon.initial()) for s in prod.initial_states()], successors)
+    _, explored, path = _search([(s, mon.initial()) for s in prod._initial()], successors)
     if path is None:
         return CheckResult(True, None, explored)
+    named = [(prod._names(s), prod.envs[e]) for (s, _mem), e in path]
     return CheckResult(False, tuple(TraceStep(states, env, prod.valuation(states, env))
-                                    for (states, _mem), env in path), explored)
+                                    for states, env in named), explored)
 
 
 def replay_violation(system: System, p: Property, trace) -> bool:
@@ -437,13 +492,14 @@ def check_implication(constraints: list, p: Property,
     _bind_check(ports, p)
     pmon = PropertyMonitor(p)
     valuations = list(_valuations(ports))
+    truths = [tuple(atom.holds(v) for atom in pmon.atoms) for v in valuations]
 
     def successors(node):
         cstates, pmem = node
-        for v in valuations:
+        for v, (ant, cons) in zip(valuations, truths):
             new_c = tuple(c.step(s, v) for c, s in zip(constraints, cstates))
             in_language = all(not c.is_bad(s) for c, s in zip(constraints, new_c))
-            p_viol, pmem2 = pmon.step(pmem, v)
+            p_viol, pmem2 = pmon.advance(pmem, ant, cons)
             # leaving the language or violating p is absorbing either way
             absorbed = p_viol or not in_language
             yield v, None if absorbed else (new_c, pmem2), p_viol and in_language
@@ -523,8 +579,7 @@ def most_general_environment(c: ComponentContract, name: str | None = None) -> C
         raise ValueError("contract declares no output ports to generate")
 
     def check_realizable(prop: Property):
-        cons_atom = prop.consequent.atom if isinstance(prop.consequent, Eventually) else prop.consequent
-        if not cons_atom.ports() <= set(c.outputs):
+        if not _consequent_atom(prop).ports() <= set(c.outputs):
             raise ValueError("guarantee consequent must constrain output ports only")
         if not isinstance(prop.consequent, Eventually):
             if not prop.antecedent.ports() <= set(c.outputs):
@@ -694,7 +749,7 @@ def _model_check_premise(name: str, system: System, c: ComponentContract) -> Pre
     """Model check the system against c's guarantee, under the most general
     environment of c's assumption when c has one."""
     if c.assumption is not None:
-        port_domains = {**compose(system).ports(), **_contract_ports(c)}
+        port_domains = {**system.ports(), **_contract_ports(c)}
         gen_ports = {p: port_domains[p] for p in sorted(property_ports(c.assumption))}
         env = most_general_environment(
             ComponentContract("assumption", None, c.assumption, inputs={}, outputs=gen_ports),

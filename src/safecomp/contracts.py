@@ -443,20 +443,3 @@ def render_contract(c: DnnContract | ComponentContract | Property) -> str:
     if isinstance(c, Always):
         return render_property(c)
     raise TypeError(f"cannot render {type(c).__name__}")
-
-
-def parse_dnn_contract(text: str) -> DnnContract:
-    return dnn_contract_from_json(json.loads(text))
-
-
-def contracts_equal(a: DnnContract, b: DnnContract) -> bool:
-    if a.network != b.network or len(a.regions) != len(b.regions) or a.annex != b.annex:
-        return False
-    for ra, rb in zip(a.regions, b.regions):
-        if (ra.id, ra.metric, ra.radius, ra.guarantee, ra.provenance, ra.uncertainty_max) != (
-            rb.id, rb.metric, rb.radius, rb.guarantee, rb.provenance, rb.uncertainty_max,
-        ):
-            return False
-        if not np.array_equal(ra.centroid, rb.centroid):
-            return False
-    return True

@@ -316,22 +316,3 @@ def classify_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     if net.score_order == "min_best":
         return np.argmin(scores, axis=1)
     return np.argmax(scores, axis=1)
-
-
-def networks_equal(a: Network, b: Network) -> bool:
-    """Structural equality with bit-exact reals (round-trip checks)."""
-    if (a.name, a.labels, a.score_order, a.input_dim, a.metadata) != (
-        b.name, b.labels, b.score_order, b.input_dim, b.metadata,
-    ):
-        return False
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.activation != lb.activation:
-            return False
-        if not (np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)):
-            return False
-    return all(
-        np.array_equal(getattr(a, k), getattr(b, k))
-        for k in ("input_min", "input_max", "input_mean", "input_range")
-    )

@@ -8,31 +8,64 @@ from safecomp.compose import ComponentModel, System, Wire, check_property
 from safecomp.contracts import Always, Atom, ComponentContract, Eventually
 
 BIN = ("0", "1")
+TRI = ("0", "1", "2")
 
 
-def random_component(name, rng, in_ports, out_ports, max_states=4):
-    """Random total Moore machine over binary ports."""
+def random_component(name, rng, in_ports, out_ports, max_states=4, in_domain=BIN,
+                     out_domain=BIN, n_initial=1):
+    """Random total Moore machine; its first n_initial states (as many as it
+    has) are initial."""
     n_states = int(rng.integers(1, max_states + 1))
     states = tuple(f"s{i}" for i in range(n_states))
     output_map = {
-        s: {p: BIN[int(rng.integers(0, 2))] for p in out_ports} for s in states
+        s: {p: out_domain[int(rng.integers(0, len(out_domain)))] for p in out_ports}
+        for s in states
     }
-    inputs = {p: BIN for p in in_ports}
+    inputs = {p: in_domain for p in in_ports}
     transitions = {}
     key_ports = sorted(in_ports)
     for s in states:
-        combos = itertools.product(*(BIN for _ in key_ports)) if key_ports else [()]
+        combos = itertools.product(*(in_domain for _ in key_ports)) if key_ports else [()]
         for combo in combos:
             transitions[(s, tuple(combo))] = states[int(rng.integers(0, n_states))]
     return ComponentModel(
         name=name,
         inputs=inputs,
-        outputs={p: BIN for p in out_ports},
+        outputs={p: out_domain for p in out_ports},
         states=states,
-        initial=(states[0],),
+        initial=states[:n_initial],
         output_map=output_map,
         transitions=transitions,
     )
+
+
+def random_cyclic_system(seed):
+    """Three components wired in a cycle, A -> B -> C -> A, each with up to
+    two initial states. Outputs range over ("1", "2") and inputs over
+    ("0", "1", "2"), so each wire's producer domain is a strict subset of
+    its consumer's that is not a prefix of it; ports e and f are left to
+    the environment."""
+    rng = np.random.default_rng(seed)
+    kw = dict(in_domain=TRI, out_domain=TRI[1:], n_initial=2)
+    a = random_component("A", rng, ["c", "e"], ["a"], **kw)
+    b = random_component("B", rng, ["a", "f"], ["b", "q"], **kw)
+    c = random_component("C", rng, ["b"], ["c"], **kw)
+    return System((a, b, c), (Wire("A", "a", "B", "a"), Wire("B", "b", "C", "b"),
+                              Wire("C", "c", "A", "c")))
+
+
+def random_property(rng, ports):
+    """Immediate or bounded response between random conjunctions of
+    literals over the given {port: domain}."""
+    def atom(max_literals):
+        names = rng.choice(sorted(ports), size=int(rng.integers(0, max_literals + 1)),
+                           replace=False)
+        return Atom(tuple((str(n), ports[n][int(rng.integers(0, len(ports[n])))])
+                          for n in sorted(names)))
+    antecedent, consequent = atom(2), atom(2)
+    if rng.random() < 0.5:
+        return Always(antecedent, consequent)
+    return Always(antecedent, Eventually(int(rng.integers(1, 4)), consequent))
 
 
 def candidate_properties(trigger_ports, response_ports):

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from safecomp.contracts import DnnContract, dnn_contract_from_json
 from safecomp.network import Layer, Network
 
 
@@ -59,6 +62,43 @@ def capacity_network():
                             rng.normal(0, 0.1, size=dims[i + 1]), activation))
     return make_network(layers, labels=("COC", "WL", "WR", "SL", "SR"),
                         score_order="min_best", name="capacity")
+
+
+def networks_equal(a: Network, b: Network) -> bool:
+    """Structural equality with bit-exact reals (round-trip checks)."""
+    if (a.name, a.labels, a.score_order, a.input_dim, a.metadata) != (
+        b.name, b.labels, b.score_order, b.input_dim, b.metadata,
+    ):
+        return False
+    if len(a.layers) != len(b.layers):
+        return False
+    for la, lb in zip(a.layers, b.layers):
+        if la.activation != lb.activation:
+            return False
+        if not (np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)):
+            return False
+    return all(
+        np.array_equal(getattr(a, k), getattr(b, k))
+        for k in ("input_min", "input_max", "input_mean", "input_range")
+    )
+
+
+def parse_dnn_contract(text: str) -> DnnContract:
+    return dnn_contract_from_json(json.loads(text))
+
+
+def contracts_equal(a: DnnContract, b: DnnContract) -> bool:
+    """Field-by-field equality with bit-exact centroids (round-trip checks)."""
+    if a.network != b.network or len(a.regions) != len(b.regions) or a.annex != b.annex:
+        return False
+    for ra, rb in zip(a.regions, b.regions):
+        if (ra.id, ra.metric, ra.radius, ra.guarantee, ra.provenance, ra.uncertainty_max) != (
+            rb.id, rb.metric, rb.radius, rb.guarantee, rb.provenance, rb.uncertainty_max,
+        ):
+            return False
+        if not np.array_equal(ra.centroid, rb.centroid):
+            return False
+    return True
 
 
 @pytest.fixture

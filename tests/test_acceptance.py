@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ag_fixtures import random_ag_instance
-from conftest import capacity_network, make_network
+from conftest import capacity_network, contracts_equal, make_network, parse_dnn_contract
 from safecomp.app import (
     build_ebs_demo,
     build_semaphore_classifier,
@@ -25,9 +25,7 @@ from safecomp.contracts import (
     LabelIs,
     RegionContract,
     check_point_against_contract,
-    contracts_equal,
     emit_dnn_contract,
-    parse_dnn_contract,
     parse_property,
     render_contract,
     render_property,

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import identity_network
+from conftest import identity_network, parse_dnn_contract
 from safecomp.app import build_ebs_demo, build_semaphore_classifier
 from safecomp.cli import cli_main
 from safecomp.compose import system_to_json
@@ -13,7 +13,6 @@ from safecomp.contracts import (
     LabelIs,
     RegionContract,
     component_contract_to_json,
-    parse_dnn_contract,
     render_contract,
 )
 from safecomp.network import render_network
@@ -348,6 +347,24 @@ class TestDiscoverInput:
         assert run(["discover", "--net", net_path, "--data", bad_path, "--out", out]) == 2
         assert not out.exists()
         assert "row 6: non-finite number" in capsys.readouterr().err
+
+
+class TestVerifyInput:
+    def test_regions_narrower_than_network_exits_2_without_output(
+            self, semaphore_files, tmp_path, capsys):
+        _, _, net_path, data_path = semaphore_files
+        regions_path = tmp_path / "regions.json"
+        assert run(["discover", "--net", net_path, "--data", data_path, "--seed", 42,
+                    "--out", regions_path]) == 0
+        obj = json.loads(regions_path.read_text())
+        for r in obj["regions"]:
+            r["centroid"] = r["centroid"][:7]
+        regions_path.write_text(json.dumps(obj))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--net", net_path, "--regions", regions_path, "--out", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "width 7" in err and "8 inputs" in err
 
 
 class TestGridCli:

@@ -1,13 +1,20 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 
-from ag_fixtures import BIN, random_ag_instance
+from ag_fixtures import (
+    BIN,
+    random_ag_instance,
+    random_cyclic_system,
+    random_property,
+)
 from safecomp.app import build_ebs_demo
 from safecomp.compose import (
     CheckResult,
     ComponentModel,
+    TraceStep,
     ContractMonitor,
     PropertyMonitor,
     System,
@@ -224,6 +231,104 @@ class TestCheckProperty:
         assert len(result.counterexample) == 4
 
 
+def reference_check(system, prop):
+    """Name-keyed model checker, the oracle of the compiled one: breadth-first
+    search over (component states, PropertyMonitor memory), stepping every
+    component with ComponentModel.step, roots in initial-state product order
+    and edges in sorted-port lexicographic environment order. Returns the
+    CheckResult and the product states in discovery order."""
+    comps = system.components
+    wires = {(w.dst_comp, w.dst_port): (w.src_comp, w.src_port) for w in system.wiring}
+    env_ports = sorted({(port, dom) for c in comps for port, dom in c.inputs.items()
+                        if (c.name, port) not in wires})
+    envs = [dict(zip([p for p, _ in env_ports], combo))
+            for combo in itertools.product(*(d for _, d in env_ports))]
+    mon = PropertyMonitor(prop)
+    parents = {(states, mon.initial()): None
+               for states in itertools.product(*(c.initial for c in comps))}
+    discovered = dict.fromkeys(states for states, _ in parents)
+    queue = deque(parents)
+    explored = 0
+    while queue:
+        node = queue.popleft()
+        explored += 1
+        states, mem = node
+        outputs = outputs_of(comps, states)
+        for env in envs:
+            valuation = {**outputs, **env}
+            violated, mem2 = mon.step(mem, valuation)
+            if violated:
+                trace = [TraceStep(states, env, valuation)]
+                while parents[node] is not None:
+                    node, env = parents[node]
+                    trace.append(TraceStep(node[0], env, {**outputs_of(comps, node[0]), **env}))
+                return CheckResult(False, tuple(reversed(trace)), explored), list(discovered)
+            nxt = tuple(
+                c.step(s, {port: outputs[wires[(c.name, port)][1]]
+                           if (c.name, port) in wires else env[port] for port in c.inputs})
+                for c, s in zip(comps, states))
+            if (nxt, mem2) not in parents:
+                parents[(nxt, mem2)] = (node, env)
+                queue.append((nxt, mem2))
+                discovered.setdefault(nxt)
+    return CheckResult(True, None, explored), list(discovered)
+
+
+def outputs_of(comps, states):
+    outputs = {}
+    for c, s in zip(comps, states):
+        outputs.update(c.output_map[s])
+    return outputs
+
+
+class TestCompiledAgainstReference:
+    """check_property and Product.explore run on integer tables; the
+    name-keyed reference_check must give equal results."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_cyclic_systems(self, seed):
+        system = random_cyclic_system(seed)
+        rng = np.random.default_rng(1000 + seed)
+        ports = system.ports()
+        for _ in range(8):
+            prop = random_property(rng, ports)
+            assert check_property(system, prop) == reference_check(system, prop)[0]
+        # a property that never fails walks the whole product
+        _, order = reference_check(system, parse_property("G (true => true)"))
+        assert compose(system).explore() == order
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_ag_systems(self, seed):
+        *_, full, candidates = random_ag_instance(seed)
+        for prop in candidates[::5]:
+            assert check_property(full, prop) == reference_check(full, prop)[0]
+
+    def test_ebs_demo_against_reference(self):
+        for bt in (1, 3):
+            system = build_ebs_demo(bt).full_system
+            for k in (2, 4):
+                prop = parse_property(f"G (x=red => F<={k} (velocity=0))")
+                assert check_property(system, prop) == reference_check(system, prop)[0]
+
+    # (holds, states_explored) of the EBS full system under
+    # G (x=red => F<=k (velocity=0)), k = 1..6, as the name-keyed checker gave them
+    EBS_PINS = {
+        1: [(False, 19), (False, 44), (False, 62), (True, 73), (True, 73), (True, 73)],
+        2: [(False, 19), (False, 44), (False, 62), (True, 73), (True, 73), (True, 73)],
+        3: [(False, 19), (False, 37), (False, 86), (False, 110), (False, 128), (True, 139)],
+        4: [(False, 19), (False, 37), (False, 86), (False, 110), (False, 128), (True, 139)],
+    }
+
+    @pytest.mark.parametrize("bt", [1, 2, 3, 4])
+    def test_ebs_demo_pinned_counts(self, bt):
+        system = build_ebs_demo(bt).full_system
+        got = []
+        for k in range(1, 7):
+            result = check_property(system, parse_property(f"G (x=red => F<={k} (velocity=0))"))
+            got.append((result.holds, result.states_explored))
+        assert got == self.EBS_PINS[bt]
+
+
 class TestMonitors:
     def test_immediate_violation_detected_at_tick(self):
         mon = PropertyMonitor(parse_property("G (a=1 => b=1)"))
@@ -333,8 +438,8 @@ class TestMostGeneralEnvironment:
                 traces.add(tuple(prefix))
             if len(prefix) == depth:
                 return
-            for env in prod.env_valuations():
-                out = prod.outputs_of(states)
+            for env in prod.envs:
+                out = prod.valuation(states, {})
                 key = tuple(out[p] for p in out_ports)
                 rec(prod.step(states, env), prefix + [key])
 
@@ -456,8 +561,8 @@ class TestMostGeneralEnvironment:
                 joint.add(tuple(prefix))
             if len(prefix) == depth:
                 return
-            for env in prod.env_valuations():
-                out = prod.outputs_of(states)
+            for env in prod.envs:
+                out = prod.valuation(states, {})
                 step = (env["c"], out["v"])
                 rec(prod.step(states, env), prefix + [step])
 
@@ -499,7 +604,7 @@ class TestAbstractDnn:
         prod = compose(System((comp,)))
         for init in prod.initial_states():
             nxt = prod.step(init, {"x": "R1", "Class_pick": "green"})
-            assert prod.outputs_of(nxt) == {"Class": "red"}
+            assert prod.valuation(nxt, {}) == {"Class": "red"}
 
     def test_label_not_in_token_ranges_over_allowed(self):
         comp = abstract_dnn_component(self._contract(), ("red", "green", "yellow"))
@@ -507,7 +612,7 @@ class TestAbstractDnn:
         seen = set()
         for pick in ("red", "green", "yellow"):
             nxt = prod.step(prod.initial_states()[0], {"x": "R2", "Class_pick": pick})
-            seen.add(prod.outputs_of(nxt)["Class"])
+            seen.add(prod.valuation(nxt, {})["Class"])
         assert seen == {"red", "yellow"}
 
     def test_outside_token_ranges_over_all_labels(self):
@@ -516,7 +621,7 @@ class TestAbstractDnn:
         seen = set()
         for pick in ("red", "green", "yellow"):
             nxt = prod.step(prod.initial_states()[0], {"x": "outside", "Class_pick": pick})
-            seen.add(prod.outputs_of(nxt)["Class"])
+            seen.add(prod.valuation(nxt, {})["Class"])
         assert seen == {"red", "green", "yellow"}
 
     def test_empty_contract_warns_and_is_fully_nondeterministic(self):

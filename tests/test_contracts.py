@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import contracts_equal, parse_dnn_contract
 from safecomp.contracts import (
     Always,
     Atom,
@@ -16,11 +17,9 @@ from safecomp.contracts import (
     check_point_against_contract,
     component_contract_from_json,
     component_contract_to_json,
-    contracts_equal,
     dnn_contract_from_json,
     dnn_contract_to_json,
     emit_dnn_contract,
-    parse_dnn_contract,
     parse_property,
     render_contract,
     render_property,

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import capacity_network, identity_network, make_network, random_network
+from conftest import (
+    capacity_network,
+    identity_network,
+    make_network,
+    networks_equal,
+    random_network,
+)
 from safecomp.network import (
     Layer,
     NetworkFormatError,
     classify,
     evaluate,
-    networks_equal,
     normalize,
     parse_network,
     render_network,
