@@ -29,7 +29,7 @@ from .contracts import (
 from .guard import build_guard, check_network, stream_guard
 from .network import classify_batch, normalize, parse_network
 from .regions import DiscoveryConfig, discover_regions, load_dataset_csv, region_from_dict, region_to_dict
-from .verifier import FullResult, FullSummary
+from .verifier import FullResult, FullSummary, check_budgets
 
 _METRICS = {"l1": "L1", "l2": "L2", "linf": "Linf"}
 
@@ -96,6 +96,7 @@ def _load_regions(path: str, labels):
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    check_budgets(args.node_budget, args.time_budget, args.eps)
     net = _read_net(args.net)
     regions, attributes = _load_regions(args.regions, net.labels)
     for r in regions:

@@ -90,7 +90,11 @@ def uncertainty(net: Network, x) -> float:
 
 
 def check_network(guard: Guard, net: Network) -> None:
-    """Raise ValueError unless the contract's regions have the network's input width."""
+    """Raise ValueError unless the contract names the network and its regions
+    have the network's input width."""
+    if guard.contract.network != net.name:
+        raise ValueError(f"contract is for network {guard.contract.network!r}, "
+                         f"not {net.name!r}")
     guard.contract.check_width(net.input_dim, f"network {net.name!r}")
 
 

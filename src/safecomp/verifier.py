@@ -7,10 +7,15 @@ threshold, refuted when a concrete in-region counterexample validates, or
 bisected otherwise. Safe is sound by construction; Unsafe is exact (every
 counterexample re-validates by forward evaluation); Unknown reports which
 budget ran out.
+
+Splits are deterministic, so the targets of one region visit the same boxes;
+verify_full gives them one per-region cache of each box's certified margins,
+and bounds are propagated at most once per distinct box of a region.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -111,12 +116,23 @@ class VerificationTask:
     seed: int = 0
 
     def __post_init__(self):
+        check_budgets(self.max_nodes, self.time_budget, self.epsilon)
         if self.target_label == self.region.expected_label:
             raise ValueError("target label must differ from the region's expected label")
         if not 0 <= self.target_label < self.network.n_labels:
             raise ValueError("target label out of range")
-        if self.max_nodes <= 0:
-            raise ValueError("node budget must be positive")
+
+
+def check_budgets(max_nodes: int, time_budget: float | None, epsilon: float) -> None:
+    """Raise ValueError unless the settings keep a Safe verdict sound and the
+    budgets in force: a negative or infinite epsilon would discharge boxes the
+    target wins, and a NaN time budget never runs out."""
+    if max_nodes <= 0:
+        raise ValueError("node budget must be positive")
+    if time_budget is not None and not time_budget > 0:
+        raise ValueError(f"time budget must be positive, got {time_budget!r}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
 
 
 def enclosing_box(region: Region, domain: tuple[np.ndarray, np.ndarray] | None = None) -> Box:
@@ -319,16 +335,36 @@ def _box_region_gap(box: Box, region: Region) -> float:
     return float(dist_many(region.metric, g, 0.0))
 
 
-def verify_targeted(task: VerificationTask) -> Verdict:
+def _discharge_bounds(net: Network, box: Box, targets) -> dict[int, float]:
+    """Each target's certified discharge bound over the box: the best margin
+    by which any rival beats it (positive means the target never wins)."""
+    bounds = propagate_bounds(net, box)
+    return {t: max(score_gap_bound(bounds, box, rival, t, net.score_order)
+                   for rival in range(net.n_labels) if rival != t)
+            for t in targets}
+
+
+def verify_targeted(task: VerificationTask,
+                    margins: dict[tuple[bytes, bytes], dict[int, float]] | None = None) -> Verdict:
     """Branch-and-bound targeted safety check; see the module docstring.
 
     Deterministic for a fixed task and seed: the worklist is FIFO by creation
     index, and each node's counterexample search derives its seed from the
     task seed and the node counter. Stats are deterministic apart from wall
     time.
+
+    margins, when given, is a cache shared by the targets of one region: it
+    maps a box's (lo, hi) bytes to the discharge bound of every label but the
+    region's expected one, so a box another target already reached costs no
+    bound propagation. The cached floats are the ones a lone call computes,
+    so the verdict does not depend on the cache.
     """
     t0 = time.perf_counter()
     net, region = task.network, task.region
+    if margins is None:
+        margins, targets = {}, (task.target_label,)
+    else:
+        targets = tuple(t for t in range(net.n_labels) if t != region.expected_label)
     root = enclosing_box(region, net.normalized_domain())
     nodes = 0
     deepest = 0
@@ -353,10 +389,11 @@ def verify_targeted(task: VerificationTask) -> Verdict:
             continue  # box cannot intersect the region
         # discharged as soon as ANY label certifiably beats the target on the
         # whole box; the target only ever wins where it beats all rivals
-        bounds = propagate_bounds(net, box)
-        bound = max(score_gap_bound(bounds, box, rival, task.target_label, net.score_order)
-                    for rival in range(net.n_labels) if rival != task.target_label)
-        if bound > task.epsilon:
+        key = (box.lo.tobytes(), box.hi.tobytes())
+        entry = margins.get(key)
+        if entry is None:
+            entry = margins[key] = _discharge_bounds(net, box, targets)
+        if entry[task.target_label] > task.epsilon:
             continue
         if nodes >= task.max_nodes:
             return done("Unknown", reason="budget")
@@ -406,7 +443,11 @@ def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
     FullySafe: all targets Safe. TargetedSafe: some Safe alongside proven
     Unsafe targets. NotSafe: Unsafe with no Safe target. Inconclusive: no
     Unsafe but at least one Unknown (proved-safe targets still listed).
+
+    The targets share one cache of box margins (see verify_targeted), fresh
+    per call, so bounds are propagated at most once per distinct box.
     """
+    margins: dict[tuple[bytes, bytes], dict[int, float]] = {}
     verdicts: dict[int, Verdict] = {}
     for target in range(net.n_labels):
         if target == region.expected_label:
@@ -414,7 +455,7 @@ def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
         task = VerificationTask(net, region, target, max_nodes=max_nodes,
                                 time_budget=time_budget, epsilon=epsilon,
                                 seed=seed * 131 + target)
-        verdicts[target] = verify_targeted(task)
+        verdicts[target] = verify_targeted(task, margins)
 
     safe = tuple(sorted(t for t, v in verdicts.items() if v.status == "Safe"))
     any_unsafe = any(v.status == "Unsafe" for v in verdicts.values())

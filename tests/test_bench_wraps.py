@@ -1,0 +1,64 @@
+"""The traced benchmark run still sees the verifier's work through its wraps.
+
+bench/layers.wrap_targets() wraps functions where their callers look them
+up. A call that bypasses such a module global would silently drop out of the
+per-layer metrics; only the slow bench/test_bench.py would notice. This test
+installs counting wrappers at the verifier and app entries and runs one small
+verification through app.run_parallel_verification.
+"""
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from conftest import identity_network
+from safecomp import app, verifier
+from safecomp.regions import Region
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+
+def _wrap_targets():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers.wrap_targets()
+
+
+def test_verifier_and_app_wraps_see_every_call(monkeypatch):
+    calls = Counter()
+    targeted = []
+
+    def counting(span, fn):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            result = fn(*args, **kwargs)
+            if span == "verifier.verify_targeted":
+                targeted.append(result)
+            return result
+        return wrapper
+
+    spans = []
+    for owner, attribute, span, _ in _wrap_targets():
+        if owner in (verifier, app):
+            monkeypatch.setattr(owner, attribute, counting(span, getattr(owner, attribute)))
+            spans.append(span)
+
+    # three labels: "b" wins at (0.45, 0.55, 0.1), so one target is Unsafe
+    # (CE search and re-validation run) and "c" is Safe at the root
+    net = identity_network(3)
+    region = Region("r0", np.array([0.5, 0.45, 0.1]), 0.1, "Linf", 0, 1, (0,))
+    results = app.run_parallel_verification(net, [region], workers=1, max_nodes=64)
+    report = app.build_verification_report(net, results, {})
+
+    assert {"verifier.verify_targeted", "verifier.propagate_bounds",
+            "app.run_parallel_verification", "app.verify_full"} <= set(spans)
+    assert [s for s in spans if calls[s] == 0] == []
+    assert calls["verifier.verify_targeted"] == net.n_labels - 1
+    assert calls["verifier.propagate_bounds"] > 0
+    total = sum(v["stats"]["nodes"] for entry in report["regions"]
+                for v in entry["verdicts"].values())
+    assert sum(v.stats.nodes for v in targeted) == total
+    assert {v["status"] for v in report["regions"][0]["verdicts"].values()} == {"Unsafe", "Safe"}

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import identity_network, parse_dnn_contract
+from conftest import identity_network, make_network, parse_dnn_contract
 from safecomp.app import build_ebs_demo, build_semaphore_classifier
 from safecomp.cli import cli_main
 from safecomp.compose import system_to_json
@@ -15,7 +15,7 @@ from safecomp.contracts import (
     component_contract_to_json,
     render_contract,
 )
-from safecomp.network import render_network
+from safecomp.network import Layer, render_network
 from safecomp.regions import LabeledDataset, render_dataset_csv
 
 VERDICT_SCHEMA = {
@@ -222,6 +222,16 @@ class TestGuardCli:
         assert lines is None
         assert "2 inputs" in capsys.readouterr().err
 
+    def test_contract_for_another_network_exits_2_without_output(self, files, tmp_path, capsys):
+        net_path = tmp_path / "other.net"
+        net_path.write_text(render_network(make_network(
+            [Layer(np.eye(2), np.zeros(2), "identity")], name="other")))
+        code, lines = self.guard((net_path, files[1]), tmp_path, "0.2,0.1\n")
+        assert code == 2
+        assert lines is None
+        err = capsys.readouterr().err
+        assert "'test'" in err and "'other'" in err
+
     def test_out_same_as_data_exits_2_and_keeps_data(self, files, tmp_path, capsys):
         data_path = tmp_path / "rows.csv"
         data_path.write_text("0.2,0.1\n")
@@ -365,6 +375,31 @@ class TestVerifyInput:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "width 7" in err and "8 inputs" in err
+
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--eps", "-0.5", "epsilon"),
+        ("--eps", "nan", "epsilon"),
+        ("--eps", "inf", "epsilon"),
+        ("--time-budget", "nan", "time budget"),
+        ("--time-budget", "0", "time budget"),
+        ("--time-budget", "-1", "time budget"),
+    ])
+    def test_unsound_or_void_setting_exits_2_without_output(self, tmp_path, capsys,
+                                                             flag, value, name):
+        # --eps -0.5 would certify this region Safe against "b", which wins at (0.5, 0.55)
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network()))
+        regions_path = tmp_path / "regions.json"
+        regions_path.write_text(json.dumps({"regions": [{
+            "id": "r000", "metric": "Linf", "centroid": [0.5, 0.45], "radius": 0.1,
+            "expected_label": "a", "member_count": 1, "member_indices": [0],
+        }]}))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--net", net_path, "--regions", regions_path,
+                    flag, value, "--out", out]) == 2
+        assert not out.exists()
+        assert name in capsys.readouterr().err
 
 
 class TestGridCli:

@@ -17,7 +17,7 @@ from safecomp.guard import (
 from safecomp.regions import dist
 
 
-def make_contract(*specs, network="n", uncertainty_max=None):
+def make_contract(*specs, network="test", uncertainty_max=None):
     regions = tuple(
         RegionContract(rid, np.asarray(c, dtype=float), r, metric, guarantee,
                        provenance={"summary": "FullySafe"}, uncertainty_max=uncertainty_max)
@@ -261,6 +261,21 @@ class TestFailSafe:
             stream_guard(guard, net, rows(), out)
         assert out.getvalue() == ""
 
+    def test_network_name_mismatch_rejected_before_any_row(self):
+        guard = build_guard(make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")),
+                                          network="other"))
+        with pytest.raises(ValueError, match="'other'.*'test'"):
+            guard_eval(guard, FIVE, COC_CENTROID)
+        out = io.StringIO()
+
+        def rows():
+            raise AssertionError("no row may be read")
+            yield
+
+        with pytest.raises(ValueError, match="'other'.*'test'"):
+            stream_guard(guard, FIVE, rows(), out)
+        assert out.getvalue() == ""
+
     def test_mixed_centroid_widths_rejected(self):
         contract = make_contract(("r0", [0.5] * 5, 0.1, "L1", LabelIs("COC")),
                                  ("r1", [0.5] * 4, 0.1, "L1", LabelIs("COC")))
@@ -296,16 +311,17 @@ def mixed_rows(rng, n):
 
 
 class TestStreamingIdentity:
-    def contracts(self):
+    def contracts(self, network="test"):
         return make_contract(
             ("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")),
             ("r001", [0.6, 0.6, 0.6, 0.6, 0.6], 0.2, "Linf", LabelNotIn(("b",))),
             ("a002", [0.3, 0.3, 0.3, 0.3, 0.3], 0.15, "L2", LabelIs("e")),
+            network=network,
         )
 
     def test_same_bytes_for_any_chunking(self, rng):
         net = random_network(7, dims=(5, 12, 5), score_order="min_best")
-        guard = build_guard(self.contracts(), uncertainty_threshold=0.4)
+        guard = build_guard(self.contracts(net.name), uncertainty_threshold=0.4)
         rows = mixed_rows(rng, 2 * BLOCK_ROWS + 300)
 
         def streamed(chunk):

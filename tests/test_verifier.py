@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import identity_network, make_network, random_network
+from conftest import capacity_network, identity_network, make_network, random_network
 from safecomp.network import Layer, classify_batch, evaluate
-from safecomp.regions import Region, dist_many, region_membership
+from safecomp.regions import METRICS, Region, dist_many, region_membership
 from safecomp.verifier import (
     Box,
     VerificationTask,
@@ -234,6 +234,34 @@ class TestVerifyTargeted:
         with pytest.raises(ValueError):
             VerificationTask(net, region, 1, max_nodes=0)
 
+    def test_negative_epsilon_would_certify_an_unsafe_region(self):
+        # "b" wins at (0.5, 0.55): with epsilon -0.5 every box would discharge
+        net = identity_network()
+        region = box_region([0.5, 0.45], 0.1, expected=0)
+        assert verify_targeted(VerificationTask(net, region, 1)).status == "Unsafe"
+        with pytest.raises(ValueError, match="epsilon"):
+            VerificationTask(net, region, 1, epsilon=-0.5)
+        with pytest.raises(ValueError, match="epsilon"):
+            verify_full(net, region, epsilon=-0.5)
+
+    @pytest.mark.parametrize("epsilon", [-1e-12, float("inf"), float("-inf"), float("nan")])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            VerificationTask(identity_network(), box_region([0.5, 0.5], 0.1), 1,
+                             epsilon=epsilon)
+
+    @pytest.mark.parametrize("time_budget", [float("nan"), 0.0, -1.0])
+    def test_time_budget_must_be_positive(self, time_budget):
+        with pytest.raises(ValueError, match="time budget"):
+            VerificationTask(identity_network(), box_region([0.5, 0.5], 0.1), 1,
+                             time_budget=time_budget)
+
+    def test_boundary_settings_accepted(self):
+        region = box_region([0.8, 0.2], 0.1, expected=0)
+        task = VerificationTask(identity_network(), region, 1, epsilon=0.0,
+                                time_budget=float("inf"))
+        assert verify_targeted(task).status == "Safe"
+
     def test_monotonicity_shrunk_safe_region_never_unsafe(self):
         rng = np.random.default_rng(3)
         for seed in range(10):
@@ -316,6 +344,133 @@ class TestBoundSoundnessDuringVerification:
                 scores = evaluate(pnet, x)
                 assert np.all(bounds.lower_a @ x + bounds.lower_b <= scores + 1e-9)
                 assert np.all(scores <= bounds.upper_a @ x + bounds.upper_b + 1e-9)
+
+
+def lone_verdicts(net, region, max_nodes=50_000, epsilon=1e-6, seed=0):
+    """One verify_targeted call per target, as verify_full seeds them. A lone
+    call never reuses a box's margins, so it is the uncached oracle."""
+    return {t: verify_targeted(VerificationTask(net, region, t, max_nodes=max_nodes,
+                                                epsilon=epsilon, seed=seed * 131 + t))
+            for t in range(net.n_labels) if t != region.expected_label}
+
+
+def assert_same_verdicts(shared, lone):
+    assert shared.keys() == lone.keys()
+    for t, expect in lone.items():
+        got = shared[t]
+        assert (got.status, got.reason) == (expect.status, expect.reason), t
+        assert (got.stats.nodes, got.stats.deepest_split) == \
+            (expect.stats.nodes, expect.stats.deepest_split), t
+        if expect.counterexample is None:
+            assert got.counterexample is None
+        else:
+            assert got.counterexample.point.tobytes() == expect.counterexample.point.tobytes()
+            assert got.counterexample.scores.tobytes() == expect.counterexample.scores.tobytes()
+
+
+def sweep_cases(seed, metric):
+    """Small random nets and regions, from decided at the root to budget-bound."""
+    rng = np.random.default_rng([seed, METRICS.index(metric)])
+    dim, labels = int(rng.integers(2, 4)), int(rng.integers(3, 5))
+    net = random_network(seed + 400, dims=(dim, int(rng.integers(3, 8)), labels),
+                         score_order="min_best" if seed % 2 else "max_best")
+    for max_nodes in (1, 2, 7, 64):
+        for radius in (0.02, 0.15):
+            region = Region("r0", rng.uniform(0.1, 0.9, size=dim), radius, metric,
+                            int(rng.integers(labels)), 1, (0,))
+            yield net, region, max_nodes
+
+
+class TestSharedMarginCache:
+    """verify_full's targets share one cache of box margins per region; every
+    verdict must equal the one a lone, uncached verify_targeted call gives."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_equals_lone(self, seed, metric):
+        for net, region, max_nodes in sweep_cases(seed, metric):
+            shared = verify_full(net, region, max_nodes=max_nodes, seed=seed)
+            assert_same_verdicts(shared.verdicts,
+                                 lone_verdicts(net, region, max_nodes, seed=seed))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_capacity_net_shared_equals_lone(self, metric):
+        # budget-bound trees several levels deep, so targets do share boxes
+        net = capacity_network()
+        region = box_region([0.3, 0.6, 0.4, 0.5, 0.7], 0.03, metric=metric, expected=2)
+        for max_nodes in (7, 64):
+            assert_same_verdicts(verify_full(net, region, max_nodes=max_nodes, seed=1).verdicts,
+                                 lone_verdicts(net, region, max_nodes, seed=1))
+
+    def test_sweep_reaches_safe_unsafe_and_budget(self):
+        outcomes = {(v.status, v.reason)
+                    for seed in range(4) for metric in METRICS
+                    for net, region, max_nodes in sweep_cases(seed, metric)
+                    for v in lone_verdicts(net, region, max_nodes, seed=seed).values()}
+        assert {("Safe", None), ("Unsafe", None), ("Unknown", "budget")} <= outcomes
+
+    def test_min_box(self):
+        # "b" never wins, but it comes within epsilon of "a" on a box too
+        # narrow to split; "c" is discharged at the root
+        net = identity_network(3)
+        region = box_region([0.5, 0.4999, 0.2], 4e-5)
+        lone = lone_verdicts(net, region, epsilon=1e-3)
+        assert (lone[1].status, lone[1].reason) == ("Unknown", "min_box")
+        assert lone[2].status == "Safe"
+        assert_same_verdicts(verify_full(net, region, epsilon=1e-3).verdicts, lone)
+
+    @pytest.mark.parametrize("center", [[1.5, 1.5], [0.97, 0.5]])
+    def test_region_leaving_the_domain(self, center):
+        net = random_network(33, dims=(2, 6, 3))
+        region = box_region(center, 0.1)
+        lone = lone_verdicts(net, region, max_nodes=64)
+        assert_same_verdicts(verify_full(net, region, max_nodes=64).verdicts, lone)
+
+    def test_no_margins_carried_between_calls(self):
+        # the same boxes under two networks: a cache that outlived a call
+        # would hand the second network the first one's margins
+        region = box_region([0.8, 0.2], 0.1)
+        for net, status in ((identity_network(), "Safe"),
+                            (identity_network(score_order="min_best"), "Unsafe")):
+            assert verify_full(net, region).verdicts[1].status == status
+            assert_same_verdicts(verify_full(net, region, max_nodes=64).verdicts,
+                                 lone_verdicts(net, region, max_nodes=64))
+
+    def _count_bounds(self, monkeypatch):
+        import safecomp.verifier as verifier_module
+
+        keys = []
+        real = verifier_module.propagate_bounds
+
+        def counting(net, box):
+            keys.append((box.lo.tobytes(), box.hi.tobytes()))
+            return real(net, box)
+
+        monkeypatch.setattr(verifier_module, "propagate_bounds", counting)
+        return keys
+
+    def test_geometry_pruned_nodes(self, monkeypatch):
+        keys = self._count_bounds(monkeypatch)
+        net = random_network(35, dims=(2, 7, 4))
+        region = box_region([0.5, 0.5], 0.3, metric="L1")
+        lone = lone_verdicts(net, region, max_nodes=200)
+        assert sum(v.stats.nodes for v in lone.values()) > len(keys)  # some were pruned
+        del keys[:]
+        assert_same_verdicts(verify_full(net, region, max_nodes=200).verdicts, lone)
+
+    def test_one_bound_propagation_per_distinct_box(self, monkeypatch):
+        keys = self._count_bounds(monkeypatch)
+        net = capacity_network()
+        region = box_region([0.5] * 5, 0.03, metric="L1", expected=2)
+        lone = lone_verdicts(net, region, max_nodes=24, seed=3)
+        assert all(v.reason == "budget" for v in lone.values())
+        lone_keys = list(keys)  # one per non-pruned node of each target
+        del keys[:]
+        shared = verify_full(net, region, max_nodes=24, seed=3)
+        assert_same_verdicts(shared.verdicts, lone)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(lone_keys)
+        assert len(keys) < len(lone_keys)
 
 
 class TestSoundnessSample:
