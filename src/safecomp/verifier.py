@@ -335,17 +335,18 @@ def _box_region_gap(box: Box, region: Region) -> float:
     return float(dist_many(region.metric, g, 0.0))
 
 
-def _discharge_bounds(net: Network, box: Box, targets) -> dict[int, float]:
-    """Each target's certified discharge bound over the box: the best margin
-    by which any rival beats it (positive means the target never wins)."""
+def _discharge_bounds(net: Network, box: Box, targets: tuple[int, ...]) -> tuple[float, ...]:
+    """Each target's certified discharge bound over the box, in the order of
+    targets: the best margin by which any rival beats it (positive means the
+    target never wins)."""
     bounds = propagate_bounds(net, box)
-    return {t: max(score_gap_bound(bounds, box, rival, t, net.score_order)
-                   for rival in range(net.n_labels) if rival != t)
-            for t in targets}
+    return tuple(max(score_gap_bound(bounds, box, rival, t, net.score_order)
+                     for rival in range(net.n_labels) if rival != t)
+                 for t in targets)
 
 
 def verify_targeted(task: VerificationTask,
-                    margins: dict[tuple[bytes, bytes], dict[int, float]] | None = None) -> Verdict:
+                    margins: dict[bytes, tuple[float, ...]] | None = None) -> Verdict:
     """Branch-and-bound targeted safety check; see the module docstring.
 
     Deterministic for a fixed task and seed: the worklist is FIFO by creation
@@ -353,18 +354,18 @@ def verify_targeted(task: VerificationTask,
     task seed and the node counter. Stats are deterministic apart from wall
     time.
 
-    margins, when given, is a cache shared by the targets of one region: it
-    maps a box's (lo, hi) bytes to the discharge bound of every label but the
-    region's expected one, so a box another target already reached costs no
-    bound propagation. The cached floats are the ones a lone call computes,
-    so the verdict does not depend on the cache.
+    margins maps a box's lo and hi bytes to the discharge bounds of the labels
+    other than the region's expected one, in label order. verify_full shares
+    one such cache among the targets of a region, so a box another target
+    already reached costs no bound propagation; a lone call starts from an
+    empty one. Each cached float is computed the same way either way, so the
+    verdict does not depend on the cache.
     """
     t0 = time.perf_counter()
     net, region = task.network, task.region
-    if margins is None:
-        margins, targets = {}, (task.target_label,)
-    else:
-        targets = tuple(t for t in range(net.n_labels) if t != region.expected_label)
+    margins = {} if margins is None else margins
+    targets = tuple(t for t in range(net.n_labels) if t != region.expected_label)
+    slot = targets.index(task.target_label)
     root = enclosing_box(region, net.normalized_domain())
     nodes = 0
     deepest = 0
@@ -389,11 +390,11 @@ def verify_targeted(task: VerificationTask,
             continue  # box cannot intersect the region
         # discharged as soon as ANY label certifiably beats the target on the
         # whole box; the target only ever wins where it beats all rivals
-        key = (box.lo.tobytes(), box.hi.tobytes())
+        key = box.lo.tobytes() + box.hi.tobytes()
         entry = margins.get(key)
         if entry is None:
             entry = margins[key] = _discharge_bounds(net, box, targets)
-        if entry[task.target_label] > task.epsilon:
+        if entry[slot] > task.epsilon:
             continue
         if nodes >= task.max_nodes:
             return done("Unknown", reason="budget")
@@ -447,7 +448,7 @@ def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
     The targets share one cache of box margins (see verify_targeted), fresh
     per call, so bounds are propagated at most once per distinct box.
     """
-    margins: dict[tuple[bytes, bytes], dict[int, float]] = {}
+    margins: dict[bytes, tuple[float, ...]] = {}
     verdicts: dict[int, Verdict] = {}
     for target in range(net.n_labels):
         if target == region.expected_label:
