@@ -60,7 +60,9 @@ def _add_verifier_flags(sp: argparse.ArgumentParser):
     _add_workers_flag(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--node-budget", type=int, default=50_000)
-    sp.add_argument("--time-budget", type=float, default=None)
+    sp.add_argument("--time-budget", type=float, default=None,
+                    help="seconds of wall time per region; its targets still undecided "
+                         "then are Unknown (budget)")
     sp.add_argument("--eps", type=float, default=1e-6)
 
 

@@ -292,10 +292,18 @@ def _forward(net: Network, a: np.ndarray) -> np.ndarray:
 
 
 def evaluate_batch(net: Network, xs: np.ndarray) -> np.ndarray:
-    """Forward pass on an (n, input_dim) batch; returns (n, n_labels) scores."""
+    """Forward pass on an (n, input_dim) batch, or on a (P, n, input_dim)
+    stack of batches; returns (n, n_labels) scores, or (P, n, n_labels).
+
+    Each block of a stack gets bit for bit the scores a call on that block
+    alone gives: a stack is a stack of the same matrix products. Within one
+    block the rows share a matrix product, so a row's scores may depend on
+    the block it sits in (evaluate gives the per-row promise).
+    """
     a = np.asarray(xs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.input_dim:
-        raise ValueError(f"expected (n, {net.input_dim}) batch, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != net.input_dim:
+        raise ValueError(f"expected (n, {net.input_dim}) batch or (P, n, {net.input_dim}) "
+                         f"stack, got shape {a.shape}")
     for layer in net.layers:
         a = a @ layer.weights.T + layer.bias
         if layer.activation == "relu":

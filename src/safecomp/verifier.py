@@ -8,9 +8,14 @@ bisected otherwise. Safe is sound by construction; Unsafe is exact (every
 counterexample re-validates by forward evaluation); Unknown reports which
 budget ran out.
 
-Splits are deterministic, so the targets of one region visit the same boxes;
-verify_full gives them one per-region cache of each box's certified margins,
-and bounds are propagated at most once per distinct box of a region.
+Splits are deterministic, so the targets of one region visit the same boxes.
+verify_full runs them as one lockstep search: a FIFO frontier of boxes, each
+carrying the targets still live on it, is popped up to FRONTIER_BATCH boxes
+at a time; the batch gets one stacked bound propagation, one stacked margin
+scoring and one stacked counterexample search. Every stacked operation is a
+stack of the per-box products, so each target's verdict, node count and
+counterexample are bit for bit those of a search that visits its boxes one
+at a time.
 """
 
 from __future__ import annotations
@@ -25,14 +30,19 @@ import numpy as np
 from .network import Network, classify, evaluate, evaluate_batch
 from .regions import Region, dist_many, region_membership
 
-# random starts per counterexample search, and the box width below which a
-# node is no longer split (its verdict is then Unknown, reason "min_box")
+# random starts per counterexample search, the box width below which a node
+# is no longer split (its verdict is then Unknown, reason "min_box"), and the
+# most boxes one step of the lockstep search takes off the frontier
 CE_EFFORT = 8
 MIN_BOX_WIDTH = 1e-4
+FRONTIER_BATCH = 256
 
 
 @dataclass(frozen=True)
 class Box:
+    """An axis-aligned box with (d,) bounds, or a stack of K boxes with
+    (K, d) bounds."""
+
     lo: np.ndarray
     hi: np.ndarray
 
@@ -60,6 +70,9 @@ class LinearBounds:
     (penult_*), together with that layer's weights, so score differences can
     be bounded as one composed affine row instead of subtracting two
     independently relaxed outputs.
+
+    For a stack of K boxes every field but final_w and final_b has a leading
+    axis of length K, one entry per box.
     """
 
     lower_a: np.ndarray
@@ -146,20 +159,40 @@ def enclosing_box(region: Region, domain: tuple[np.ndarray, np.ndarray] | None =
     return Box(lo, hi)
 
 
-def _affine_min(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
-    pos = np.maximum(a, 0.0)
-    neg = np.minimum(a, 0.0)
-    return pos @ box.lo + neg @ box.hi + b
+# Stacked products below are stacks of the per-box ones: numpy's matmul runs
+# one BLAS call per block of a stack, so a box's results never depend on the
+# boxes stacked with it. A flat matrix product over the rows of all boxes
+# would give no such promise.
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x per block, for a of shape (..., m, n) and x of shape (..., n)."""
+    return (a @ x[..., None])[..., 0]
 
 
-def _affine_max(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
+def _affine_min(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     pos = np.maximum(a, 0.0)
     neg = np.minimum(a, 0.0)
-    return pos @ box.hi + neg @ box.lo + b
+    return _mv(pos, lo) + _mv(neg, hi) + b
+
+
+def _affine_max(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    pos = np.maximum(a, 0.0)
+    neg = np.minimum(a, 0.0)
+    return _mv(pos, hi) + _mv(neg, lo) + b
+
+
+def _first_max(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Elementwise max(first, *rest) with Python's max semantics: a later
+    value replaces the running one only when it is strictly greater."""
+    best = first
+    for value in rest:
+        best = np.where(value > best, value, best)
+    return best
 
 
 def propagate_bounds(net: Network, box: Box) -> LinearBounds:
-    """Layer-by-layer symbolic propagation over the box.
+    """Layer-by-layer symbolic propagation over the box, or over each box of
+    a stack (the fields then gain a leading box axis).
 
     Affine layers compose the bounding functions exactly (sign-split on the
     weights). A ReLU with pre-activation interval [l, u] becomes: zero when
@@ -167,13 +200,15 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
     with alpha*z below, alpha = 1 if u >= -l else 0. Interval bounds are
     tracked alongside and intersected with the concretized functions.
     """
-    d = net.input_dim
-    lower_a = np.eye(d)
-    lower_b = np.zeros(d)
-    upper_a = np.eye(d)
-    upper_b = np.zeros(d)
-    clo = box.lo.copy()
-    chi = box.hi.copy()
+    box_lo = np.atleast_2d(box.lo)
+    box_hi = np.atleast_2d(box.hi)
+    k, d = box_lo.shape
+    lower_a = np.broadcast_to(np.eye(d), (k, d, d))
+    lower_b = np.zeros((k, d))
+    upper_a = lower_a
+    upper_b = lower_b
+    clo = box_lo.copy()
+    chi = box_hi.copy()
 
     for index, layer in enumerate(net.layers):
         if index == len(net.layers) - 1:
@@ -181,14 +216,14 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
         w_pos = np.maximum(layer.weights, 0.0)
         w_neg = np.minimum(layer.weights, 0.0)
         pre_la = w_pos @ lower_a + w_neg @ upper_a
-        pre_lb = w_pos @ lower_b + w_neg @ upper_b + layer.bias
+        pre_lb = _mv(w_pos, lower_b) + _mv(w_neg, upper_b) + layer.bias
         pre_ua = w_pos @ upper_a + w_neg @ lower_a
-        pre_ub = w_pos @ upper_b + w_neg @ lower_b + layer.bias
+        pre_ub = _mv(w_pos, upper_b) + _mv(w_neg, lower_b) + layer.bias
         # interval propagation runs in parallel; keep the tighter of the two
-        int_lo = w_pos @ clo + w_neg @ chi + layer.bias
-        int_hi = w_pos @ chi + w_neg @ clo + layer.bias
-        l = np.maximum(_affine_min(pre_la, pre_lb, box), int_lo)
-        u = np.minimum(_affine_max(pre_ua, pre_ub, box), int_hi)
+        int_lo = _mv(w_pos, clo) + _mv(w_neg, chi) + layer.bias
+        int_hi = _mv(w_pos, chi) + _mv(w_neg, clo) + layer.bias
+        l = np.maximum(_affine_min(pre_la, pre_lb, box_lo, box_hi), int_lo)
+        u = np.minimum(_affine_max(pre_ua, pre_ub, box_lo, box_hi), int_hi)
         u = np.maximum(u, l)  # float-rounding guard; raising an upper bound is sound
 
         if layer.activation == "identity":
@@ -211,21 +246,21 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
         up_slope[neg_mask] = 0.0
         lo_slope[neg_mask] = 0.0
 
-        lower_a = lo_slope[:, None] * pre_la
+        lower_a = lo_slope[..., None] * pre_la
         lower_b = lo_slope * pre_lb
-        upper_a = up_slope[:, None] * pre_ua
+        upper_a = up_slope[..., None] * pre_ua
         upper_b = up_slope * pre_ub + up_shift
         clo = np.maximum(l, 0.0)
         chi = np.maximum(u, 0.0)
 
+    fields = (lower_a, lower_b, upper_a, upper_b, clo, chi) + penult
+    if box.lo.ndim == 1:
+        fields = tuple(f[0] for f in fields)
     final = net.layers[-1]
-    return LinearBounds(lower_a, lower_b, upper_a, upper_b, clo, chi,
-                        penult[0], penult[1], penult[2], penult[3],
-                        penult[4], penult[5], final.weights, final.bias)
+    return LinearBounds(*fields, final.weights, final.bias)
 
 
-def score_gap_bound(bounds: LinearBounds, box: Box, true_label: int, target: int,
-                    score_order: str) -> float:
+def score_gap_bound(bounds: LinearBounds, box: Box, true_label, target, score_order: str):
     """Certified lower bound over the box of the margin by which the target
     label loses to the true label (positive means the target never wins).
 
@@ -234,119 +269,377 @@ def score_gap_bound(bounds: LinearBounds, box: Box, true_label: int, target: int
     terms), the same row against the penultimate intervals, and the concrete
     interval difference. Subtracting the two outputs' bounding functions is
     never tighter than the composed row, so it is not a candidate.
+
+    A float for one box and one label pair. For a stack of K boxes (bounds
+    from propagate_bounds on the stack) and arrays of Q label pairs the
+    result is a (K, Q) array; either axis is left out when its input is
+    single.
     """
-    if true_label == target:
+    true_label = np.asarray(true_label)
+    target = np.asarray(target)
+    if np.any(true_label == target):
         raise ValueError("labels must be distinct")
     if score_order == "min_best":
         win, lose = target, true_label  # margin = s_target - s_true
     else:
         win, lose = true_label, target  # margin = s_true - s_target
+    stacked = box.lo.ndim == 2
+    pair_axis = win.ndim == 1
+    win = np.atleast_1d(win)
+    lose = np.atleast_1d(lose)
+
+    def per_box(a: np.ndarray) -> np.ndarray:
+        return a if stacked else a[None]
+
+    p_la, p_lb, p_ua, p_ub, p_lo, p_hi, c_lo, c_hi, lo, hi = (per_box(a) for a in (
+        bounds.penult_lower_a, bounds.penult_lower_b, bounds.penult_upper_a,
+        bounds.penult_upper_b, bounds.penult_lo, bounds.penult_hi,
+        bounds.concrete_lo, bounds.concrete_hi, box.lo, box.hi))
 
     # candidate 1: single affine row for the difference over the penultimate
-    # activations, sign-split against their symbolic bounds
+    # activations, sign-split against their symbolic bounds; arrays are
+    # (box, pair, 1, n), so each (box, pair) is its own one-row product
     row = bounds.final_w[win] - bounds.final_w[lose]
-    row_b = bounds.final_b[win] - bounds.final_b[lose]
-    r_pos = np.maximum(row, 0.0)
-    r_neg = np.minimum(row, 0.0)
-    m_a = r_pos @ bounds.penult_lower_a + r_neg @ bounds.penult_upper_a
-    m_b = r_pos @ bounds.penult_lower_b + r_neg @ bounds.penult_upper_b + row_b
-    composed = float(_affine_min(m_a, m_b, box))
-    interval = float(r_pos @ bounds.penult_lo + r_neg @ bounds.penult_hi + row_b)
-    concrete = float(bounds.concrete_lo[win] - bounds.concrete_hi[lose])
-    return max(composed, interval, concrete)
+    row_b = (bounds.final_b[win] - bounds.final_b[lose])[:, None, None]
+    r_pos = np.maximum(row, 0.0)[None, :, None, :]
+    r_neg = np.minimum(row, 0.0)[None, :, None, :]
+    m_a = r_pos @ p_la[:, None] + r_neg @ p_ua[:, None]
+    m_b = r_pos @ p_lb[:, None, :, None] + r_neg @ p_ub[:, None, :, None] + row_b
+    composed = _affine_min(m_a, m_b[..., 0], lo[:, None], hi[:, None])[..., 0]
+    interval = (r_pos @ p_lo[:, None, :, None] + r_neg @ p_hi[:, None, :, None] + row_b)[..., 0, 0]
+    concrete = c_lo[:, win] - c_hi[:, lose]
+    gap = _first_max(composed, interval, concrete)
+    if not stacked:
+        gap = gap[0]
+    if not pair_axis:
+        gap = gap[..., 0]
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def _pull_into_region_batch(xs: np.ndarray, region: Region) -> np.ndarray:
-    """Scale points radially toward the centroid until inside the ball."""
+    """Scale points radially toward the centroid until inside the ball.
+
+    xs is (n, d) or a (..., n, d) stack; a block with no point outside the
+    ball is returned unchanged, as a call on that block alone returns it."""
     d = dist_many(region.metric, xs, region.centroid)
     outside = d > region.radius
     if np.any(outside):
         scale = np.ones_like(d)
         scale[outside] = (region.radius / d[outside]) * (1.0 - 1e-12)
-        xs = region.centroid + (xs - region.centroid) * scale[:, None]
+        pulled = region.centroid + (xs - region.centroid) * scale[..., None]
+        xs = np.where(np.any(outside, axis=-1)[..., None, None], pulled, xs)
     return xs
 
 
-def find_counterexample(net: Network, region: Region, box: Box, target: int,
-                        effort: int, seed: int = 0) -> np.ndarray | None:
+def find_counterexample(net: Network, region: Region, box: Box, target, effort: int,
+                        seed=0):
     """Concrete violation search: seeded random starts inside the box pulled
     into the region, then coordinate descent on the target's advantage.
 
     Returns a point only if it validates: inside the region under its own
     metric and classified as the target. Returning None proves nothing.
+
+    For a stack of boxes, target and seed may be one per box (or one for
+    all); the result is then a list with one point or None per box, each
+    what a call on that box alone returns. All searches share one forward
+    pass for their starts and one per descent round.
     """
-    if effort <= 0 or box.empty:
-        return None
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0x7FFFFFFF, effort]))
-    width = box.widths()
-    d = len(box.lo)
+    stacked = box.lo.ndim == 2
+    lo = np.atleast_2d(box.lo)
+    hi = np.atleast_2d(box.hi)
+    n_jobs, d = lo.shape
+    targets = np.broadcast_to(np.asarray(target), (n_jobs,))
+    seeds = [seed] * n_jobs if np.ndim(seed) == 0 else list(seed)
+    found: list[np.ndarray | None] = [None] * n_jobs
+    jobs = np.flatnonzero(~np.any(lo > hi, axis=1)) if effort > 0 else np.arange(0)
+    if len(jobs):
+        hits = _search_boxes(net, region, lo[jobs], hi[jobs], targets[jobs],
+                             [seeds[j] for j in jobs], effort)
+        for i, point in hits.items():
+            found[jobs[i]] = point
+    return found if stacked else found[0]
+
+
+def _search_boxes(net: Network, region: Region, lo: np.ndarray, hi: np.ndarray,
+                  targets: np.ndarray, seeds: list, effort: int) -> dict[int, np.ndarray]:
+    """find_counterexample's search over J non-empty boxes at once: the
+    validated point of each box whose search finds one, by box index."""
+    n_jobs, d = lo.shape
+    hits: dict[int, np.ndarray] = {}
     sign = -1.0 if net.score_order == "min_best" else 1.0
+    others = np.arange(net.n_labels) != targets[:, None]  # (J, L)
 
-    def first_hit(xs: np.ndarray, scores: np.ndarray) -> np.ndarray | None:
+    def first_hit(xs: np.ndarray, scores: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+        # per job, the index of its first validated point, or -1
         if net.score_order == "min_best":
-            winners = np.argmin(scores, axis=1)
+            winners = np.argmin(scores, axis=-1)
         else:
-            winners = np.argmax(scores, axis=1)
+            winners = np.argmax(scores, axis=-1)
         inside = dist_many(region.metric, xs, region.centroid) <= region.radius
-        hits = np.nonzero((winners == target) & inside)[0]
-        return xs[hits[0]] if len(hits) else None
+        valid = (winners == targets[jobs][:, None]) & inside
+        return np.where(np.any(valid, axis=1), np.argmax(valid, axis=1), -1)
 
-    others = [j for j in range(net.n_labels) if j != target]
-
-    def advantage(scores: np.ndarray) -> np.ndarray:
+    def advantage(scores: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         # how far the target is from winning outright: positive means it wins
         good = sign * scores
-        return good[:, target] - np.max(good[:, others], axis=1)
+        own = np.take_along_axis(good, targets[jobs][:, None, None], axis=2)[..., 0]
+        rival = np.max(np.where(others[jobs][:, None, :], good, -np.inf), axis=2)
+        return own - rival
 
-    starts = np.vstack([(box.lo + box.hi)[None, :] / 2.0,
-                        box.lo + rng.random((effort, d)) * width])
+    def settle(xs: np.ndarray, scores: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+        # record the jobs that hit; the mask of those still searching
+        hit = first_hit(xs, scores, jobs)
+        for i in np.flatnonzero(hit >= 0):
+            hits[int(jobs[i])] = xs[i, hit[i]].copy()
+        return hit < 0
+
+    draws = np.stack([np.random.default_rng(np.random.SeedSequence([s & 0x7FFFFFFF, effort]))
+                      .random((effort, d)) for s in seeds])
+    width = hi - lo
+    starts = np.concatenate([((lo + hi) / 2.0)[:, None, :],
+                             lo[:, None, :] + draws * width[:, None, :]], axis=1)
     starts = _pull_into_region_batch(starts, region)
     scores = evaluate_batch(net, starts)
-    hit = first_hit(starts, scores)
-    if hit is not None:
-        return hit
+    jobs = np.arange(n_jobs)
+    going = settle(starts, scores, jobs)
 
-    # coordinate descent from the most promising start
-    adv = advantage(scores)
-    idx = int(np.argmax(adv))
-    x, best = starts[idx], adv[idx]
+    # coordinate descent from each job's most promising start
+    adv = advantage(scores, jobs)
+    idx = np.argmax(adv, axis=1)
+    x = starts[jobs, idx]
+    best = adv[jobs, idx]
     step = width / 4.0
+    axes = np.arange(d)
     for _ in range(3):
-        moves = np.repeat(x[None, :], 2 * d, axis=0)
-        for i in range(d):
-            moves[2 * i, i] = min(x[i] + step[i], box.hi[i])
-            moves[2 * i + 1, i] = max(x[i] - step[i], box.lo[i])
+        jobs, x, best, step = jobs[going], x[going], best[going], step[going]
+        if not len(jobs):
+            break
+        # min and max as Python's: the bound wins only when strictly beyond
+        up, down = x + step, x - step
+        moves = np.repeat(x[:, None, :], 2 * d, axis=1)
+        moves[:, 2 * axes, axes] = np.where(hi[jobs] < up, hi[jobs], up)
+        moves[:, 2 * axes + 1, axes] = np.where(lo[jobs] > down, lo[jobs], down)
         moves = _pull_into_region_batch(moves, region)
         mscores = evaluate_batch(net, moves)
-        hit = first_hit(moves, mscores)
-        if hit is not None:
-            return hit
-        madv = advantage(mscores)
-        j = int(np.argmax(madv))
-        if madv[j] > best:
-            best, x = madv[j], moves[j]
+        going = settle(moves, mscores, jobs)
+        madv = advantage(mscores, jobs)
+        rows = np.arange(len(jobs))
+        j = np.argmax(madv, axis=1)
+        better = madv[rows, j] > best
+        best = np.where(better, madv[rows, j], best)
+        x = np.where(better[:, None], moves[rows, j], x)
         step = step / 2.0
-    return None
+    return hits
 
 
-def _box_region_gap(box: Box, region: Region) -> float:
-    """Lower bound on the distance from the box to the region centroid."""
-    g = np.maximum(np.maximum(box.lo - region.centroid, region.centroid - box.hi), 0.0)
-    return float(dist_many(region.metric, g, 0.0))
+def _box_region_gap(lo: np.ndarray, hi: np.ndarray, region: Region) -> np.ndarray:
+    """Per box of a (K, d) stack, a lower bound on the distance from the box
+    to the region centroid."""
+    g = np.maximum(np.maximum(lo - region.centroid, region.centroid - hi), 0.0)
+    return dist_many(region.metric, g, 0.0)
 
 
-def _discharge_bounds(net: Network, box: Box, targets: tuple[int, ...]) -> tuple[float, ...]:
-    """Each target's certified discharge bound over the box, in the order of
-    targets: the best margin by which any rival beats it (positive means the
-    target never wins)."""
-    bounds = propagate_bounds(net, box)
-    return tuple(max(score_gap_bound(bounds, box, rival, t, net.score_order)
-                     for rival in range(net.n_labels) if rival != t)
-                 for t in targets)
+class _RegionSearch:
+    """Lockstep branch and bound for the targets of one region.
+
+    One FIFO frontier of boxes holds, per box, its depth and the targets
+    still live on it; a box's children inherit the targets that split it.
+    Each step pops up to FRONTIER_BATCH boxes and, for every target in turn,
+    walks its live boxes in frontier order: the node counter, the geometry
+    prune, the epsilon discharge, the node budget, the counterexample seed
+    (task seed * 1_000_003 + node counter) and the min-box floor are the
+    target's own, so it sees exactly the nodes a search of its boxes alone
+    would. Bounds, margins and counterexample searches run stacked over the
+    batch. A target's counterexample hit or budget stop drops the rest of its
+    work in the batch.
+
+    The time budgets are read against one clock started with the search,
+    once per step, and a verdict's elapsed time is measured from the
+    search's start.
+    """
+
+    def __init__(self, tasks):
+        self.tasks = tuple(tasks)
+        self.net, self.region = self.tasks[0].network, self.tasks[0].region
+        labels = [t.target_label for t in self.tasks]
+        if len(set(labels)) != len(labels) or any(
+                t.network is not self.net or t.region is not self.region for t in self.tasks):
+            raise ValueError("a region search takes distinct targets of one network and region")
+        self.t0 = time.perf_counter()
+        n_labels = self.net.n_labels
+        # every (rival, target) pair, each target's rivals in label order
+        self.rivals = np.array([r for t in labels for r in range(n_labels) if r != t])
+        self.pair_targets = np.repeat(labels, n_labels - 1)
+        count = len(self.tasks)
+        self.nodes = [0] * count
+        self.deepest = [0] * count
+        self.floor_hit = [False] * count
+        self.verdicts: list[Verdict | None] = [None] * count
+        # chunks of (lo, hi, depth, live): (n, d), (n, d), (n,), (n, targets)
+        self.frontier: deque = deque()
+        self.pending = np.zeros(count, dtype=np.int64)  # frontier boxes live per target
+        root = enclosing_box(self.region, self.net.normalized_domain())
+        if root.empty:  # region lies outside the admissible input domain
+            for slot in range(count):
+                self._finish(slot, "Safe")
+        else:
+            self._push(root.lo[None], root.hi[None], np.zeros(1, dtype=np.int64),
+                       np.ones((1, count), dtype=bool))
+
+    def verdict(self, task: VerificationTask) -> Verdict:
+        """Advance the search until the task's verdict is final."""
+        slot = next((i for i, t in enumerate(self.tasks) if t is task), None)
+        if slot is None:
+            raise ValueError("task is not a target of this search")
+        while self.verdicts[slot] is None:
+            self._step()
+        return self.verdicts[slot]
+
+    def _finish(self, slot: int, status: str, ce: Counterexample | None = None,
+                reason: str | None = None) -> None:
+        elapsed = time.perf_counter() - self.t0
+        self.verdicts[slot] = Verdict(status, ce, VerdictStats(
+            self.nodes[slot], self.deepest[slot], elapsed), reason)
+
+    def _push(self, lo, hi, depth, live) -> None:
+        self.frontier.append((lo, hi, depth, live))
+        self.pending += live.sum(axis=0)
+
+    def _pop(self, alive: np.ndarray):
+        """Up to FRONTIER_BATCH boxes in frontier order, keeping only the
+        targets still searching and the boxes with one of them live."""
+        parts = []
+        taken = 0
+        while self.frontier and taken < FRONTIER_BATCH:
+            chunk = self.frontier.popleft()
+            room = FRONTIER_BATCH - taken
+            if len(chunk[0]) > room:
+                self.frontier.appendleft(tuple(a[room:] for a in chunk))
+                chunk = tuple(a[:room] for a in chunk)
+            lo, hi, depth, live = chunk
+            self.pending -= live.sum(axis=0)
+            live = live & alive
+            keep = np.any(live, axis=1)
+            parts.append((lo[keep], hi[keep], depth[keep], live[keep]))
+            taken += int(keep.sum())
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _margins(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """(K, targets) certified discharge bounds of a stack of boxes: per
+        target, the best margin by which any rival beats it (positive means
+        the target never wins)."""
+        box = Box(lo, hi)
+        bounds = propagate_bounds(self.net, box)
+        gaps = score_gap_bound(bounds, box, self.rivals, self.pair_targets,
+                               self.net.score_order)
+        gaps = gaps.reshape(len(lo), len(self.tasks), self.net.n_labels - 1)
+        return _first_max(*np.moveaxis(gaps, 2, 0))
+
+    def _step(self) -> None:
+        now = time.perf_counter()
+        for slot, task in enumerate(self.tasks):
+            if (self.verdicts[slot] is None and task.time_budget is not None
+                    and now - self.t0 > task.time_budget):
+                self._finish(slot, "Unknown", reason="budget")
+        alive = np.array([v is None for v in self.verdicts])
+        if not alive.any():
+            return
+        lo, hi, depth, live = self._pop(alive)
+        # each live target's boxes of the batch, in frontier order
+        walks = {int(slot): np.flatnonzero(live[:, slot]) for slot in np.flatnonzero(alive)}
+        walks = {slot: rows for slot, rows in walks.items() if len(rows)}
+        opened = self._open_boxes(lo, hi, walks)
+
+        # per target: where its node budget stops it, and its CE searches
+        jobs = []  # (slot, index into the target's boxes, node number)
+        stops = {}
+        for slot, rows in walks.items():
+            task = self.tasks[slot]
+            numbers = self.nodes[slot] + 1 + np.arange(len(rows))
+            over = np.flatnonzero(opened[slot] & (numbers >= task.max_nodes))
+            stops[slot] = int(over[0]) if len(over) else None
+            jobs += [(slot, int(i), int(numbers[i]))
+                     for i in np.flatnonzero(opened[slot][:stops[slot]])]
+        points = []
+        if jobs:
+            job_rows = np.array([walks[slot][i] for slot, i, _ in jobs])
+            points = find_counterexample(
+                self.net, self.region, Box(lo[job_rows], hi[job_rows]),
+                np.array([self.tasks[slot].target_label for slot, _, _ in jobs]),
+                effort=CE_EFFORT,
+                seed=[self.tasks[slot].seed * 1_000_003 + number for slot, _, number in jobs])
+
+        floor = np.max(hi - lo, axis=1) <= MIN_BOX_WIDTH
+        split = np.zeros(live.shape, dtype=bool)
+        for slot, rows in walks.items():
+            mine = [(i, point) for (s, i, _), point in zip(jobs, points) if s == slot]
+            hit = next(((i, point) for i, point in mine if point is not None), None)
+            last = hit[0] if hit is not None else stops[slot]
+            seen = rows if last is None else rows[:last + 1]
+            self.nodes[slot] += len(seen)
+            self.deepest[slot] = max(self.deepest[slot], int(np.max(depth[seen])))
+            if hit is not None:
+                self._refuted(slot, hit[1])
+            elif last is not None:
+                self._finish(slot, "Unknown", reason="budget")
+            else:
+                searched = rows[[i for i, _ in mine]]
+                self.floor_hit[slot] |= bool(np.any(floor[searched]))
+                split[searched[~floor[searched]], slot] = True
+        self._split(lo, hi, depth, split)
+
+        for slot in walks:
+            if self.verdicts[slot] is None and self.pending[slot] == 0:
+                if self.floor_hit[slot]:
+                    self._finish(slot, "Unknown", reason="min_box")
+                else:
+                    self._finish(slot, "Safe")
+
+    def _open_boxes(self, lo: np.ndarray, hi: np.ndarray, walks: dict) -> dict:
+        """Per target, which of its boxes in walks are open: neither pruned by
+        geometry nor discharged, so they need a CE search or a split. Bounds
+        are propagated once for every box the geometry keeps."""
+        region = self.region
+        pruned = np.zeros(len(lo), dtype=bool)
+        if region.metric in ("L1", "L2"):
+            pruned = _box_region_gap(lo, hi, region) > region.radius
+        margins = np.zeros((len(lo), len(self.tasks)))
+        kept = np.flatnonzero(~pruned)
+        if len(kept):
+            margins[kept] = self._margins(lo[kept], hi[kept])
+        return {slot: ~pruned[rows] & ~(margins[rows, slot] > self.tasks[slot].epsilon)
+                for slot, rows in walks.items()}
+
+    def _split(self, lo: np.ndarray, hi: np.ndarray, depth: np.ndarray,
+               split: np.ndarray) -> None:
+        """Bisect each box some target splits along its widest axis; the
+        children go to the back of the frontier, each parent's left one
+        first, live for the targets that split the parent."""
+        parents = np.flatnonzero(np.any(split, axis=1))
+        if not len(parents):
+            return
+        p_lo, p_hi = lo[parents], hi[parents]
+        axis = np.argmax(p_hi - p_lo, axis=1)
+        at = np.arange(len(parents))
+        mid = 0.5 * (p_lo[at, axis] + p_hi[at, axis])
+        left_hi = p_hi.copy()
+        left_hi[at, axis] = mid
+        right_lo = p_lo.copy()
+        right_lo[at, axis] = mid
+        d = lo.shape[1]
+        self._push(np.stack([p_lo, right_lo], axis=1).reshape(-1, d),
+                   np.stack([left_hi, p_hi], axis=1).reshape(-1, d),
+                   np.repeat(depth[parents] + 1, 2), np.repeat(split[parents], 2, axis=0))
+
+    def _refuted(self, slot: int, point: np.ndarray) -> None:
+        net, region, task = self.net, self.region, self.tasks[slot]
+        scores = evaluate(net, point)
+        if not (region_membership(region, point) and classify(net, point) == task.target_label):
+            raise AssertionError("counterexample failed re-validation")
+        self._finish(slot, "Unsafe", ce=Counterexample(point, scores))
 
 
-def verify_targeted(task: VerificationTask,
-                    margins: dict[bytes, tuple[float, ...]] | None = None) -> Verdict:
+def verify_targeted(task: VerificationTask, search: _RegionSearch | None = None) -> Verdict:
     """Branch-and-bound targeted safety check; see the module docstring.
 
     Deterministic for a fixed task and seed: the worklist is FIFO by creation
@@ -354,74 +647,13 @@ def verify_targeted(task: VerificationTask,
     task seed and the node counter. Stats are deterministic apart from wall
     time.
 
-    margins maps a box's lo and hi bytes to the discharge bounds of the labels
-    other than the region's expected one, in label order. verify_full shares
-    one such cache among the targets of a region, so a box another target
-    already reached costs no bound propagation; a lone call starts from an
-    empty one. Each cached float is computed the same way either way, so the
-    verdict does not depend on the cache.
+    search is the lockstep search of the task's region that verify_full
+    shares among the region's targets; the call advances it until this
+    task's verdict is final. A lone call runs a search of its one target.
+    Either way the verdict is the same. The time budget bounds the wall time
+    of the search since it started, and elapsed is measured from its start.
     """
-    t0 = time.perf_counter()
-    net, region = task.network, task.region
-    margins = {} if margins is None else margins
-    targets = tuple(t for t in range(net.n_labels) if t != region.expected_label)
-    slot = targets.index(task.target_label)
-    root = enclosing_box(region, net.normalized_domain())
-    nodes = 0
-    deepest = 0
-    floor_hit = False
-
-    def done(status: str, ce: Counterexample | None = None, reason: str | None = None) -> Verdict:
-        elapsed = time.perf_counter() - t0
-        return Verdict(status, ce, VerdictStats(nodes, deepest, elapsed), reason)
-
-    if root.empty:
-        return done("Safe")  # region lies outside the admissible input domain
-
-    worklist: deque[tuple[Box, int]] = deque([(root, 0)])
-    while worklist:
-        if task.time_budget is not None and time.perf_counter() - t0 > task.time_budget:
-            return done("Unknown", reason="budget")
-        box, depth = worklist.popleft()
-        nodes += 1
-        deepest = max(deepest, depth)
-
-        if region.metric in ("L1", "L2") and _box_region_gap(box, region) > region.radius:
-            continue  # box cannot intersect the region
-        # discharged as soon as ANY label certifiably beats the target on the
-        # whole box; the target only ever wins where it beats all rivals
-        key = box.lo.tobytes() + box.hi.tobytes()
-        entry = margins.get(key)
-        if entry is None:
-            entry = margins[key] = _discharge_bounds(net, box, targets)
-        if entry[slot] > task.epsilon:
-            continue
-        if nodes >= task.max_nodes:
-            return done("Unknown", reason="budget")
-        point = find_counterexample(net, region, box, task.target_label,
-                                    effort=CE_EFFORT,
-                                    seed=task.seed * 1_000_003 + nodes)
-        if point is not None:
-            scores = evaluate(net, point)
-            if not (region_membership(region, point) and classify(net, point) == task.target_label):
-                raise AssertionError("counterexample failed re-validation")
-            return done("Unsafe", ce=Counterexample(point, scores))
-        widths = box.widths()
-        axis = int(np.argmax(widths))
-        if widths[axis] <= MIN_BOX_WIDTH:
-            floor_hit = True
-            continue
-        mid = 0.5 * (box.lo[axis] + box.hi[axis])
-        left_hi = box.hi.copy()
-        left_hi[axis] = mid
-        right_lo = box.lo.copy()
-        right_lo[axis] = mid
-        worklist.append((Box(box.lo, left_hi), depth + 1))
-        worklist.append((Box(right_lo, box.hi), depth + 1))
-
-    if floor_hit:
-        return done("Unknown", reason="min_box")
-    return done("Safe")
+    return (_RegionSearch((task,)) if search is None else search).verdict(task)
 
 
 @dataclass(frozen=True)
@@ -445,18 +677,18 @@ def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
     Unsafe targets. NotSafe: Unsafe with no Safe target. Inconclusive: no
     Unsafe but at least one Unknown (proved-safe targets still listed).
 
-    The targets share one cache of box margins (see verify_targeted), fresh
-    per call, so bounds are propagated at most once per distinct box.
+    The targets run as one lockstep search (see the module docstring), fresh
+    per call, so the region's boxes get their bounds once, in batches. The
+    time budget bounds the region's wall time: a target still undecided when
+    it runs out is Unknown ("budget"), and each verdict's elapsed time is
+    measured from the region's start.
     """
-    margins: dict[bytes, tuple[float, ...]] = {}
-    verdicts: dict[int, Verdict] = {}
-    for target in range(net.n_labels):
-        if target == region.expected_label:
-            continue
-        task = VerificationTask(net, region, target, max_nodes=max_nodes,
-                                time_budget=time_budget, epsilon=epsilon,
-                                seed=seed * 131 + target)
-        verdicts[target] = verify_targeted(task, margins)
+    tasks = [VerificationTask(net, region, target, max_nodes=max_nodes,
+                              time_budget=time_budget, epsilon=epsilon,
+                              seed=seed * 131 + target)
+             for target in range(net.n_labels) if target != region.expected_label]
+    search = _RegionSearch(tasks)
+    verdicts = {task.target_label: verify_targeted(task, search) for task in tasks}
 
     safe = tuple(sorted(t for t, v in verdicts.items() if v.status == "Safe"))
     any_unsafe = any(v.status == "Unsafe" for v in verdicts.values())

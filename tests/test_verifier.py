@@ -1,11 +1,17 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
+import safecomp.verifier as verifier_module
 from conftest import capacity_network, identity_network, make_network, random_network
-from safecomp.network import Layer, classify_batch, evaluate
+from safecomp.network import Layer, classify, classify_batch, evaluate, evaluate_batch
 from safecomp.regions import METRICS, Region, dist_many, region_membership
 from safecomp.verifier import (
+    CE_EFFORT,
     Box,
+    LinearBounds,
     VerificationTask,
     enclosing_box,
     find_counterexample,
@@ -318,15 +324,14 @@ class TestVerifyFull:
 class TestBoundSoundnessDuringVerification:
     def test_bounds_sampled_on_live_nodes(self, monkeypatch):
         """Every propagate_bounds call made by the engine stays sound on a
-        random sample of the boxes it was asked about."""
-        import safecomp.verifier as verifier_module
-
+        random sample of the boxes it was asked about (each box of a stacked
+        call counts alone)."""
         probed = []
         real = verifier_module.propagate_bounds
 
         def probe(net, box):
             bounds = real(net, box)
-            probed.append((net, box, bounds))
+            probed.extend((net, one, bounds_k) for one, bounds_k in unstack(box, bounds))
             return bounds
 
         monkeypatch.setattr(verifier_module, "propagate_bounds", probe)
@@ -346,9 +351,20 @@ class TestBoundSoundnessDuringVerification:
                 assert np.all(scores <= bounds.upper_a @ x + bounds.upper_b + 1e-9)
 
 
+def unstack(box, bounds):
+    """(box, bounds) of each box of a stacked propagate_bounds call."""
+    if box.lo.ndim == 1:
+        return [(box, bounds)]
+    shared = ("final_w", "final_b")
+    return [(Box(box.lo[k], box.hi[k]), LinearBounds(**{
+                f.name: getattr(bounds, f.name) if f.name in shared else getattr(bounds, f.name)[k]
+                for f in dataclasses.fields(LinearBounds)}))
+            for k in range(len(box.lo))]
+
+
 def lone_verdicts(net, region, max_nodes=50_000, epsilon=1e-6, seed=0):
     """One verify_targeted call per target, as verify_full seeds them. A lone
-    call never reuses a box's margins, so it is the uncached oracle."""
+    call searches its one target alone, so no other target's boxes reach it."""
     return {t: verify_targeted(VerificationTask(net, region, t, max_nodes=max_nodes,
                                                 epsilon=epsilon, seed=seed * 131 + t))
             for t in range(net.n_labels) if t != region.expected_label}
@@ -382,8 +398,9 @@ def sweep_cases(seed, metric):
 
 
 class TestSharedMarginCache:
-    """verify_full's targets share one cache of box margins per region; every
-    verdict must equal the one a lone, uncached verify_targeted call gives."""
+    """verify_full's targets share one lockstep search per region, so a box
+    gets its margins once for all of them; every verdict must equal the one
+    a lone verify_targeted call gives."""
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("seed", range(4))
@@ -437,13 +454,13 @@ class TestSharedMarginCache:
                                  lone_verdicts(net, region, max_nodes=64))
 
     def _count_bounds(self, monkeypatch):
-        import safecomp.verifier as verifier_module
-
         keys = []
         real = verifier_module.propagate_bounds
 
         def counting(net, box):
-            keys.append((box.lo.tobytes(), box.hi.tobytes()))
+            # one key per box of a stacked call
+            keys.extend((lo.tobytes(), hi.tobytes())
+                        for lo, hi in zip(np.atleast_2d(box.lo), np.atleast_2d(box.hi)))
             return real(net, box)
 
         monkeypatch.setattr(verifier_module, "propagate_bounds", counting)
@@ -498,3 +515,438 @@ class TestSoundnessSample:
             scores = evaluate(net, point)
             best = np.argmin(scores) if net.score_order == "min_best" else np.argmax(scores)
             assert int(best) == target
+
+
+def sub_boxes(root, n, rng):
+    """n random boxes inside root, as one (n, d) stack."""
+    a = root.lo + rng.random((n, len(root.lo))) * root.widths()
+    b = root.lo + rng.random((n, len(root.lo))) * root.widths()
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+STACK_NETS = {
+    "capacity": capacity_network,
+    "random-min-best": lambda: random_network(7, dims=(3, 6, 4, 4), score_order="min_best"),
+    "one-layer": lambda: identity_network(3),
+}
+
+
+class TestStackedCalls:
+    """A stacked call gives each item bit for bit what a call on it alone
+    gives, so batching the search cannot change a verdict."""
+
+    def test_evaluate_batch_blocks(self):
+        net = capacity_network()
+        xs = np.random.default_rng(0).uniform(0.0, 1.0, size=(7, 9, 5))
+        stacked = evaluate_batch(net, xs)
+        assert stacked.shape == (7, 9, 5)
+        for block, scores in zip(xs, stacked):
+            assert scores.tobytes() == evaluate_batch(net, block).tobytes()
+        for bad in (xs[..., :4], xs[None], xs[0, 0]):
+            with pytest.raises(ValueError, match="expected"):
+                evaluate_batch(net, bad)
+
+    @pytest.mark.parametrize("name", sorted(STACK_NETS))
+    def test_propagate_bounds_stack(self, name):
+        net = STACK_NETS[name]()
+        root = Box(np.zeros(net.input_dim), np.ones(net.input_dim))
+        lo, hi = sub_boxes(root, 16, np.random.default_rng(1))
+        stacked = propagate_bounds(net, Box(lo, hi))
+        for k, (box, bounds) in enumerate(unstack(Box(lo, hi), stacked)):
+            alone = propagate_bounds(net, box)
+            for f in dataclasses.fields(LinearBounds):
+                got, want = getattr(bounds, f.name), getattr(alone, f.name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, f.name)
+
+    @pytest.mark.parametrize("name", sorted(STACK_NETS))
+    def test_score_gap_bound_label_arrays(self, name):
+        net = STACK_NETS[name]()
+        root = Box(np.zeros(net.input_dim), np.ones(net.input_dim))
+        lo, hi = sub_boxes(root, 8, np.random.default_rng(2))
+        bounds = propagate_bounds(net, Box(lo, hi))
+        pairs = [(a, b) for a in range(net.n_labels) for b in range(net.n_labels) if a != b]
+        true, target = np.array(pairs).T
+        gaps = score_gap_bound(bounds, Box(lo, hi), true, target, net.score_order)
+        assert gaps.shape == (8, len(pairs))
+        for k, (box, alone) in enumerate(unstack(Box(lo, hi), bounds)):
+            row = score_gap_bound(alone, box, true, target, net.score_order)
+            assert row.tobytes() == gaps[k].tobytes()
+            for q, (a, b) in enumerate(pairs):
+                gap = score_gap_bound(alone, box, a, b, net.score_order)
+                assert isinstance(gap, float)
+                assert np.float64(gap).tobytes() == gaps[k, q].tobytes()
+        column = score_gap_bound(bounds, Box(lo, hi), 0, 1, net.score_order)
+        assert column.tobytes() == gaps[:, pairs.index((0, 1))].tobytes()
+        with pytest.raises(ValueError):
+            score_gap_bound(bounds, Box(lo, hi), np.array([0, 1]), np.array([1, 1]),
+                            net.score_order)
+
+    @pytest.mark.parametrize("net, region", [
+        (identity_network(3), box_region([0.5, 0.45, 0.1], 0.1)),
+        (random_network(9, dims=(2, 6, 3)), box_region([0.5, 0.5], 0.3, metric="L1")),
+        (random_network(10, dims=(3, 5, 3), score_order="min_best"),
+         box_region([0.4, 0.5, 0.6], 0.3, metric="L2")),
+        (capacity_network(), box_region([0.8789, 0.5736, 0.7127, 0.4258, 0.2569], 0.035,
+                                        expected=2)),
+    ])
+    def test_find_counterexample_stack(self, net, region):
+        rng = np.random.default_rng(3)
+        lo, hi = sub_boxes(enclosing_box(region, net.normalized_domain()), 24, rng)
+        lo[5], hi[5] = hi[5].copy(), lo[5].copy()  # an empty box finds nothing
+        targets = rng.choice([t for t in range(net.n_labels) if t != region.expected_label], 24)
+        seeds = [int(s) for s in rng.integers(0, 2**40, size=24)]
+        found = find_counterexample(net, region, Box(lo, hi), targets, CE_EFFORT, seed=seeds)
+        assert len(found) == 24 and found[5] is None
+        for k in range(24):
+            alone = find_counterexample(net, region, Box(lo[k], hi[k]), int(targets[k]),
+                                        CE_EFFORT, seed=seeds[k])
+            if alone is None:
+                assert found[k] is None, k
+            else:
+                assert found[k].tobytes() == alone.tobytes(), k
+        assert find_counterexample(net, region, Box(lo, hi), targets, 0, seed=seeds) == [None] * 24
+
+
+GOLDEN_REGIONS = (  # (kind, centroid, radius) on capacity_network()
+    ("boundary", (0.5246, 0.4834, 0.2602, 0.1517, 0.4784), 0.01),
+    ("interior", (0.3, 0.6, 0.4, 0.5, 0.7), 0.003),
+    ("budget", (0.8, 0.1, 0.76, 0.74, 0.47), 0.04),
+    ("deep", (0.8789, 0.5736, 0.7127, 0.4258, 0.2569), 0.035),
+)
+
+
+def golden_cases():
+    """(name, net, region, max_nodes, seed, epsilon) of each recorded case."""
+    net = capacity_network()
+    for kind, centroid, radius in GOLDEN_REGIONS:
+        c = np.array(centroid)
+        for metric in METRICS:
+            region = Region("r0", c, radius, metric, classify(net, c), 1, (0,))
+            for max_nodes in (16, 64):
+                yield f"capacity-{kind}-{metric}-{max_nodes}", net, region, max_nodes, 1, 1e-6
+    for seed, metric in ((3, "L1"), (2, "L2")):
+        for k, (net, region, max_nodes) in enumerate(sweep_cases(seed, metric)):
+            yield f"sweep-{seed}-{metric}-{k}", net, region, max_nodes, seed, 1e-6
+    yield ("min-box", identity_network(3), box_region([0.5, 0.4999, 0.2], 4e-5), 50_000, 0,
+           1e-3)
+
+
+def fingerprint(verdicts):
+    """Per target: target, status, reason, nodes and deepest split, then the
+    hex bytes of the counterexample's point and scores if there is one."""
+    return tuple((t, v.status, v.reason, v.stats.nodes, v.stats.deepest_split)
+                 + (() if v.counterexample is None else
+                    (v.counterexample.point.tobytes().hex(),
+                     v.counterexample.scores.tobytes().hex()))
+                 for t, v in sorted(verdicts.items()))
+
+
+def test_verdicts_match_parent_golden():
+    """Verdicts recorded from the per-target search that preceded the
+    lockstep one (GOLDEN_VERDICTS below): Safe, Unsafe at the root and
+    fourteen nodes deep, budget and min_box, on L1, L2 and Linf."""
+    got = {name: fingerprint(verify_full(net, region, max_nodes=max_nodes, seed=seed,
+                                         epsilon=epsilon).verdicts)
+           for name, net, region, max_nodes, seed, epsilon in golden_cases()}
+    assert got.keys() == GOLDEN_VERDICTS.keys()
+    for name, expect in GOLDEN_VERDICTS.items():
+        assert got[name] == expect, name
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_verdicts_independent_of_frontier_batch(monkeypatch, batch):
+    """The golden verdicts again, popping 1 or 3 boxes per step instead of
+    the default FRONTIER_BATCH (test_verdicts_match_parent_golden)."""
+    monkeypatch.setattr(verifier_module, "FRONTIER_BATCH", batch)
+    for name, net, region, max_nodes, seed, epsilon in golden_cases():
+        verdicts = verify_full(net, region, max_nodes=max_nodes, seed=seed,
+                               epsilon=epsilon).verdicts
+        assert fingerprint(verdicts) == GOLDEN_VERDICTS[name], name
+
+
+def test_time_budget_is_one_clock_per_region():
+    """The targets of a region run together, so the time budget bounds the
+    region's wall time: every undecided target is Unknown ("budget") at the
+    same step, with elapsed measured from the region's start. One clock per
+    target would take at least the budget once per undecided target."""
+    net = capacity_network()
+    c = np.array([0.8, 0.1, 0.76, 0.74, 0.47])
+    region = Region("r0", c, 0.06, "Linf", classify(net, c), 1, (0,))
+    budget = 0.5
+    start = time.perf_counter()
+    result = verify_full(net, region, time_budget=budget)
+    wall = time.perf_counter() - start
+    out = [v for v in result.verdicts.values() if v.status == "Unknown"]
+    assert len(out) >= 2 and all(v.reason == "budget" for v in out)
+    elapsed = [v.stats.elapsed for v in out]
+    assert budget < min(elapsed) and max(elapsed) - min(elapsed) < 0.01
+    assert max(elapsed) <= wall < budget * len(out)
+
+
+def test_tiny_time_budget_leaves_every_target_unknown():
+    net = capacity_network()
+    c = np.array([0.8, 0.1, 0.76, 0.74, 0.47])
+    region = Region("r0", c, 0.04, "Linf", classify(net, c), 1, (0,))
+    result = verify_full(net, region, time_budget=1e-9)
+    assert {(v.status, v.reason, v.stats.nodes) for v in result.verdicts.values()} == \
+        {("Unknown", "budget", 0)}
+
+
+GOLDEN_VERDICTS = {
+    "capacity-boundary-L1-16": (
+        (0, "Unknown", "budget", 16, 5),
+        (1, "Unknown", "budget", 17, 4),
+        (2, "Unsafe", None, 1, 0,
+         "118b294881cae03f81395ae109c7de3f75836f233955d03ffce4db1e95aec33ff1d11e4f43a3de3f",
+         "9204727a2db423c0581be8afa6c737c07dc22b84c41141c0ee524919110913c06f4397fbd90741c0"),
+        (3, "Unknown", "budget", 16, 6),
+    ),
+    "capacity-boundary-L1-64": (
+        (0, "Safe", None, 39, 8),
+        (1, "Unknown", "budget", 72, 8),
+        (2, "Unsafe", None, 1, 0,
+         "118b294881cae03f81395ae109c7de3f75836f233955d03ffce4db1e95aec33ff1d11e4f43a3de3f",
+         "9204727a2db423c0581be8afa6c737c07dc22b84c41141c0ee524919110913c06f4397fbd90741c0"),
+        (3, "Safe", None, 29, 8),
+    ),
+    "capacity-boundary-L2-16": (
+        (0, "Unknown", "budget", 16, 5),
+        (1, "Unknown", "budget", 17, 4),
+        (2, "Unsafe", None, 1, 0,
+         "364fae102bcbe03f712286065aabde3f3d526655e71dd03f2ad9e4704cdcc33fbc547429bfa6de3f",
+         "ad15eab6c8ac23c0bd79416f85e337c0d73e3100091c41c04622e083036413c00756de0dca0941c0"),
+        (3, "Unknown", "budget", 16, 6),
+    ),
+    "capacity-boundary-L2-64": (
+        (0, "Unknown", "budget", 65, 10),
+        (1, "Unknown", "budget", 65, 8),
+        (2, "Unsafe", None, 1, 0,
+         "364fae102bcbe03f712286065aabde3f3d526655e71dd03f2ad9e4704cdcc33fbc547429bfa6de3f",
+         "ad15eab6c8ac23c0bd79416f85e337c0d73e3100091c41c04622e083036413c00756de0dca0941c0"),
+        (3, "Safe", None, 69, 11),
+    ),
+    "capacity-boundary-Linf-16": (
+        (0, "Unknown", "budget", 16, 5),
+        (1, "Unknown", "budget", 17, 4),
+        (2, "Unsafe", None, 1, 0,
+         "17ac92c372cbe03f3d6e51daa89fde3f219f33dc8a06d03f4b68d1b49aefc33fbbcaaec937a8de3f",
+         "54d69d4e68a523c02700d32e0cf037c07b3fc3e81f2141c0a0f618830c8e13c0211f8cf73e0a41c0"),
+        (3, "Unknown", "budget", 16, 6),
+    ),
+    "capacity-boundary-Linf-64": (
+        (0, "Unknown", "budget", 65, 10),
+        (1, "Unknown", "budget", 65, 8),
+        (2, "Unsafe", None, 1, 0,
+         "17ac92c372cbe03f3d6e51daa89fde3f219f33dc8a06d03f4b68d1b49aefc33fbbcaaec937a8de3f",
+         "54d69d4e68a523c02700d32e0cf037c07b3fc3e81f2141c0a0f618830c8e13c0211f8cf73e0a41c0"),
+        (3, "Unknown", "budget", 64, 11),
+    ),
+    "capacity-interior-L1-16": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Unknown", "budget", 19, 5),
+    ),
+    "capacity-interior-L1-64": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 23, 6),
+    ),
+    "capacity-interior-L2-16": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Unknown", "budget", 19, 5),
+    ),
+    "capacity-interior-L2-64": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 23, 6),
+    ),
+    "capacity-interior-Linf-16": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Unknown", "budget", 19, 5),
+    ),
+    "capacity-interior-Linf-64": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 23, 6),
+    ),
+    "capacity-budget-L1-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unknown", "budget", 16, 4),
+    ),
+    "capacity-budget-L1-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unknown", "budget", 64, 6),
+    ),
+    "capacity-budget-L2-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unknown", "budget", 16, 4),
+    ),
+    "capacity-budget-L2-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unknown", "budget", 64, 6),
+    ),
+    "capacity-budget-Linf-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unsafe", None, 3, 1,
+         "08a9edfecb31ea3f79056e72be96ba3f73d8a3703d0ae73fdde432f5703fe83feaf4016ccad6db3f",
+         "d9a869080f2734c0462a7bd8cd1943c05bd9db8891a64bc082ee16c1f3a91140b2d7aa10bdac4bc0"),
+    ),
+    "capacity-budget-Linf-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unsafe", None, 3, 1,
+         "08a9edfecb31ea3f79056e72be96ba3f73d8a3703d0ae73fdde432f5703fe83feaf4016ccad6db3f",
+         "d9a869080f2734c0462a7bd8cd1943c05bd9db8891a64bc082ee16c1f3a91140b2d7aa10bdac4bc0"),
+    ),
+    "capacity-deep-L1-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unknown", "budget", 16, 4),
+    ),
+    "capacity-deep-L1-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unknown", "budget", 64, 6),
+    ),
+    "capacity-deep-L2-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unknown", "budget", 16, 4),
+    ),
+    "capacity-deep-L2-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unknown", "budget", 64, 6),
+    ),
+    "capacity-deep-Linf-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unsafe", None, 14, 3,
+         "d854d6942219ed3fdb278a7fe5f7e23fb8997e6ca6bbe53fa8276ecc5313dd3fece0082e4279cf3f",
+         "a3634e5588ff34c0be20daa2bf1545c001f9e4e8b50b4bc0d9fc76c527c014407d51f2f7b9184bc0"),
+    ),
+    "capacity-deep-Linf-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unsafe", None, 14, 3,
+         "d854d6942219ed3fdb278a7fe5f7e23fb8997e6ca6bbe53fa8276ecc5313dd3fece0082e4279cf3f",
+         "a3634e5588ff34c0be20daa2bf1545c001f9e4e8b50b4bc0d9fc76c527c014407d51f2f7b9184bc0"),
+    ),
+    "sweep-3-L1-0": (
+        (1, "Unknown", "budget", 1, 0),
+        (2, "Safe", None, 1, 0),
+    ),
+    "sweep-3-L1-1": (
+        (0, "Safe", None, 1, 0),
+        (1, "Unknown", "budget", 1, 0),
+    ),
+    "sweep-3-L1-2": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+    ),
+    "sweep-3-L1-3": (
+        (0, "Safe", None, 1, 0),
+        (1, "Unknown", "budget", 3, 1),
+    ),
+    "sweep-3-L1-4": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+    ),
+    "sweep-3-L1-5": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+    ),
+    "sweep-3-L1-6": (
+        (1, "Safe", None, 1, 0),
+        (2, "Unsafe", None, 1, 0,
+         "ca876d98e079d63fad4db41f1e07ea3f6f902ab41f2ee23f",
+         "3e4855f84d84f83f00d2d4c60f86893fdc13dbaf5ad1bebf"),
+    ),
+    "sweep-3-L1-7": (
+        (1, "Unsafe", None, 1, 0,
+         "04870c36f387de3fd545ebbdf2fee63f184b184ec08dc13f",
+         "be14b5675aa6fa3f60b65038c097c53f18938fc638c9ce3f"),
+        (2, "Unsafe", None, 1, 0,
+         "6bd6d1aac25ed73ff769aa31595fe73f5b8fbeb68547c33f",
+         "1ab6af293a34f83fe8a75f0497e6c53fd835b82eecd0bc3f"),
+    ),
+    "sweep-2-L2-0": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (2, "Safe", None, 1, 0),
+    ),
+    "sweep-2-L2-1": (
+        (0, "Safe", None, 1, 0),
+        (2, "Safe", None, 1, 0),
+        (3, "Unknown", "budget", 1, 0),
+    ),
+    "sweep-2-L2-2": (
+        (1, "Safe", None, 1, 0),
+        (2, "Safe", None, 1, 0),
+        (3, "Unsafe", None, 1, 0,
+         "66087e69355de53fcd5f1e01aab5c73f",
+         "f3f45be3558af53fb6fa03e09a72e23fa88ebfb25de5f7bf5e9e3b1178c60440"),
+    ),
+    "sweep-2-L2-3": (
+        (1, "Safe", None, 1, 0),
+        (2, "Safe", None, 1, 0),
+        (3, "Unsafe", None, 1, 0,
+         "766eaaf38018c23fe0eccf2ea9d7ea3f",
+         "7981f45d50c2fc3f5fd45fd76da0f53ff04cbd1bb116d5bf1c2dc10e6eb50840"),
+    ),
+    "sweep-2-L2-4": (
+        (0, "Safe", None, 1, 0),
+        (2, "Safe", None, 1, 0),
+        (3, "Unsafe", None, 1, 0,
+         "a0b2edc5ef32cc3f9f596ea43c14e63f",
+         "1f98841d5905fb3f824168d7e7a3f23fa492485b5383e3bf2bbe42f9f7c20740"),
+    ),
+    "sweep-2-L2-5": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (2, "Safe", None, 1, 0),
+    ),
+    "sweep-2-L2-6": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Unsafe", None, 1, 0,
+         "49b545a06680ec3f28199c17c6c0e53f",
+         "02545d783e8ff73f967450cbde62e93f9b3da67ec4aff2bfffa8abba21e00540"),
+    ),
+    "sweep-2-L2-7": (
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Unsafe", None, 1, 0,
+         "468e710e39e3df3fdd3b9c549011ce3f",
+         "f3f45be3558af53fb6fa03e09a72e23fa88ebfb25de5f7bf5e9e3b1178c60440"),
+    ),
+    "min-box": (
+        (1, "Unknown", "min_box", 1, 0),
+        (2, "Safe", None, 1, 0),
+    ),
+}
