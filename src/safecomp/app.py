@@ -403,8 +403,7 @@ def ag_report_to_json(report: cm.AGReport) -> dict:
     }
 
 
-def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, workers: int = 1,
-                 max_nodes: int = 50_000) -> dict:
+def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, max_nodes: int = 50_000) -> dict:
     """The full pipeline behind `demo ebs`:
 
     semaphore classifier -> region discovery -> parallel verification ->
@@ -417,8 +416,8 @@ def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, workers: int = 1,
     net, data = build_semaphore_classifier(seed)
     cfg = DiscoveryConfig(seed=seed)
     discovery = discover_regions(data, "Linf", cfg)
-    results = run_parallel_verification(net, discovery.regions, workers=workers,
-                                        seed=seed, max_nodes=max_nodes)
+    results = run_parallel_verification(net, discovery.regions, seed=seed,
+                                        max_nodes=max_nodes)
     contract = emit_dnn_contract(net.name, net.labels, results)
 
     # one token per class, backed by the largest fully-safe region for it

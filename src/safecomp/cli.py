@@ -49,15 +49,8 @@ def _read_net(path: str):
     return parse_network(Path(path).read_text())
 
 
-def _add_workers_flag(sp: argparse.ArgumentParser):
-    # argparse runs a string default through type=int only while it parses the
-    # subcommand that declares it, so a malformed SAFECOMP_WORKERS is a usage
-    # error (exit 2) of verify and demo alone
-    sp.add_argument("--workers", type=int, default=os.environ.get("SAFECOMP_WORKERS", "1"))
-
-
 def _add_verifier_flags(sp: argparse.ArgumentParser):
-    _add_workers_flag(sp)
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--node-budget", type=int, default=50_000)
     sp.add_argument("--time-budget", type=float, default=None,
@@ -223,7 +216,7 @@ def cmd_demo(args) -> int:
     if args.scenario != "ebs":
         raise ValueError(f"unknown demo scenario {args.scenario!r}")
     report = app.run_ebs_demo(braking_ticks=args.braking_ticks, seed=args.seed,
-                              workers=args.workers, max_nodes=args.node_budget)
+                              max_nodes=args.node_budget)
     if args.format == "text":
         lines = [f"demo ebs (braking_ticks={args.braking_ticks})"]
         for p in report["assume_guarantee"]["premises"]:
@@ -329,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("scenario", choices=["ebs"])
     sp.add_argument("--braking-ticks", type=int, default=2)
     sp.add_argument("--seed", type=int, default=42)
-    _add_workers_flag(sp)
     sp.add_argument("--node-budget", type=int, default=50_000)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.add_argument("--out", default=None)

@@ -55,6 +55,8 @@ class Region:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        if not np.all(np.isfinite(self.centroid)):
+            raise ValueError(f"region {self.id!r} has a non-finite centroid")
         if not self.radius > 0:
             raise ValueError("region radius must be positive")
         if self.member_indices and self.member_count != len(self.member_indices):

@@ -8,6 +8,10 @@ bisected otherwise. Safe is sound by construction; Unsafe is exact (every
 counterexample re-validates by forward evaluation); Unknown reports which
 budget ran out.
 
+Boxes come in stacks: a Box holds (K, d) bounds, and the kernels below
+(propagate_bounds, score_gap_bound, find_counterexample) take a stack and
+return one result per box, a single box being a stack of one.
+
 Splits are deterministic, so the targets of one region visit the same boxes.
 verify_full runs them as one lockstep search: a FIFO frontier of boxes, each
 carrying the targets still live on it, is popped up to FRONTIER_BATCH boxes
@@ -40,22 +44,19 @@ FRONTIER_BATCH = 256
 
 @dataclass(frozen=True)
 class Box:
-    """An axis-aligned box with (d,) bounds, or a stack of K boxes with
-    (K, d) bounds."""
+    """A stack of K axis-aligned boxes: (K, d) lower and upper bounds."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        if self.lo.shape != self.hi.shape:
-            raise ValueError("box bounds must share a shape")
+        if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
+            raise ValueError("box bounds must be (K, d) arrays of one shape")
 
     @property
-    def empty(self) -> bool:
-        return bool(np.any(self.lo > self.hi))
-
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
+    def empty(self) -> np.ndarray:
+        """(K,) mask of the boxes with no point."""
+        return np.any(self.lo > self.hi, axis=1)
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class LinearBounds:
     be bounded as one composed affine row instead of subtracting two
     independently relaxed outputs.
 
-    For a stack of K boxes every field but final_w and final_b has a leading
-    axis of length K, one entry per box.
+    Every field but final_w and final_b has a leading axis of length K, one
+    entry per box of the stack.
     """
 
     lower_a: np.ndarray
@@ -150,13 +151,14 @@ def check_budgets(max_nodes: int, time_budget: float | None, epsilon: float) -> 
 
 def enclosing_box(region: Region, domain: tuple[np.ndarray, np.ndarray] | None = None) -> Box:
     """Smallest axis-aligned box containing the region (exact for Linf,
-    circumscribed for L1/L2), intersected with the given input domain."""
+    circumscribed for L1/L2), intersected with the given input domain, as a
+    stack of one."""
     lo = region.centroid - region.radius
     hi = region.centroid + region.radius
     if domain is not None:
         lo = np.maximum(lo, domain[0])
         hi = np.minimum(hi, domain[1])
-    return Box(lo, hi)
+    return Box(lo[None], hi[None])
 
 
 # Stacked products below are stacks of the per-box ones: numpy's matmul runs
@@ -191,8 +193,7 @@ def _first_max(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
 
 
 def propagate_bounds(net: Network, box: Box) -> LinearBounds:
-    """Layer-by-layer symbolic propagation over the box, or over each box of
-    a stack (the fields then gain a leading box axis).
+    """Layer-by-layer symbolic propagation over each box of the stack.
 
     Affine layers compose the bounding functions exactly (sign-split on the
     weights). A ReLU with pre-activation interval [l, u] becomes: zero when
@@ -200,15 +201,12 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
     with alpha*z below, alpha = 1 if u >= -l else 0. Interval bounds are
     tracked alongside and intersected with the concretized functions.
     """
-    box_lo = np.atleast_2d(box.lo)
-    box_hi = np.atleast_2d(box.hi)
-    k, d = box_lo.shape
+    k, d = box.lo.shape
     lower_a = np.broadcast_to(np.eye(d), (k, d, d))
     lower_b = np.zeros((k, d))
     upper_a = lower_a
     upper_b = lower_b
-    clo = box_lo.copy()
-    chi = box_hi.copy()
+    clo, chi = box.lo, box.hi
 
     for index, layer in enumerate(net.layers):
         if index == len(net.layers) - 1:
@@ -222,8 +220,8 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
         # interval propagation runs in parallel; keep the tighter of the two
         int_lo = _mv(w_pos, clo) + _mv(w_neg, chi) + layer.bias
         int_hi = _mv(w_pos, chi) + _mv(w_neg, clo) + layer.bias
-        l = np.maximum(_affine_min(pre_la, pre_lb, box_lo, box_hi), int_lo)
-        u = np.minimum(_affine_max(pre_ua, pre_ub, box_lo, box_hi), int_hi)
+        l = np.maximum(_affine_min(pre_la, pre_lb, box.lo, box.hi), int_lo)
+        u = np.minimum(_affine_max(pre_ua, pre_ub, box.lo, box.hi), int_hi)
         u = np.maximum(u, l)  # float-rounding guard; raising an upper bound is sound
 
         if layer.activation == "identity":
@@ -253,15 +251,14 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
         clo = np.maximum(l, 0.0)
         chi = np.maximum(u, 0.0)
 
-    fields = (lower_a, lower_b, upper_a, upper_b, clo, chi) + penult
-    if box.lo.ndim == 1:
-        fields = tuple(f[0] for f in fields)
     final = net.layers[-1]
-    return LinearBounds(*fields, final.weights, final.bias)
+    return LinearBounds(lower_a, lower_b, upper_a, upper_b, clo, chi, *penult,
+                        final.weights, final.bias)
 
 
-def score_gap_bound(bounds: LinearBounds, box: Box, true_label, target, score_order: str):
-    """Certified lower bound over the box of the margin by which the target
+def score_gap_bound(bounds: LinearBounds, box: Box, true_label: np.ndarray, target: np.ndarray,
+                    score_order: str) -> np.ndarray:
+    """Certified lower bound over each box of the margin by which the target
     label loses to the true label (positive means the target never wins).
 
     Three sound candidates, best wins: the margin row composed through the
@@ -270,31 +267,19 @@ def score_gap_bound(bounds: LinearBounds, box: Box, true_label, target, score_or
     interval difference. Subtracting the two outputs' bounding functions is
     never tighter than the composed row, so it is not a candidate.
 
-    A float for one box and one label pair. For a stack of K boxes (bounds
-    from propagate_bounds on the stack) and arrays of Q label pairs the
-    result is a (K, Q) array; either axis is left out when its input is
-    single.
+    bounds come from propagate_bounds on the stack of K boxes, and true_label
+    and target are (Q,) arrays of label pairs; the result is (K, Q).
     """
     true_label = np.asarray(true_label)
     target = np.asarray(target)
+    if true_label.ndim != 1 or true_label.shape != target.shape:
+        raise ValueError("labels must be (Q,) arrays of one shape")
     if np.any(true_label == target):
         raise ValueError("labels must be distinct")
     if score_order == "min_best":
         win, lose = target, true_label  # margin = s_target - s_true
     else:
         win, lose = true_label, target  # margin = s_true - s_target
-    stacked = box.lo.ndim == 2
-    pair_axis = win.ndim == 1
-    win = np.atleast_1d(win)
-    lose = np.atleast_1d(lose)
-
-    def per_box(a: np.ndarray) -> np.ndarray:
-        return a if stacked else a[None]
-
-    p_la, p_lb, p_ua, p_ub, p_lo, p_hi, c_lo, c_hi, lo, hi = (per_box(a) for a in (
-        bounds.penult_lower_a, bounds.penult_lower_b, bounds.penult_upper_a,
-        bounds.penult_upper_b, bounds.penult_lo, bounds.penult_hi,
-        bounds.concrete_lo, bounds.concrete_hi, box.lo, box.hi))
 
     # candidate 1: single affine row for the difference over the penultimate
     # activations, sign-split against their symbolic bounds; arrays are
@@ -303,24 +288,21 @@ def score_gap_bound(bounds: LinearBounds, box: Box, true_label, target, score_or
     row_b = (bounds.final_b[win] - bounds.final_b[lose])[:, None, None]
     r_pos = np.maximum(row, 0.0)[None, :, None, :]
     r_neg = np.minimum(row, 0.0)[None, :, None, :]
-    m_a = r_pos @ p_la[:, None] + r_neg @ p_ua[:, None]
-    m_b = r_pos @ p_lb[:, None, :, None] + r_neg @ p_ub[:, None, :, None] + row_b
-    composed = _affine_min(m_a, m_b[..., 0], lo[:, None], hi[:, None])[..., 0]
-    interval = (r_pos @ p_lo[:, None, :, None] + r_neg @ p_hi[:, None, :, None] + row_b)[..., 0, 0]
-    concrete = c_lo[:, win] - c_hi[:, lose]
-    gap = _first_max(composed, interval, concrete)
-    if not stacked:
-        gap = gap[0]
-    if not pair_axis:
-        gap = gap[..., 0]
-    return float(gap) if gap.ndim == 0 else gap
+    m_a = r_pos @ bounds.penult_lower_a[:, None] + r_neg @ bounds.penult_upper_a[:, None]
+    m_b = (r_pos @ bounds.penult_lower_b[:, None, :, None]
+           + r_neg @ bounds.penult_upper_b[:, None, :, None] + row_b)
+    composed = _affine_min(m_a, m_b[..., 0], box.lo[:, None], box.hi[:, None])[..., 0]
+    interval = (r_pos @ bounds.penult_lo[:, None, :, None]
+                + r_neg @ bounds.penult_hi[:, None, :, None] + row_b)[..., 0, 0]
+    concrete = bounds.concrete_lo[:, win] - bounds.concrete_hi[:, lose]
+    return _first_max(composed, interval, concrete)
 
 
 def _pull_into_region_batch(xs: np.ndarray, region: Region) -> np.ndarray:
     """Scale points radially toward the centroid until inside the ball.
 
-    xs is (n, d) or a (..., n, d) stack; a block with no point outside the
-    ball is returned unchanged, as a call on that block alone returns it."""
+    xs is a (J, n, d) stack of J blocks; a block with no point outside the
+    ball is returned unchanged, as a stack of that block alone returns it."""
     d = dist_many(region.metric, xs, region.centroid)
     outside = d > region.radius
     if np.any(outside):
@@ -331,41 +313,24 @@ def _pull_into_region_batch(xs: np.ndarray, region: Region) -> np.ndarray:
     return xs
 
 
-def find_counterexample(net: Network, region: Region, box: Box, target, effort: int,
-                        seed=0):
-    """Concrete violation search: seeded random starts inside the box pulled
-    into the region, then coordinate descent on the target's advantage.
+def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndarray,
+                        effort: int, seeds: list[int]) -> list[np.ndarray | None]:
+    """Concrete violation search in each box of the stack, for its own
+    target label and seed: seeded random starts inside the box pulled into
+    the region, then coordinate descent on the target's advantage.
 
-    Returns a point only if it validates: inside the region under its own
-    metric and classified as the target. Returning None proves nothing.
-
-    For a stack of boxes, target and seed may be one per box (or one for
-    all); the result is then a list with one point or None per box, each
-    what a call on that box alone returns. All searches share one forward
-    pass for their starts and one per descent round.
+    Returns, per box, a point only if it validates: inside the region under
+    its own metric and classified as the target. None proves nothing; an
+    empty box, or effort 0, gives None. Each box's result is what a stack of
+    that box alone gives. All searches share one forward pass for their
+    starts and one per descent round.
     """
-    stacked = box.lo.ndim == 2
-    lo = np.atleast_2d(box.lo)
-    hi = np.atleast_2d(box.hi)
-    n_jobs, d = lo.shape
-    targets = np.broadcast_to(np.asarray(target), (n_jobs,))
-    seeds = [seed] * n_jobs if np.ndim(seed) == 0 else list(seed)
-    found: list[np.ndarray | None] = [None] * n_jobs
-    jobs = np.flatnonzero(~np.any(lo > hi, axis=1)) if effort > 0 else np.arange(0)
-    if len(jobs):
-        hits = _search_boxes(net, region, lo[jobs], hi[jobs], targets[jobs],
-                             [seeds[j] for j in jobs], effort)
-        for i, point in hits.items():
-            found[jobs[i]] = point
-    return found if stacked else found[0]
-
-
-def _search_boxes(net: Network, region: Region, lo: np.ndarray, hi: np.ndarray,
-                  targets: np.ndarray, seeds: list, effort: int) -> dict[int, np.ndarray]:
-    """find_counterexample's search over J non-empty boxes at once: the
-    validated point of each box whose search finds one, by box index."""
-    n_jobs, d = lo.shape
-    hits: dict[int, np.ndarray] = {}
+    found: list[np.ndarray | None] = [None] * len(box.lo)
+    boxes = np.flatnonzero(~box.empty) if effort > 0 else np.arange(0)
+    if not len(boxes):
+        return found
+    lo, hi, targets = box.lo[boxes], box.hi[boxes], np.asarray(targets)[boxes]
+    d = lo.shape[1]
     sign = -1.0 if net.score_order == "min_best" else 1.0
     others = np.arange(net.n_labels) != targets[:, None]  # (J, L)
 
@@ -390,17 +355,17 @@ def _search_boxes(net: Network, region: Region, lo: np.ndarray, hi: np.ndarray,
         # record the jobs that hit; the mask of those still searching
         hit = first_hit(xs, scores, jobs)
         for i in np.flatnonzero(hit >= 0):
-            hits[int(jobs[i])] = xs[i, hit[i]].copy()
+            found[boxes[jobs[i]]] = xs[i, hit[i]].copy()
         return hit < 0
 
-    draws = np.stack([np.random.default_rng(np.random.SeedSequence([s & 0x7FFFFFFF, effort]))
-                      .random((effort, d)) for s in seeds])
+    draws = np.stack([np.random.default_rng(np.random.SeedSequence(
+        [seeds[b] & 0x7FFFFFFF, effort])).random((effort, d)) for b in boxes])
     width = hi - lo
     starts = np.concatenate([((lo + hi) / 2.0)[:, None, :],
                              lo[:, None, :] + draws * width[:, None, :]], axis=1)
     starts = _pull_into_region_batch(starts, region)
     scores = evaluate_batch(net, starts)
-    jobs = np.arange(n_jobs)
+    jobs = np.arange(len(boxes))
     going = settle(starts, scores, jobs)
 
     # coordinate descent from each job's most promising start
@@ -429,7 +394,7 @@ def _search_boxes(net: Network, region: Region, lo: np.ndarray, hi: np.ndarray,
         best = np.where(better, madv[rows, j], best)
         x = np.where(better[:, None], moves[rows, j], x)
         step = step / 2.0
-    return hits
+    return found
 
 
 def _box_region_gap(lo: np.ndarray, hi: np.ndarray, region: Region) -> np.ndarray:
@@ -444,14 +409,14 @@ class _RegionSearch:
 
     One FIFO frontier of boxes holds, per box, its depth and the targets
     still live on it; a box's children inherit the targets that split it.
-    Each step pops up to FRONTIER_BATCH boxes and, for every target in turn,
-    walks its live boxes in frontier order: the node counter, the geometry
-    prune, the epsilon discharge, the node budget, the counterexample seed
-    (task seed * 1_000_003 + node counter) and the min-box floor are the
-    target's own, so it sees exactly the nodes a search of its boxes alone
-    would. Bounds, margins and counterexample searches run stacked over the
-    batch. A target's counterexample hit or budget stop drops the rest of its
-    work in the batch.
+    Each step pops up to FRONTIER_BATCH boxes and works on (box x target)
+    masks, each target's column in frontier order: the node numbers, the
+    geometry prune, the epsilon discharge, the node budget, the
+    counterexample seed (task seed * 1_000_003 + node number) and the
+    min-box floor are the target's own, so it sees exactly the nodes a search
+    of its boxes alone would. Bounds, margins and counterexample searches run
+    stacked over the batch. A target's counterexample hit or budget stop
+    drops the rest of its column.
 
     The time budgets are read against one clock started with the search,
     once per step, and a verdict's elapsed time is measured from the
@@ -470,20 +435,24 @@ class _RegionSearch:
         # every (rival, target) pair, each target's rivals in label order
         self.rivals = np.array([r for t in labels for r in range(n_labels) if r != t])
         self.pair_targets = np.repeat(labels, n_labels - 1)
+        self.labels = np.array(labels)
+        self.epsilons = np.array([t.epsilon for t in self.tasks])
+        # no node number reaches int64's maximum, so a larger budget acts as that
+        self.max_nodes = np.array([min(t.max_nodes, np.iinfo(np.int64).max) for t in self.tasks])
         count = len(self.tasks)
-        self.nodes = [0] * count
-        self.deepest = [0] * count
-        self.floor_hit = [False] * count
+        self.nodes = np.zeros(count, dtype=np.int64)
+        self.deepest = np.zeros(count, dtype=np.int64)
+        self.floor_hit = np.zeros(count, dtype=bool)
         self.verdicts: list[Verdict | None] = [None] * count
         # chunks of (lo, hi, depth, live): (n, d), (n, d), (n,), (n, targets)
         self.frontier: deque = deque()
         self.pending = np.zeros(count, dtype=np.int64)  # frontier boxes live per target
         root = enclosing_box(self.region, self.net.normalized_domain())
-        if root.empty:  # region lies outside the admissible input domain
+        if root.empty[0]:  # region lies outside the admissible input domain
             for slot in range(count):
                 self._finish(slot, "Safe")
         else:
-            self._push(root.lo[None], root.hi[None], np.zeros(1, dtype=np.int64),
+            self._push(root.lo, root.hi, np.zeros(1, dtype=np.int64),
                        np.ones((1, count), dtype=bool))
 
     def verdict(self, task: VerificationTask) -> Verdict:
@@ -499,7 +468,7 @@ class _RegionSearch:
                 reason: str | None = None) -> None:
         elapsed = time.perf_counter() - self.t0
         self.verdicts[slot] = Verdict(status, ce, VerdictStats(
-            self.nodes[slot], self.deepest[slot], elapsed), reason)
+            int(self.nodes[slot]), int(self.deepest[slot]), elapsed), reason)
 
     def _push(self, lo, hi, depth, live) -> None:
         self.frontier.append((lo, hi, depth, live))
@@ -544,71 +513,58 @@ class _RegionSearch:
         alive = np.array([v is None for v in self.verdicts])
         if not alive.any():
             return
+        # (box, target) masks over the batch; a column's end is the row of
+        # its first counterexample hit or budget stop, len(lo) if neither
         lo, hi, depth, live = self._pop(alive)
-        # each live target's boxes of the batch, in frontier order
-        walks = {int(slot): np.flatnonzero(live[:, slot]) for slot in np.flatnonzero(alive)}
-        walks = {slot: rows for slot, rows in walks.items() if len(rows)}
-        opened = self._open_boxes(lo, hi, walks)
+        rows = np.arange(len(lo))[:, None]
+        opened = self._open_boxes(lo, hi, live)
+        numbers = self.nodes + np.cumsum(live, axis=0)  # node number of each live pair
+        over = opened & (numbers >= self.max_nodes)
+        stop = np.where(over.any(axis=0), over.argmax(axis=0), len(lo))
+        searched = opened & (rows < stop)
 
-        # per target: where its node budget stops it, and its CE searches
-        jobs = []  # (slot, index into the target's boxes, node number)
-        stops = {}
-        for slot, rows in walks.items():
-            task = self.tasks[slot]
-            numbers = self.nodes[slot] + 1 + np.arange(len(rows))
-            over = np.flatnonzero(opened[slot] & (numbers >= task.max_nodes))
-            stops[slot] = int(over[0]) if len(over) else None
-            jobs += [(slot, int(i), int(numbers[i]))
-                     for i in np.flatnonzero(opened[slot][:stops[slot]])]
+        slots, boxes = np.nonzero(searched.T)  # target by target, in frontier order
         points = []
-        if jobs:
-            job_rows = np.array([walks[slot][i] for slot, i, _ in jobs])
+        hit = np.zeros_like(live)
+        if len(slots):
             points = find_counterexample(
-                self.net, self.region, Box(lo[job_rows], hi[job_rows]),
-                np.array([self.tasks[slot].target_label for slot, _, _ in jobs]),
-                effort=CE_EFFORT,
-                seed=[self.tasks[slot].seed * 1_000_003 + number for slot, _, number in jobs])
+                self.net, self.region, Box(lo[boxes], hi[boxes]), self.labels[slots],
+                CE_EFFORT, [self.tasks[s].seed * 1_000_003 + int(numbers[b, s])
+                            for s, b in zip(slots, boxes)])
+            hit[boxes, slots] = [point is not None for point in points]
+        first = np.where(hit.any(axis=0), hit.argmax(axis=0), len(lo))
+        end = np.minimum(first, stop)
+        seen = live & (rows <= end)
+        self.nodes += seen.sum(axis=0)
+        self.deepest = np.maximum(self.deepest, np.max(seen * depth[:, None], axis=0))
+        for slot, point in zip(slots, points):
+            if point is not None and self.verdicts[slot] is None:
+                self._refuted(slot, point)
+        for slot in np.flatnonzero(stop < first):
+            self._finish(slot, "Unknown", reason="budget")
 
-        floor = np.max(hi - lo, axis=1) <= MIN_BOX_WIDTH
-        split = np.zeros(live.shape, dtype=bool)
-        for slot, rows in walks.items():
-            mine = [(i, point) for (s, i, _), point in zip(jobs, points) if s == slot]
-            hit = next(((i, point) for i, point in mine if point is not None), None)
-            last = hit[0] if hit is not None else stops[slot]
-            seen = rows if last is None else rows[:last + 1]
-            self.nodes[slot] += len(seen)
-            self.deepest[slot] = max(self.deepest[slot], int(np.max(depth[seen])))
-            if hit is not None:
-                self._refuted(slot, hit[1])
-            elif last is not None:
-                self._finish(slot, "Unknown", reason="budget")
-            else:
-                searched = rows[[i for i, _ in mine]]
-                self.floor_hit[slot] |= bool(np.any(floor[searched]))
-                split[searched[~floor[searched]], slot] = True
-        self._split(lo, hi, depth, split)
+        going = searched & (end == len(lo))
+        floor = (np.max(hi - lo, axis=1) <= MIN_BOX_WIDTH)[:, None]
+        self.floor_hit |= np.any(going & floor, axis=0)
+        self._split(lo, hi, depth, going & ~floor)
+        for slot in np.flatnonzero(self.pending == 0):  # no box left to search
+            if self.verdicts[slot] is None:
+                reason = "min_box" if self.floor_hit[slot] else None
+                self._finish(slot, "Unknown" if reason else "Safe", reason=reason)
 
-        for slot in walks:
-            if self.verdicts[slot] is None and self.pending[slot] == 0:
-                if self.floor_hit[slot]:
-                    self._finish(slot, "Unknown", reason="min_box")
-                else:
-                    self._finish(slot, "Safe")
-
-    def _open_boxes(self, lo: np.ndarray, hi: np.ndarray, walks: dict) -> dict:
-        """Per target, which of its boxes in walks are open: neither pruned by
+    def _open_boxes(self, lo: np.ndarray, hi: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """The live (box, target) pairs that are open: neither pruned by
         geometry nor discharged, so they need a CE search or a split. Bounds
         are propagated once for every box the geometry keeps."""
         region = self.region
         pruned = np.zeros(len(lo), dtype=bool)
         if region.metric in ("L1", "L2"):
             pruned = _box_region_gap(lo, hi, region) > region.radius
-        margins = np.zeros((len(lo), len(self.tasks)))
+        margins = np.zeros(live.shape)
         kept = np.flatnonzero(~pruned)
         if len(kept):
             margins[kept] = self._margins(lo[kept], hi[kept])
-        return {slot: ~pruned[rows] & ~(margins[rows, slot] > self.tasks[slot].epsilon)
-                for slot, rows in walks.items()}
+        return live & ~pruned[:, None] & ~(margins > self.epsilons)
 
     def _split(self, lo: np.ndarray, hi: np.ndarray, depth: np.ndarray,
                split: np.ndarray) -> None:

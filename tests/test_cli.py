@@ -304,34 +304,6 @@ class TestDemoCli:
         assert "PASS" in text and "conclusion: M1 || M2 |= P" in text
 
 
-class TestEnvDefaults:
-    def test_safecomp_workers_env_var(self, semaphore_files, tmp_path, monkeypatch):
-        _, _, net_path, data_path = semaphore_files
-        regions_path = tmp_path / "regions.json"
-        run(["discover", "--net", net_path, "--data", data_path, "--seed", 42,
-             "--out", regions_path])
-        monkeypatch.setenv("SAFECOMP_WORKERS", "4")
-        from safecomp.cli import build_parser
-        args = build_parser().parse_args(
-            ["verify", "--net", str(net_path), "--regions", str(regions_path)])
-        assert args.workers == 4
-
-    def test_malformed_workers_env_is_a_usage_error_of_verify_and_demo_only(
-            self, semaphore_files, tmp_path, monkeypatch, capsys):
-        _, _, net_path, data_path = semaphore_files
-        regions_path = tmp_path / "regions.json"
-        monkeypatch.setenv("SAFECOMP_WORKERS", "abc")
-        assert run(["discover", "--net", net_path, "--data", data_path, "--seed", 42,
-                    "--out", regions_path]) == 0
-        assert run(["verify", "--net", net_path, "--regions", regions_path]) == 2
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
-        assert run(["demo", "ebs", "--out", tmp_path / "demo.json"]) == 2
-        assert not (tmp_path / "demo.json").exists()
-        # an explicit --workers wins over the environment
-        assert run(["verify", "--net", net_path, "--regions", regions_path,
-                    "--workers", 1, "--out", tmp_path / "report.json"]) == 0
-
-
 class TestDiscoverInput:
     def test_dataset_narrower_than_network_exits_2_without_output(
             self, semaphore_files, tmp_path, capsys):
@@ -400,6 +372,37 @@ class TestVerifyInput:
                     flag, value, "--out", out]) == 2
         assert not out.exists()
         assert name in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_centroid_exits_2_naming_the_region(self, tmp_path, capsys, bad):
+        # a NaN centroid used to run every target to the full node budget and
+        # write NaN, which is not JSON, into the report
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network()))
+        region = {"id": "r000", "metric": "Linf", "centroid": [0.8, 0.2], "radius": 0.1,
+                  "expected_label": "a", "member_count": 1, "member_indices": [0]}
+        regions_path = tmp_path / "regions.json"
+        regions_path.write_text(json.dumps({"regions": [region, dict(
+            region, id="r001", centroid=[bad, 0.2])]}))
+        report_path = tmp_path / "report.json"
+        assert run(["verify", "--net", net_path, "--regions", regions_path,
+                    "--node-budget", 64, "--out", report_path]) == 2
+        assert not report_path.exists()
+        assert "region 'r001' has a non-finite centroid" in capsys.readouterr().err
+
+        # emit-contracts reads its regions from a report
+        regions_path.write_text(json.dumps({"regions": [region]}))
+        assert run(["verify", "--net", net_path, "--regions", regions_path,
+                    "--out", report_path]) == 0
+        report = json.loads(report_path.read_text())
+        report["regions"][0]["centroid"][1] = bad
+        report_path.write_text(json.dumps(report))
+        contract_path = tmp_path / "contract.json"
+        assert run(["emit-contracts", "--net", net_path, "--report", report_path,
+                    "--out", contract_path]) == 2
+        assert not contract_path.exists()
+        assert "region 'r000' has a non-finite centroid" in capsys.readouterr().err
 
 
 class TestGridCli:

@@ -246,6 +246,16 @@ class TestCsvAndJson:
         with pytest.raises(ValueError, match=message):
             load_dataset_csv(f"x1,x2,label\n0.5,0.5,zero\n0.5,{cell},one\n", ["zero", "one"])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_centroid_rejected_naming_the_region(self, bad):
+        with pytest.raises(ValueError, match="region 'r7' has a non-finite centroid"):
+            Region("r7", np.array([0.1, bad]), 0.5, "Linf", 0, 1, (0,))
+        obj = region_to_dict(Region("r7", np.array([0.1, 0.2]), 0.5, "Linf", 0, 1, (0,)),
+                             ["a", "b"])
+        obj["centroid"][0] = bad
+        with pytest.raises(ValueError, match="region 'r7' has a non-finite centroid"):
+            region_from_dict(obj, ["a", "b"])
+
     def test_region_dict_round_trip(self):
         region = Region("r001", np.array([0.1, 0.2]), 0.5, "Linf", 1, 3, (1, 4, 7))
         obj = region_to_dict(region, ["a", "b"])

@@ -42,18 +42,46 @@ def grid_labels_in_region(net, region, step=1e-3):
     return points, classify_batch(net, points)
 
 
+def one_box(lo, hi):
+    """A stack of one box."""
+    return Box(np.array([lo], dtype=np.float64), np.array([hi], dtype=np.float64))
+
+
+def one_gap(bounds, box, true_label, target, score_order):
+    """score_gap_bound of one label pair on a stack of one box, as a float."""
+    gaps = score_gap_bound(bounds, box, np.array([true_label]), np.array([target]), score_order)
+    assert gaps.shape == (1, 1)
+    return float(gaps[0, 0])
+
+
+class TestBox:
+    @pytest.mark.parametrize("lo, hi", [
+        (np.zeros(2), np.ones(2)),  # one box is a stack of one, not a (d,) pair
+        (np.zeros((1, 2)), np.ones((1, 3))),
+        (np.zeros((1, 1, 2)), np.ones((1, 1, 2))),
+    ])
+    def test_only_k_by_d_stacks(self, lo, hi):
+        with pytest.raises(ValueError, match="box bounds"):
+            Box(lo, hi)
+
+    def test_empty_per_box(self):
+        box = Box(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 0.5]]))
+        assert box.empty.tolist() == [False, True]
+
+
 class TestEnclosingBox:
     def test_linf_box_exact(self):
         region = box_region([0.0, 0.0], 0.5)
         box = enclosing_box(region)
-        np.testing.assert_allclose(box.lo, [-0.5, -0.5])
-        np.testing.assert_allclose(box.hi, [0.5, 0.5])
+        assert box.lo.shape == box.hi.shape == (1, 2)
+        np.testing.assert_allclose(box.lo[0], [-0.5, -0.5])
+        np.testing.assert_allclose(box.hi[0], [0.5, 0.5])
 
     def test_l1_box_circumscribes_ball(self):
         region = box_region([0.0, 0.0], 1.0, metric="L1")
         box = enclosing_box(region)
-        np.testing.assert_allclose(box.lo, [-1.0, -1.0])
-        np.testing.assert_allclose(box.hi, [1.0, 1.0])
+        np.testing.assert_allclose(box.lo[0], [-1.0, -1.0])
+        np.testing.assert_allclose(box.hi[0], [1.0, 1.0])
         # the corner is inside the box but outside the L1 ball
         assert not region_membership(region, [1.0, 1.0])
 
@@ -61,86 +89,86 @@ class TestEnclosingBox:
         centroid = np.array([0.19, 0.31, 0.28, 0.33, 0.33])
         region = box_region(centroid, 0.28, metric="L1")
         box = enclosing_box(region, (np.zeros(5), np.ones(5)))
-        np.testing.assert_allclose(box.lo, np.maximum(centroid - 0.28, 0.0))
-        np.testing.assert_allclose(box.hi, np.minimum(centroid + 0.28, 1.0))
-        assert box.lo[0] == 0.0  # 0.19 - 0.28 clips at the domain floor
+        np.testing.assert_allclose(box.lo[0], np.maximum(centroid - 0.28, 0.0))
+        np.testing.assert_allclose(box.hi[0], np.minimum(centroid + 0.28, 1.0))
+        assert box.lo[0, 0] == 0.0  # 0.19 - 0.28 clips at the domain floor
 
 
 class TestPropagateBounds:
     def test_identity_network_bounds_are_identity(self):
         net = identity_network()
-        box = Box(np.array([0.1, 0.2]), np.array([0.6, 0.9]))
+        box = one_box([0.1, 0.2], [0.6, 0.9])
         bounds = propagate_bounds(net, box)
-        np.testing.assert_allclose(bounds.lower_a, np.eye(2))
-        np.testing.assert_allclose(bounds.upper_a, np.eye(2))
-        np.testing.assert_allclose(bounds.lower_b, np.zeros(2))
-        np.testing.assert_allclose(bounds.concrete_lo, box.lo)
-        np.testing.assert_allclose(bounds.concrete_hi, box.hi)
+        np.testing.assert_allclose(bounds.lower_a[0], np.eye(2))
+        np.testing.assert_allclose(bounds.upper_a[0], np.eye(2))
+        np.testing.assert_allclose(bounds.lower_b[0], np.zeros(2))
+        np.testing.assert_allclose(bounds.concrete_lo[0], box.lo[0])
+        np.testing.assert_allclose(bounds.concrete_hi[0], box.hi[0])
 
     def test_single_relu_concrete_interval(self):
         # one relu neuron with pre-activation range [-1, 2]
         hidden = Layer(np.array([[1.0]]), np.zeros(1), "relu")
         out = Layer(np.array([[1.0], [0.0]]), np.zeros(2), "identity")
         net = make_network([hidden, out], input_min=[-1], input_max=[2])
-        bounds = propagate_bounds(net, Box(np.array([-1.0]), np.array([2.0])))
-        assert bounds.concrete_lo[0] == pytest.approx(0.0)
-        assert bounds.concrete_hi[0] == pytest.approx(2.0)
+        bounds = propagate_bounds(net, one_box([-1.0], [2.0]))
+        assert bounds.concrete_lo[0, 0] == pytest.approx(0.0)
+        assert bounds.concrete_hi[0, 0] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampling_oracle(self, seed):
         net = random_network(seed, dims=(2, 8, 8, 3))
         rng = np.random.default_rng(seed + 1000)
-        box = Box(np.array([-0.5, -0.2]), np.array([0.4, 0.9]))
+        box = one_box([-0.5, -0.2], [0.4, 0.9])
         bounds = propagate_bounds(net, box)
-        xs = box.lo + rng.random((1000, 2)) * (box.hi - box.lo)
+        xs = box.lo[0] + rng.random((1000, 2)) * (box.hi[0] - box.lo[0])
         for x in xs:
             scores = evaluate(net, x)
-            lower = bounds.lower_a @ x + bounds.lower_b
-            upper = bounds.upper_a @ x + bounds.upper_b
+            lower = bounds.lower_a[0] @ x + bounds.lower_b[0]
+            upper = bounds.upper_a[0] @ x + bounds.upper_b[0]
             assert np.all(lower <= scores + 1e-9)
             assert np.all(scores <= upper + 1e-9)
-            assert np.all(bounds.concrete_lo <= scores + 1e-9)
-            assert np.all(scores <= bounds.concrete_hi + 1e-9)
+            assert np.all(bounds.concrete_lo[0] <= scores + 1e-9)
+            assert np.all(scores <= bounds.concrete_hi[0] + 1e-9)
 
 
 class TestScoreGapBound:
     def test_identity_exact_at_corners(self):
         net = identity_network(score_order="max_best")
-        box = Box(np.array([0.6, 0.1]), np.array([0.8, 0.3]))
+        box = one_box([0.6, 0.1], [0.8, 0.3])
         bounds = propagate_bounds(net, box)
         # margin = s_true - s_target; minimum at x1 low, x2 high
-        assert score_gap_bound(bounds, box, 0, 1, "max_best") == pytest.approx(0.3)
+        assert one_gap(bounds, box, 0, 1, "max_best") == pytest.approx(0.3)
 
     def test_overlapping_boxes_nonpositive(self):
         net = identity_network(score_order="max_best")
-        box = Box(np.array([0.6, 0.1]), np.array([0.8, 0.7]))
+        box = one_box([0.6, 0.1], [0.8, 0.7])
         bounds = propagate_bounds(net, box)
-        assert score_gap_bound(bounds, box, 0, 1, "max_best") <= 0.0
+        assert one_gap(bounds, box, 0, 1, "max_best") <= 0.0
 
     def test_min_best_margin_direction(self):
         net = identity_network(score_order="min_best")
         # true label 0 has the LOW score; margin = s_target - s_true
-        box = Box(np.array([0.1, 0.6]), np.array([0.3, 0.8]))
+        box = one_box([0.1, 0.6], [0.3, 0.8])
         bounds = propagate_bounds(net, box)
-        assert score_gap_bound(bounds, box, 0, 1, "min_best") == pytest.approx(0.3)
+        assert one_gap(bounds, box, 0, 1, "min_best") == pytest.approx(0.3)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_never_exceeds_sampled_minimum(self, seed):
         net = random_network(seed, dims=(2, 6, 6, 3))
         rng = np.random.default_rng(seed)
-        box = Box(np.array([-0.3, -0.3]), np.array([0.5, 0.5]))
+        box = one_box([-0.3, -0.3], [0.5, 0.5])
         bounds = propagate_bounds(net, box)
-        xs = box.lo + rng.random((10_000, 2)) * (box.hi - box.lo)
+        xs = box.lo[0] + rng.random((10_000, 2)) * (box.hi[0] - box.lo[0])
         scores = np.stack([evaluate(net, x) for x in xs])
         margins = scores[:, 0] - scores[:, 1]  # max_best, true=0, target=1
-        certified = score_gap_bound(bounds, box, 0, 1, "max_best")
+        certified = one_gap(bounds, box, 0, 1, "max_best")
         assert certified <= margins.min() + 1e-9
 
     def test_distinct_labels_required(self):
         net = identity_network()
-        box = Box(np.zeros(2), np.ones(2))
+        box = one_box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            score_gap_bound(propagate_bounds(net, box), box, 1, 1, "max_best")
+            one_gap(propagate_bounds(net, box), box, 1, 1, "max_best")
 
 
 class TestFindCounterexample:
@@ -149,13 +177,13 @@ class TestFindCounterexample:
         region = box_region([0.8, 0.2], 0.05)
         box = enclosing_box(region, net.normalized_domain())
         for effort in (1, 10, 50):
-            assert find_counterexample(net, region, box, 1, effort, seed=0) is None
+            assert find_counterexample(net, region, box, [1], effort, [0]) == [None]
 
     def test_straddling_region_yields_validated_point(self):
         net = identity_network(score_order="max_best")
         region = box_region([0.5, 0.5], 0.2)
         box = enclosing_box(region, net.normalized_domain())
-        point = find_counterexample(net, region, box, 1, effort=16, seed=0)
+        [point] = find_counterexample(net, region, box, [1], effort=16, seeds=[0])
         assert point is not None
         assert region_membership(region, point)
         scores = evaluate(net, point)
@@ -165,7 +193,7 @@ class TestFindCounterexample:
         net = identity_network(score_order="max_best")
         region = box_region([0.5, 0.5], 0.2)
         box = enclosing_box(region, net.normalized_domain())
-        assert find_counterexample(net, region, box, 1, effort=0, seed=0) is None
+        assert find_counterexample(net, region, box, [1], effort=0, seeds=[0]) == [None]
 
 
 class TestVerifyTargeted:
@@ -325,7 +353,8 @@ class TestBoundSoundnessDuringVerification:
     def test_bounds_sampled_on_live_nodes(self, monkeypatch):
         """Every propagate_bounds call made by the engine stays sound on a
         random sample of the boxes it was asked about (each box of a stacked
-        call counts alone)."""
+        call counts alone). The task is the golden "deep" region's target 0,
+        budget-bound, so the engine splits well past the root."""
         probed = []
         real = verifier_module.propagate_bounds
 
@@ -335,29 +364,30 @@ class TestBoundSoundnessDuringVerification:
             return bounds
 
         monkeypatch.setattr(verifier_module, "propagate_bounds", probe)
-        net = random_network(31, dims=(2, 7, 5, 3))
-        region = box_region([0.45, 0.5], 0.25)
-        verify_targeted(VerificationTask(net, region, 1, max_nodes=300, seed=3))
-        assert probed
+        net = capacity_network()
+        c = np.array([0.8789, 0.5736, 0.7127, 0.4258, 0.2569])
+        region = Region("r0", c, 0.035, "Linf", classify(net, c), 1, (0,))
+        verdict = verify_targeted(VerificationTask(net, region, 0, max_nodes=300, seed=3))
+        assert (verdict.status, verdict.reason, verdict.stats.nodes) == ("Unknown", "budget", 300)
         rng = np.random.default_rng(0)
-        sample = probed if len(probed) < 100 else \
-            [probed[i] for i in rng.choice(len(probed), size=max(1, len(probed) // 100),
-                                           replace=False)]
+        sample = [probed[i] for i in rng.choice(len(probed), size=min(len(probed), 20),
+                                                 replace=False)]
+        assert len({box.lo.tobytes() + box.hi.tobytes() for _, box, _ in sample}) > 1
         for pnet, box, bounds in sample:
-            xs = box.lo + rng.random((200, 2)) * (box.hi - box.lo)
+            xs = box.lo[0] + rng.random((200, net.input_dim)) * (box.hi[0] - box.lo[0])
             for x in xs:
                 scores = evaluate(pnet, x)
-                assert np.all(bounds.lower_a @ x + bounds.lower_b <= scores + 1e-9)
-                assert np.all(scores <= bounds.upper_a @ x + bounds.upper_b + 1e-9)
+                assert np.all(bounds.lower_a[0] @ x + bounds.lower_b[0] <= scores + 1e-9)
+                assert np.all(scores <= bounds.upper_a[0] @ x + bounds.upper_b[0] + 1e-9)
 
 
 def unstack(box, bounds):
-    """(box, bounds) of each box of a stacked propagate_bounds call."""
-    if box.lo.ndim == 1:
-        return [(box, bounds)]
+    """(box, bounds) of each box of a stacked propagate_bounds call, each as
+    a stack of one."""
     shared = ("final_w", "final_b")
-    return [(Box(box.lo[k], box.hi[k]), LinearBounds(**{
-                f.name: getattr(bounds, f.name) if f.name in shared else getattr(bounds, f.name)[k]
+    return [(Box(box.lo[k:k + 1], box.hi[k:k + 1]), LinearBounds(**{
+                f.name: getattr(bounds, f.name) if f.name in shared
+                else getattr(bounds, f.name)[k:k + 1]
                 for f in dataclasses.fields(LinearBounds)}))
             for k in range(len(box.lo))]
 
@@ -459,8 +489,7 @@ class TestSharedMarginCache:
 
         def counting(net, box):
             # one key per box of a stacked call
-            keys.extend((lo.tobytes(), hi.tobytes())
-                        for lo, hi in zip(np.atleast_2d(box.lo), np.atleast_2d(box.hi)))
+            keys.extend((lo.tobytes(), hi.tobytes()) for lo, hi in zip(box.lo, box.hi))
             return real(net, box)
 
         monkeypatch.setattr(verifier_module, "propagate_bounds", counting)
@@ -518,9 +547,9 @@ class TestSoundnessSample:
 
 
 def sub_boxes(root, n, rng):
-    """n random boxes inside root, as one (n, d) stack."""
-    a = root.lo + rng.random((n, len(root.lo))) * root.widths()
-    b = root.lo + rng.random((n, len(root.lo))) * root.widths()
+    """n random boxes inside root (a stack of one), as one (n, d) stack."""
+    a = root.lo + rng.random((n, root.lo.shape[1])) * (root.hi - root.lo)
+    b = root.lo + rng.random((n, root.lo.shape[1])) * (root.hi - root.lo)
     return np.minimum(a, b), np.maximum(a, b)
 
 
@@ -532,7 +561,7 @@ STACK_NETS = {
 
 
 class TestStackedCalls:
-    """A stacked call gives each item bit for bit what a call on it alone
+    """A stacked call gives each item bit for bit what a stack of it alone
     gives, so batching the search cannot change a verdict."""
 
     def test_evaluate_batch_blocks(self):
@@ -549,7 +578,7 @@ class TestStackedCalls:
     @pytest.mark.parametrize("name", sorted(STACK_NETS))
     def test_propagate_bounds_stack(self, name):
         net = STACK_NETS[name]()
-        root = Box(np.zeros(net.input_dim), np.ones(net.input_dim))
+        root = one_box(np.zeros(net.input_dim), np.ones(net.input_dim))
         lo, hi = sub_boxes(root, 16, np.random.default_rng(1))
         stacked = propagate_bounds(net, Box(lo, hi))
         for k, (box, bounds) in enumerate(unstack(Box(lo, hi), stacked)):
@@ -561,7 +590,7 @@ class TestStackedCalls:
     @pytest.mark.parametrize("name", sorted(STACK_NETS))
     def test_score_gap_bound_label_arrays(self, name):
         net = STACK_NETS[name]()
-        root = Box(np.zeros(net.input_dim), np.ones(net.input_dim))
+        root = one_box(np.zeros(net.input_dim), np.ones(net.input_dim))
         lo, hi = sub_boxes(root, 8, np.random.default_rng(2))
         bounds = propagate_bounds(net, Box(lo, hi))
         pairs = [(a, b) for a in range(net.n_labels) for b in range(net.n_labels) if a != b]
@@ -570,16 +599,19 @@ class TestStackedCalls:
         assert gaps.shape == (8, len(pairs))
         for k, (box, alone) in enumerate(unstack(Box(lo, hi), bounds)):
             row = score_gap_bound(alone, box, true, target, net.score_order)
-            assert row.tobytes() == gaps[k].tobytes()
+            assert row.shape == (1, len(pairs)) and row.tobytes() == gaps[k].tobytes()
             for q, (a, b) in enumerate(pairs):
-                gap = score_gap_bound(alone, box, a, b, net.score_order)
-                assert isinstance(gap, float)
-                assert np.float64(gap).tobytes() == gaps[k, q].tobytes()
-        column = score_gap_bound(bounds, Box(lo, hi), 0, 1, net.score_order)
-        assert column.tobytes() == gaps[:, pairs.index((0, 1))].tobytes()
-        with pytest.raises(ValueError):
+                gap = score_gap_bound(alone, box, np.array([a]), np.array([b]), net.score_order)
+                assert gap.shape == (1, 1) and gap.tobytes() == gaps[k, q].tobytes()
+        column = score_gap_bound(bounds, Box(lo, hi), np.array([0]), np.array([1]),
+                                 net.score_order)
+        assert column[:, 0].tobytes() == gaps[:, pairs.index((0, 1))].tobytes()
+        with pytest.raises(ValueError, match="distinct"):
             score_gap_bound(bounds, Box(lo, hi), np.array([0, 1]), np.array([1, 1]),
                             net.score_order)
+        for true_label, target_label in ((0, 1), (np.array([0, 1]), np.array([1]))):
+            with pytest.raises(ValueError, match="arrays"):
+                score_gap_bound(bounds, Box(lo, hi), true_label, target_label, net.score_order)
 
     @pytest.mark.parametrize("net, region", [
         (identity_network(3), box_region([0.5, 0.45, 0.1], 0.1)),
@@ -595,16 +627,16 @@ class TestStackedCalls:
         lo[5], hi[5] = hi[5].copy(), lo[5].copy()  # an empty box finds nothing
         targets = rng.choice([t for t in range(net.n_labels) if t != region.expected_label], 24)
         seeds = [int(s) for s in rng.integers(0, 2**40, size=24)]
-        found = find_counterexample(net, region, Box(lo, hi), targets, CE_EFFORT, seed=seeds)
+        found = find_counterexample(net, region, Box(lo, hi), targets, CE_EFFORT, seeds)
         assert len(found) == 24 and found[5] is None
         for k in range(24):
-            alone = find_counterexample(net, region, Box(lo[k], hi[k]), int(targets[k]),
-                                        CE_EFFORT, seed=seeds[k])
+            [alone] = find_counterexample(net, region, Box(lo[k:k + 1], hi[k:k + 1]),
+                                          targets[k:k + 1], CE_EFFORT, seeds[k:k + 1])
             if alone is None:
                 assert found[k] is None, k
             else:
                 assert found[k].tobytes() == alone.tobytes(), k
-        assert find_counterexample(net, region, Box(lo, hi), targets, 0, seed=seeds) == [None] * 24
+        assert find_counterexample(net, region, Box(lo, hi), targets, 0, seeds) == [None] * 24
 
 
 GOLDEN_REGIONS = (  # (kind, centroid, radius) on capacity_network()
