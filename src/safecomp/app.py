@@ -355,7 +355,7 @@ def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2")) -> E
         inputs={"Class": SEMAPHORE_LABELS},
         outputs={"velocity": ("0", "1", "2")},
     )
-    p = parse_property("G (x=red => F<=3 (velocity=0))")
+    p = parse_property("G (x=red => F<=4 (velocity=0))")
     stub_regions = tuple(
         RegionContract(
             id=label,

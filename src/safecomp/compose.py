@@ -6,8 +6,10 @@ output map, wired inputs copy producer outputs of the same tick, unbound
 inputs branch nondeterministically over their domains, and all components
 step simultaneously. Moore outputs make cyclic wiring well-defined. A
 component may declare several initial states; the product branches over
-their cross product at tick zero. The checker searches integer transition
-tables; traces replay on the name-keyed steps, kept as their oracles.
+their cross product at tick zero. One search over integer transition tables
+checks a property on a system and, over compiled contract observers, premise 3
+of the assume-guarantee rule; traces replay on the name-keyed steps, kept as
+their oracles.
 """
 
 from __future__ import annotations
@@ -360,35 +362,6 @@ class ContractMonitor:
         return state[4]
 
 
-class DnnConstraintMonitor:
-    """Atemporal region-contract constraint: whenever the perception token
-    names a contracted region, the class output must obey its guarantee."""
-
-    def __init__(self, token_port: str, class_port: str,
-                 token_map: dict[str, LabelIs | LabelNotIn | None]):
-        self.token_port = token_port
-        self.class_port = class_port
-        self.token_map = token_map
-
-    def initial(self):
-        return (False,)
-
-    def step(self, state, valuation: dict[str, str]):
-        if state[0]:
-            return state
-        guarantee = self.token_map.get(valuation[self.token_port])
-        if guarantee is None:
-            return state
-        cls = valuation[self.class_port]
-        if isinstance(guarantee, LabelIs):
-            return (cls != guarantee.label,)
-        return (cls in guarantee.labels,)
-
-    @staticmethod
-    def is_bad(state) -> bool:
-        return state[0]
-
-
 # ---------------------------------------------------------------------------
 # Property checking
 
@@ -426,14 +399,17 @@ def _bind_check(ports: dict[str, tuple[str, ...]], p: Property):
                 raise ValueError(f"property value {port}={value!r} outside domain {ports[port]}")
 
 
-def check_property(system: System, p: Property) -> CheckResult:
-    """BFS over product x monitor states; a counterexample is a shortest trace.
+def _check(prod: Product, p: Property, accepts=None) -> tuple[int, list | None]:
+    """The expansion loop of check_property and check_implication: BFS over
+    product x PropertyMonitor states.
 
     Each reached product state is expanded once into its distinct (next state,
     antecedent, consequent) outcomes, each under the first env index giving it:
-    a later index with the same outcome finds no new node and no violation."""
-    _bind_check(system.ports(), p)
-    prod = compose(system)
+    a later index with the same outcome finds no new node and no violation.
+    An outcome whose next state `accepts` rejects is dropped: that state is
+    not expanded and a violation on its edge does not count. Returns the
+    states explored and the shortest (product state, env index) path to a
+    violation, or None."""
     mon = PropertyMonitor(p)
     truths = [prod._truth(atom) for atom in mon.atoms]
     expanded: dict = {}
@@ -446,15 +422,24 @@ def check_property(system: System, p: Property) -> CheckResult:
             first: dict = {}
             for e, outcome in enumerate(outcomes):
                 first.setdefault(outcome, e)
-            edges = expanded[s] = [(e, *outcome) for outcome, e in first.items()]
+            edges = expanded[s] = [(e, *outcome) for outcome, e in first.items()
+                                   if accepts is None or accepts(outcome[0])]
         for e, nxt, a, c in edges:
             violated, mem2 = mon.advance(mem, a, c)
             yield e, None if violated else (nxt, mem2), violated
 
     _, explored, path = _search([(s, mon.initial()) for s in prod._initial()], successors)
+    return explored, None if path is None else [(s, e) for (s, _mem), e in path]
+
+
+def check_property(system: System, p: Property) -> CheckResult:
+    """BFS over product x monitor states; a counterexample is a shortest trace."""
+    _bind_check(system.ports(), p)
+    prod = compose(system)
+    explored, path = _check(prod, p)
     if path is None:
         return CheckResult(True, None, explored)
-    named = [(prod._names(s), prod.envs[e]) for (s, _mem), e in path]
+    named = [(prod._names(s), prod.envs[e]) for s, e in path]
     return CheckResult(False, tuple(TraceStep(states, env, prod.valuation(states, env))
                                     for states, env in named), explored)
 
@@ -481,34 +466,36 @@ def replay_violation(system: System, p: Property, trace) -> bool:
     return True
 
 
-def check_implication(constraints: list, p: Property,
+def check_implication(constraints: list[ComponentModel], p: Property,
                       ports: dict[str, tuple[str, ...]]) -> CheckResult:
-    """Do all valuation sequences admitted by the constraint monitors satisfy p?
+    """Do all valuation sequences over `ports` that every constraint accepts
+    satisfy p? Exact for safety languages.
 
-    Explores free valuations over `ports`; a violation counts only while every
-    constraint prefix is still inside its language (a constraint breaking at
-    the same tick absolves the trace). Exact for safety languages.
-    """
+    A constraint is a Moore observer of ports (contract_monitor) whose outputs
+    read "true" until the prefix it consumed leaves its language. The search
+    is check_property's, over the constraints and a stateless reader of the
+    ports none reads, with `accepts` on the constraints' outputs: a constraint
+    breaking at the tick of a violation absolves the trace."""
+    ports = {q: tuple(d) for q, d in sorted(ports.items())}
     _bind_check(ports, p)
-    pmon = PropertyMonitor(p)
-    valuations = list(_valuations(ports))
-    truths = [tuple(atom.holds(v) for atom in pmon.atoms) for v in valuations]
-
-    def successors(node):
-        cstates, pmem = node
-        for v, (ant, cons) in zip(valuations, truths):
-            new_c = tuple(c.step(s, v) for c, s in zip(constraints, cstates))
-            in_language = all(not c.is_bad(s) for c, s in zip(constraints, new_c))
-            p_viol, pmem2 = pmon.advance(pmem, ant, cons)
-            # leaving the language or violating p is absorbing either way
-            absorbed = p_viol or not in_language
-            yield v, None if absorbed else (new_c, pmem2), p_viol and in_language
-
-    root = (tuple(c.initial() for c in constraints), pmon.initial())
-    _, explored, path = _search([root], successors)
+    read = {q for c in constraints for q in c.inputs}
+    free = {q: d for q, d in ports.items() if q not in read}
+    components = tuple(constraints)
+    if free:
+        keys = itertools.product(*free.values())
+        components += (ComponentModel("free ports", free, {}, ("s",), ("s",), {"s": {}},
+                                      {("s", key): "s" for key in keys}),)
+    system = System(components)
+    if system.env_ports != ports:
+        raise ValueError("constraints must read the declared ports with their domains")
+    prod = compose(system)
+    ok = [(j, [all(v == "true" for v in c.output_map[st].values()) for st in c.states])
+          for j, c in enumerate(constraints)]
+    explored, path = _check(prod, p, lambda s: all(flags[s[j]] for j, flags in ok))
     if path is None:
         return CheckResult(True, None, explored)
-    return CheckResult(False, tuple(TraceStep((), v, v) for _node, v in path), explored)
+    return CheckResult(False, tuple(TraceStep((), prod.envs[e], prod.envs[e])
+                                    for _s, e in path), explored)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +508,8 @@ def _contract_ports(c: ComponentContract) -> dict[str, tuple[str, ...]]:
 
 def contract_monitor(c: ComponentContract | Property,
                      port_domains: dict[str, tuple[str, ...]] | None = None,
-                     name: str = "monitor") -> ComponentModel:
-    """Deterministic observer with a boolean `ok` output.
+                     name: str = "monitor", ok_port: str = "ok") -> ComponentModel:
+    """Deterministic observer with a boolean `ok` output (named `ok_port`).
 
     `ok` stays "true" exactly while the observed prefix satisfies the
     contract. Being a Moore output, the flag reflects the ticks already
@@ -556,10 +543,10 @@ def contract_monitor(c: ComponentContract | Property,
     return ComponentModel(
         name=name,
         inputs=ports,
-        outputs={"ok": ("true", "false")},
+        outputs={ok_port: ("true", "false")},
         states=tuple(state_names.values()),
         initial=(state_names[cm.initial()],),
-        output_map={sn: {"ok": "false" if ContractMonitor.is_bad(ms) else "true"}
+        output_map={sn: {ok_port: "false" if ContractMonitor.is_bad(ms) else "true"}
                     for ms, sn in state_names.items()},
         transitions={(state_names[src], key): state_names[dst] for src, key, dst in edges},
     )
@@ -647,6 +634,16 @@ def _perception_tokens(contract: DnnContract, token_map: dict | None):
     return token_map, tuple(token_map) + (("outside",) if "outside" not in token_map else ())
 
 
+def _allowed_labels(guarantee: LabelIs | LabelNotIn | None, class_domain) -> tuple[str, ...]:
+    """The class labels a perception token's guarantee allows: a label_is
+    token pins its label, label_not_in leaves the others, None leaves all."""
+    if guarantee is None:
+        return tuple(class_domain)
+    if isinstance(guarantee, LabelIs):
+        return (guarantee.label,)
+    return tuple(l for l in class_domain if l not in guarantee.labels)
+
+
 def abstract_dnn_component(contract: DnnContract, class_domain,
                            token_port: str = "x", class_port: str = "Class",
                            token_map: dict[str, LabelIs | LabelNotIn | None] | None = None,
@@ -661,48 +658,52 @@ def abstract_dnn_component(contract: DnnContract, class_domain,
     if token_map is None and not contract.regions:
         warnings.warn("empty contract: abstract classifier is fully nondeterministic")
     token_map, tokens = _perception_tokens(contract, token_map)
-
-    def allowed_labels(token: str) -> tuple[str, ...]:
-        g = token_map.get(token)
-        if g is None:
-            return class_domain
-        if isinstance(g, LabelIs):
-            return (g.label,)
-        return tuple(l for l in class_domain if l not in g.labels)
-
+    allowed = {token: _allowed_labels(token_map.get(token), class_domain) for token in tokens}
     for token in tokens:
-        if not allowed_labels(token):
+        if not allowed[token]:
             raise ValueError(f"token {token!r} admits no class label")
 
-    states = []
-    output_map = {}
-    for token in tokens:
-        for cls in allowed_labels(token):
-            states.append((token, cls))
-    state_name = {s: f"{s[0]}|{s[1]}" for s in states}
-    for s in states:
-        output_map[state_name[s]] = {class_port: s[1]}
+    names = {(t, cls): f"{t}|{cls}" for t in tokens for cls in allowed[t]}
     pick = f"{class_port}_pick"
     input_names = sorted([token_port, pick])
     transitions = {}
-    for s in states:
-        for t2 in tokens:
-            for p2 in class_domain:
-                adm = allowed_labels(t2)
-                cls2 = p2 if p2 in adm else adm[0]
-                inputs = {token_port: t2, pick: p2}
-                key = tuple(inputs[p] for p in input_names)
-                transitions[(state_name[s], key)] = state_name[(t2, cls2)]
-    initial = tuple(state_name[("outside", cls)] for cls in allowed_labels("outside"))
+    for t2 in tokens:
+        for p2 in class_domain:
+            nxt = names[(t2, p2 if p2 in allowed[t2] else allowed[t2][0])]
+            key = tuple({token_port: t2, pick: p2}[p] for p in input_names)
+            transitions.update(((st, key), nxt) for st in names.values())
     return ComponentModel(
         name=name,
         inputs={token_port: tokens, pick: class_domain},
         outputs={class_port: class_domain},
-        states=tuple(state_name[s] for s in states),
-        initial=initial,
-        output_map=output_map,
+        states=tuple(names.values()),
+        initial=tuple(names[("outside", cls)] for cls in allowed["outside"]),
+        output_map={n: {class_port: cls} for (_t, cls), n in names.items()},
         transitions=transitions,
     )
+
+
+def _dnn_constraint(token_map: dict, ports: dict[str, tuple[str, ...]],
+                    token_port: str, class_port: str) -> ComponentModel:
+    """Premise 3's reading of a DNN contract: abstract_dnn_component projected
+    on (token, class). The state is the previous token, "outside" at tick
+    zero, and the class must be a label that token allows; any other class
+    moves to the rejecting state, whose `C2.ok` output is "false"."""
+    inputs = {token_port: tuple(ports[token_port]), class_port: tuple(ports[class_port])}
+    order = sorted(inputs)
+    allowed = {t: _allowed_labels(token_map.get(t), inputs[class_port])
+               for t in dict.fromkeys(("outside", *inputs[token_port]))}
+    transitions = {}
+    for key in itertools.product(*(inputs[q] for q in order)):
+        v = dict(zip(order, key))
+        for t, labels in allowed.items():
+            transitions[(f"after {t}", key)] = (f"after {v[token_port]}"
+                                                if v[class_port] in labels else "rejected")
+        transitions[("rejected", key)] = "rejected"
+    states = (*(f"after {t}" for t in allowed), "rejected")
+    return ComponentModel("C2", inputs, {"C2.ok": ("true", "false")}, states, ("after outside",),
+                          {s: {"C2.ok": "false" if s == "rejected" else "true"} for s in states},
+                          transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -756,15 +757,13 @@ def _model_check_premise(name: str, system: System, c: ComponentContract) -> Pre
             name="assumption_env",
         )
         system = wire_by_name(system, env)
-    result = check_property(system, c.guarantee)
-    return PremiseReport(
-        name=name,
-        holds=result.holds,
-        method="model-checking",
-        detail=f"guarantee {render_property(c.guarantee)}",
-        counterexample=result.counterexample,
-        states_explored=result.states_explored,
-    )
+    return _checked_premise(name, "model-checking", f"guarantee {render_property(c.guarantee)}",
+                            check_property(system, c.guarantee))
+
+
+def _checked_premise(name: str, method: str, detail: str, result: CheckResult) -> PremiseReport:
+    return PremiseReport(name, result.holds, method, detail, result.counterexample,
+                         result.states_explored)
 
 
 def audit_dnn_contract(contract: DnnContract) -> tuple[bool, str]:
@@ -795,14 +794,15 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
        discharged by auditing its verifier provenance; a component contract
        is model checked against m2_model.
     3. Every joint behavior allowed by both contracts satisfies p (exact for
-       this safety fragment, checked over monitor-filtered free valuations).
+       this safety fragment): check_implication over compiled observers of
+       c1 and of the second contract. A DNN contract is read as the abstract
+       classifier reads it, its class answering the previous tick's token.
 
     The conclusion m1 || m2 |= p is asserted only when all premises hold.
     """
     premise1 = _model_check_premise("M1 |= C1", m1, c1)
 
     ports: dict[str, tuple[str, ...]] = dict(_contract_ports(c1))
-    constraints: list = [ContractMonitor(c1)]
     if isinstance(m2, DnnContract):
         ok, detail = audit_dnn_contract(m2)
         premise2 = PremiseReport(name="M2 |= C2", holds=ok, method="provenance-audit",
@@ -812,27 +812,23 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
         token_map, tokens = _perception_tokens(m2, token_map)
         ports.setdefault(token_port, tokens)
         ports.setdefault(class_port, tuple(class_domain))
-        constraints.append(DnnConstraintMonitor(token_port, class_port, token_map))
     else:
         if m2_model is None:
             raise ValueError("m2_model is required to check a component contract")
         m2_system = m2_model if isinstance(m2_model, System) else System((m2_model,))
         premise2 = _model_check_premise("M2 |= C2", m2_system, m2)
         ports.update(_contract_ports(m2))
-        constraints.append(ContractMonitor(m2))
 
     for port in property_ports(p):
         if port not in ports:
             raise ValueError(f"property port {port!r} is not covered by the contracts")
-    premise3_result = check_implication(constraints, p, ports)
-    premise3 = PremiseReport(
-        name="C1 & C2 => P",
-        holds=premise3_result.holds,
-        method="monitored-implication",
-        detail=f"property {render_property(p)}",
-        counterexample=premise3_result.counterexample,
-        states_explored=premise3_result.states_explored,
-    )
+    constraints = [contract_monitor(c1, ports, "C1", ok_port="C1.ok"),
+                   _dnn_constraint(token_map, ports, token_port, class_port)
+                   if isinstance(m2, DnnContract) else
+                   contract_monitor(m2, ports, "C2", ok_port="C2.ok")]
+    premise3 = _checked_premise("C1 & C2 => P", "monitored-implication",
+                                f"property {render_property(p)}",
+                                check_implication(constraints, p, ports))
 
     premises = (premise1, premise2, premise3)
     return AGReport(premises, all(pr.holds for pr in premises), render_property(p))

@@ -476,12 +476,15 @@ class _RegionSearch:
 
     def _pop(self, alive: np.ndarray):
         """Up to FRONTIER_BATCH boxes in frontier order, keeping only the
-        targets still searching and the boxes with one of them live."""
+        targets still searching and the boxes with one of them live, and no
+        more than the largest remaining node budget of those targets (at
+        least one: a target can sit at its budget after a pruned node)."""
+        batch = min(FRONTIER_BATCH, max(1, int(np.max((self.max_nodes - self.nodes)[alive]))))
         parts = []
         taken = 0
-        while self.frontier and taken < FRONTIER_BATCH:
+        while self.frontier and taken < batch:
             chunk = self.frontier.popleft()
-            room = FRONTIER_BATCH - taken
+            room = batch - taken
             if len(chunk[0]) > room:
                 self.frontier.appendleft(tuple(a[room:] for a in chunk))
                 chunk = tuple(a[:room] for a in chunk)

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 
+from safecomp.app import build_ebs_demo
 from safecomp.compose import ComponentModel, System, Wire, check_property
-from safecomp.contracts import Always, Atom, ComponentContract, Eventually
+from safecomp.contracts import Always, Atom, ComponentContract, Eventually, parse_property
 
 BIN = ("0", "1")
 TRI = ("0", "1", "2")
@@ -122,3 +123,29 @@ def random_ag_instance(seed):
     c2 = ComponentContract("C2", None, g2, inputs={"e": BIN}, outputs={"m": BIN})
     p_candidates = candidate_properties(["e", "m"], ["o", "m"])
     return m1_system, c1, System((m2,)), c2, full, p_candidates
+
+
+def braking_fleet(n, braking_ticks):
+    """n copies of the EBS demo's braking subsystem sharing its Class input,
+    copy i on ports velocity_i and brake_i. Returns (m1, c1, stopped): the
+    fleet, the contract that every vehicle stops within three ticks of
+    Class=red, and the text of the atom "every vehicle stopped"."""
+    demo = build_ebs_demo(braking_ticks)
+    comps, wires = [], []
+    for i in range(n):
+        def r(port):
+            return f"{port}_{i}" if port in ("velocity", "brake") else port
+        # the renames keep each component's sorted input port order, and so
+        # its transition keys
+        comps += [ComponentModel(f"{c.name}_{i}", {r(q): d for q, d in c.inputs.items()},
+                                 {r(q): d for q, d in c.outputs.items()}, c.states, c.initial,
+                                 {s: {r(q): v for q, v in out.items()}
+                                  for s, out in c.output_map.items()}, c.transitions)
+                  for c in demo.m1.components]
+        wires += [Wire(f"{w.src_comp}_{i}", r(w.src_port), f"{w.dst_comp}_{i}", r(w.dst_port))
+                  for w in demo.m1.wiring]
+    stopped = " & ".join(f"velocity_{i}=0" for i in range(n))
+    c1 = ComponentContract("C1", None, parse_property(f"G (Class=red => F<=3 ({stopped}))"),
+                           inputs=dict(demo.c1.inputs),
+                           outputs={f"velocity_{i}": TRI for i in range(n)})
+    return System(tuple(comps), tuple(wires)), c1, stopped

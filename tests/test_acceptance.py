@@ -200,7 +200,7 @@ class TestCriterion5:
         premises = passing["assume_guarantee"]["premises"]
         assert [p["holds"] for p in premises] == [True, True, True]
         assert passing["conclusion"] == "M1 || M2 |= P"
-        assert passing["assume_guarantee"]["property"] == "G (x=red => F<=3 (velocity=0))"
+        assert passing["assume_guarantee"]["property"] == "G (x=red => F<=4 (velocity=0))"
 
         t1 = time.perf_counter()
         failing = run_ebs_demo(braking_ticks=4, seed=42)

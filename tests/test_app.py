@@ -159,7 +159,7 @@ class TestEbsDemo:
         premises = report["assume_guarantee"]["premises"]
         assert [p["holds"] for p in premises] == [True, True, True]
         assert report["conclusion"] == "M1 || M2 |= P"
-        assert report["assume_guarantee"]["property"] == "G (x=red => F<=3 (velocity=0))"
+        assert report["assume_guarantee"]["property"] == "G (x=red => F<=4 (velocity=0))"
 
     def test_braking_four_fails_premise_one_with_trace(self):
         report = run_ebs_demo(braking_ticks=4, seed=42)

@@ -2,19 +2,21 @@
 
 bench/layers.wrap_targets() wraps functions where their callers look them
 up. A call that bypasses such a module global would silently drop out of the
-per-layer metrics; only the slow bench/test_bench.py would notice. This test
-installs counting wrappers at the verifier and app entries and runs one small
-verification through app.run_parallel_verification.
+per-layer metrics; only the slow bench/test_bench.py would notice. These
+tests install counting wrappers at the verifier and app entries and run one
+small verification through app.run_parallel_verification, and at the compose
+entries around one assume-guarantee check of the EBS demo.
 """
 
 import importlib.util
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from conftest import identity_network
-from safecomp import app, verifier
+from safecomp import app, compose, verifier
+from safecomp.contracts import LabelIs
 from safecomp.regions import Region
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -62,3 +64,29 @@ def test_verifier_and_app_wraps_see_every_call(monkeypatch):
                 for v in entry["verdicts"].values())
     assert sum(v.stats.nodes for v in targeted) == total
     assert {v["status"] for v in report["regions"][0]["verdicts"].values()} == {"Unsafe", "Safe"}
+
+
+def test_compose_wraps_see_every_premise(monkeypatch):
+    results = defaultdict(list)
+
+    def recording(span, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            results[span].append(result)
+            return result
+        return wrapper
+
+    for owner, attribute, span, _ in _wrap_targets():
+        if owner is compose:
+            monkeypatch.setattr(owner, attribute, recording(span, getattr(owner, attribute)))
+
+    demo = app.build_ebs_demo(braking_ticks=2)
+    report = compose.check_assume_guarantee(
+        demo.m1, demo.c1, demo.dnn_contract, demo.p, class_domain=app.SEMAPHORE_LABELS,
+        token_map={label: LabelIs(label) for label in app.SEMAPHORE_LABELS})
+
+    assert report.conclusion
+    [premise1] = results["compose.check_property"]
+    [premise3] = results["compose.check_implication"]
+    assert premise1.states_explored == report.premise("M1 |= C1").states_explored
+    assert premise3.states_explored == report.premise("C1 & C2 => P").states_explored > 0

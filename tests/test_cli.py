@@ -270,7 +270,7 @@ class TestCheckSystem:
         sys_path, contract_path = self._write_system(tmp_path, 2)
         out = tmp_path / "ag.json"
         code = run(["check-system", "--system", sys_path, "--contracts", contract_path,
-                    "--property", "G (x=red => F<=3 (velocity=0))", "--out", out])
+                    "--property", "G (x=red => F<=4 (velocity=0))", "--out", out])
         assert code == 0
         report = json.loads(out.read_text())
         jsonschema.validate(report["assume_guarantee"], AG_SCHEMA)

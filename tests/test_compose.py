@@ -6,6 +6,7 @@ import pytest
 
 from ag_fixtures import (
     BIN,
+    braking_fleet,
     random_ag_instance,
     random_cyclic_system,
     random_property,
@@ -29,6 +30,7 @@ from safecomp.compose import (
     most_general_environment,
     replay_violation,
     system_from_json,
+    wire_by_name,
 )
 from safecomp.contracts import (
     Always,
@@ -327,6 +329,136 @@ class TestCompiledAgainstReference:
             result = check_property(system, parse_property(f"G (x=red => F<={k} (velocity=0))"))
             got.append((result.holds, result.states_explored))
         assert got == self.EBS_PINS[bt]
+
+
+def reference_implication(contracts, prop, ports):
+    """Name-keyed premise 3, the oracle of check_implication over compiled
+    contract monitors: breadth-first search over (ContractMonitor states,
+    PropertyMonitor memory), one edge per valuation of every port in
+    sorted-port lexicographic order. A violation of prop counts only while
+    every contract prefix is still inside its language after that tick; a
+    node that leaves a language is not expanded."""
+    monitors = [ContractMonitor(c) for c in contracts]
+    mon = PropertyMonitor(prop)
+    names = sorted(ports)
+    valuations = [dict(zip(names, combo)) for combo in itertools.product(*(ports[n] for n in names))]
+    root = (tuple(m.initial() for m in monitors), mon.initial())
+    parents = {root: None}
+    queue = deque([root])
+    explored = 0
+    while queue:
+        node = queue.popleft()
+        explored += 1
+        cstates, mem = node
+        for v in valuations:
+            nxt = tuple(m.step(st, v) for m, st in zip(monitors, cstates))
+            in_language = not any(ContractMonitor.is_bad(st) for st in nxt)
+            violated, mem2 = mon.step(mem, v)
+            if violated and in_language:
+                trace = [TraceStep((), v, v)]
+                while parents[node] is not None:
+                    node, v = parents[node]
+                    trace.append(TraceStep((), v, v))
+                return CheckResult(False, tuple(reversed(trace)), explored)
+            if in_language and not violated and (nxt, mem2) not in parents:
+                parents[(nxt, mem2)] = (node, v)
+                queue.append((nxt, mem2))
+    return CheckResult(True, None, explored)
+
+
+class TestPremiseThree:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_compiled_premise_three_equals_reference(self, seed):
+        instance = random_ag_instance(seed)
+        if instance is None:
+            pytest.skip("no holding guarantees mined")
+        _, c1, _, c2, _, candidates = instance
+        ports = {**c1.inputs, **c1.outputs, **c2.inputs, **c2.outputs}
+        monitors = [contract_monitor(c1, ports, "C1", ok_port="C1.ok"),
+                    contract_monitor(c2, ports, "C2", ok_port="C2.ok")]
+        for prop in candidates:
+            assert check_implication(monitors, prop, ports) == \
+                reference_implication([c1, c2], prop, ports), prop
+
+    def test_unread_ports_vary_and_show_in_traces(self):
+        # C1 reads only a, C2 only b; p's port c is read by neither
+        c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"),
+                               outputs={"a": BIN, "z": BIN})
+        c2 = ComponentContract("C2", None, parse_property("G (true => b=0)"),
+                               outputs={"b": BIN})
+        ports = {"a": BIN, "b": BIN, "c": BIN, "z": BIN}
+        prop = parse_property("G (c=1 => b=1)")
+        monitors = [contract_monitor(c1, ports, "C1", ok_port="C1.ok"),
+                    contract_monitor(c2, ports, "C2", ok_port="C2.ok")]
+        result = check_implication(monitors, prop, ports)
+        assert not result.holds
+        assert [st.valuation for st in result.counterexample] == \
+            [{"a": "1", "b": "0", "c": "1", "z": "0"}]
+        assert result == reference_implication([c1, c2], prop, ports)
+
+    def test_constraints_must_read_declared_domains(self):
+        c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"), outputs={"a": BIN})
+        with pytest.raises(ValueError, match="declared ports"):
+            check_implication([contract_monitor(c1, {"a": ("0", "1", "2")})],
+                              parse_property("G (true => a=1)"), {"a": BIN})
+
+
+LABELS = ("red", "green", "yellow")
+# perception token maps for the EBS demo's contract: label_is everywhere;
+# label_is, label_not_in and unconstrained mixed; label_not_in with an
+# unconstrained "outside"; unconstrained everywhere
+TOKEN_MAPS = (
+    {label: LabelIs(label) for label in LABELS},
+    {"red": LabelIs("red"), "green": LabelNotIn(("red",)), "yellow": None},
+    {"red": LabelNotIn(("green", "yellow")), "green": LabelNotIn(("red",)),
+     "yellow": LabelNotIn(("red", "green")), "outside": None},
+    {label: None for label in LABELS},
+)
+
+
+class TestDnnPathOracle:
+    """An AG conclusion over a DNN contract must hold on the composition of
+    M1 with abstract_dnn_component, whose class answers the token one tick
+    later."""
+
+    @staticmethod
+    def conclusions(m1, c1, dnn, props, token_map):
+        """(property, concluded, holds on M1 || abstract classifier) per property."""
+        full = wire_by_name(m1, abstract_dnn_component(dnn, LABELS, token_map=token_map))
+        for prop in props:
+            report = check_assume_guarantee(m1, c1, dnn, prop, class_domain=LABELS,
+                                            token_map=token_map)
+            yield prop, report.conclusion, check_property(full, prop).holds
+
+    @pytest.mark.parametrize("bt", [1, 2, 3, 4])
+    @pytest.mark.parametrize("token_map", range(len(TOKEN_MAPS)))
+    def test_ebs_conclusions_hold_on_latched_composition(self, bt, token_map):
+        demo = build_ebs_demo(bt)
+        props = [parse_property(f"G (x=red => F<={k} (velocity=0))") for k in range(1, 7)]
+        for prop, concluded, holds in self.conclusions(demo.m1, demo.c1, demo.dnn_contract,
+                                                        props, TOKEN_MAPS[token_map]):
+            assert holds or not concluded, prop
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bt", [2, 4])
+    def test_fleet_conclusions_hold_on_latched_composition(self, n, bt):
+        m1, c1, stopped = braking_fleet(n, bt)
+        dnn = build_ebs_demo(bt).dnn_contract
+        props = [parse_property(f"G (x=red => F<={k} ({stopped}))") for k in (3, 4, 5)]
+        got = [(concluded, holds) for _, concluded, holds in
+               self.conclusions(m1, c1, dnn, props, TOKEN_MAPS[0])]
+        # three braking ticks plus the perception latch: F<=4 is the first
+        # deadline the rule proves for a fleet that brakes in time
+        assert got == ([(False, False), (True, True), (True, True)] if bt == 2 else
+                       [(False, False)] * 3)
+
+    def test_demo_property_is_the_first_provable_deadline(self):
+        demo = build_ebs_demo(2)
+        assert demo.p == parse_property("G (x=red => F<=4 (velocity=0))")
+        props = [parse_property(f"G (x=red => F<={k} (velocity=0))") for k in (3, 4)]
+        got = [(concluded, holds) for _, concluded, holds in self.conclusions(
+            demo.m1, demo.c1, demo.dnn_contract, props, TOKEN_MAPS[0])]
+        assert got == [(False, False), (True, True)]
 
 
 class TestMonitors:

@@ -696,6 +696,26 @@ def test_verdicts_independent_of_frontier_batch(monkeypatch, batch):
         assert fingerprint(verdicts) == GOLDEN_VERDICTS[name], name
 
 
+@pytest.mark.parametrize("max_nodes", [16, 64])
+def test_lone_search_bounds_no_box_past_its_budget(monkeypatch, max_nodes):
+    """A step takes no more boxes than the largest remaining node budget, so
+    a budget-bound lone target propagates bounds for exactly the boxes it
+    counts as nodes, not for a whole batch past its budget stop."""
+    bounded = []
+
+    def counting(net, box):
+        bounded.append(len(box.lo))
+        return propagate_bounds(net, box)
+
+    monkeypatch.setattr(verifier_module, "propagate_bounds", counting)
+    net = capacity_network()
+    _, centroid, radius = GOLDEN_REGIONS[2]  # "budget"
+    region = box_region(centroid, radius, expected=classify(net, np.array(centroid)))
+    verdict = verify_targeted(VerificationTask(net, region, 0, max_nodes=max_nodes, seed=1))
+    assert (verdict.status, verdict.reason, verdict.stats.nodes) == ("Unknown", "budget", max_nodes)
+    assert sum(bounded) == max_nodes
+
+
 def test_time_budget_is_one_clock_per_region():
     """The targets of a region run together, so the time budget bounds the
     region's wall time: every undecided target is Unknown ("budget") at the
