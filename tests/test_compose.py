@@ -452,14 +452,6 @@ class TestDnnPathOracle:
         assert got == ([(False, False), (True, True), (True, True)] if bt == 2 else
                        [(False, False)] * 3)
 
-    def test_demo_property_is_the_first_provable_deadline(self):
-        demo = build_ebs_demo(2)
-        assert demo.p == parse_property("G (x=red => F<=4 (velocity=0))")
-        props = [parse_property(f"G (x=red => F<={k} (velocity=0))") for k in (3, 4)]
-        got = [(concluded, holds) for _, concluded, holds in self.conclusions(
-            demo.m1, demo.c1, demo.dnn_contract, props, TOKEN_MAPS[0])]
-        assert got == [(False, False), (True, True)]
-
 
 class TestMonitors:
     def test_immediate_violation_detected_at_tick(self):
