@@ -236,6 +236,9 @@ def cmd_grid(args) -> int:
         raise ValueError("names and cutpoints must align")
     total = app.grid_count(cutpoints)
     net = _read_net(args.label_with) if args.label_with else None
+    if net is not None and net.input_dim != len(cutpoints):
+        raise ValueError(f"grid has {len(cutpoints)} dimensions, network {net.name!r} "
+                         f"takes {net.input_dim} inputs")
 
     def emit(handle):
         writer = csv.writer(handle, lineterminator="\n")

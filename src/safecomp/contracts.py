@@ -205,8 +205,9 @@ class RegionContract:
             raise ValueError(f"unknown metric {self.metric!r}")
         if np.ndim(self.centroid) != 1:
             raise ValueError("centroid must be a vector")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"region {self.id!r} radius must be finite and positive, "
+                             f"got {self.radius!r}")
         if self.uncertainty_max is not None and not 0 < self.uncertainty_max <= 1:
             raise ValueError("uncertainty_max must lie in (0, 1]")
         expected = self.provenance.get("expected_label")

@@ -57,8 +57,9 @@ class Region:
             raise ValueError(f"unknown metric {self.metric!r}")
         if not np.all(np.isfinite(self.centroid)):
             raise ValueError(f"region {self.id!r} has a non-finite centroid")
-        if not self.radius > 0:
-            raise ValueError("region radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"region {self.id!r} radius must be finite and positive, "
+                             f"got {self.radius!r}")
         if self.member_indices and self.member_count != len(self.member_indices):
             raise ValueError("member_count must match member_indices")
 

@@ -1,12 +1,12 @@
 """Targeted safety verification of a network over a region.
 
 The engine is input-splitting branch-and-bound: each input box gets symbolic
-affine lower/upper bounds for every score (exact through affine layers, ReLU
-relaxed), and is discharged when the certified score margin clears the safety
-threshold, refuted when a concrete in-region counterexample validates, or
-bisected otherwise. Safe is sound by construction; Unsafe is exact (every
-counterexample re-validates by forward evaluation); Unknown reports which
-budget ran out.
+affine lower/upper bounds on the activations the final layer reads (exact
+through affine layers, ReLU relaxed), and is discharged when the score margin
+certified through the final layer clears the safety threshold, refuted when a
+concrete in-region counterexample validates, or bisected otherwise. Safe is
+sound by construction; Unsafe is exact (every counterexample re-validates by
+forward evaluation); Unknown reports which budget ran out.
 
 Boxes come in stacks: a Box holds (K, d) bounds, and the kernels below
 (propagate_bounds, score_gap_bound, find_counterexample) take a stack and
@@ -61,35 +61,22 @@ class Box:
 
 @dataclass(frozen=True)
 class LinearBounds:
-    """Affine lower/upper bounding functions per output, valid over one box.
+    """Affine lower/upper bounding functions of the final layer's inputs.
 
     lower(x) = lower_a @ x + lower_b and upper(x) = upper_a @ x + upper_b
-    satisfy lower(x) <= score(x) <= upper(x) for every x in the box. concrete
-    lo/hi are interval bounds at least as tight as the concretized functions.
-
-    The symbolic bounds of the final layer's input activations ride along
-    (penult_*), together with that layer's weights, so score differences can
-    be bounded as one composed affine row instead of subtracting two
-    independently relaxed outputs.
-
-    Every field but final_w and final_b has a leading axis of length K, one
-    entry per box of the stack.
+    satisfy lower(x) <= h(x) <= upper(x) for every x in the box, h(x) being
+    the activations of the last hidden layer (the input itself when the
+    network has one layer). lo/hi are interval bounds on h at least as tight
+    as the concretized functions. Every field has a leading axis of length K,
+    one entry per box of the stack.
     """
 
     lower_a: np.ndarray
     lower_b: np.ndarray
     upper_a: np.ndarray
     upper_b: np.ndarray
-    concrete_lo: np.ndarray
-    concrete_hi: np.ndarray
-    penult_lower_a: np.ndarray
-    penult_lower_b: np.ndarray
-    penult_upper_a: np.ndarray
-    penult_upper_b: np.ndarray
-    penult_lo: np.ndarray
-    penult_hi: np.ndarray
-    final_w: np.ndarray
-    final_b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -193,7 +180,8 @@ def _first_max(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
 
 
 def propagate_bounds(net: Network, box: Box) -> LinearBounds:
-    """Layer-by-layer symbolic propagation over each box of the stack.
+    """Layer-by-layer symbolic propagation over each box of the stack, up to
+    the final layer's inputs (score_gap_bound composes the final layer).
 
     Affine layers compose the bounding functions exactly (sign-split on the
     weights). A ReLU with pre-activation interval [l, u] becomes: zero when
@@ -208,9 +196,7 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
     upper_b = lower_b
     clo, chi = box.lo, box.hi
 
-    for index, layer in enumerate(net.layers):
-        if index == len(net.layers) - 1:
-            penult = (lower_a, lower_b, upper_a, upper_b, clo, chi)
+    for layer in net.layers[:-1]:
         w_pos = np.maximum(layer.weights, 0.0)
         w_neg = np.minimum(layer.weights, 0.0)
         pre_la = w_pos @ lower_a + w_neg @ upper_a
@@ -251,21 +237,19 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
         clo = np.maximum(l, 0.0)
         chi = np.maximum(u, 0.0)
 
-    final = net.layers[-1]
-    return LinearBounds(lower_a, lower_b, upper_a, upper_b, clo, chi, *penult,
-                        final.weights, final.bias)
+    return LinearBounds(lower_a, lower_b, upper_a, upper_b, clo, chi)
 
 
-def score_gap_bound(bounds: LinearBounds, box: Box, true_label: np.ndarray, target: np.ndarray,
-                    score_order: str) -> np.ndarray:
+def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np.ndarray,
+                    target: np.ndarray) -> np.ndarray:
     """Certified lower bound over each box of the margin by which the target
     label loses to the true label (positive means the target never wins).
 
-    Three sound candidates, best wins: the margin row composed through the
-    final layer against the symbolic penultimate bounds (cancels shared
-    terms), the same row against the penultimate intervals, and the concrete
-    interval difference. Subtracting the two outputs' bounding functions is
-    never tighter than the composed row, so it is not a candidate.
+    The margin is one affine row of the final layer, W[win] - W[lose], over
+    the final layer's inputs. Two sound candidates, the first kept on ties:
+    the row against the symbolic bounds (cancels shared terms) and the row
+    against the interval bounds. Subtracting two independently bounded
+    scores is never tighter than the first, so it is not a candidate.
 
     bounds come from propagate_bounds on the stack of K boxes, and true_label
     and target are (Q,) arrays of label pairs; the result is (K, Q).
@@ -276,26 +260,25 @@ def score_gap_bound(bounds: LinearBounds, box: Box, true_label: np.ndarray, targ
         raise ValueError("labels must be (Q,) arrays of one shape")
     if np.any(true_label == target):
         raise ValueError("labels must be distinct")
-    if score_order == "min_best":
+    if net.score_order == "min_best":
         win, lose = target, true_label  # margin = s_target - s_true
     else:
         win, lose = true_label, target  # margin = s_true - s_target
 
-    # candidate 1: single affine row for the difference over the penultimate
-    # activations, sign-split against their symbolic bounds; arrays are
-    # (box, pair, 1, n), so each (box, pair) is its own one-row product
-    row = bounds.final_w[win] - bounds.final_w[lose]
-    row_b = (bounds.final_b[win] - bounds.final_b[lose])[:, None, None]
+    # the row sign-split against each bound; arrays are (box, pair, 1, n),
+    # so each (box, pair) is its own one-row product
+    final = net.layers[-1]
+    row = final.weights[win] - final.weights[lose]
+    row_b = (final.bias[win] - final.bias[lose])[:, None, None]
     r_pos = np.maximum(row, 0.0)[None, :, None, :]
     r_neg = np.minimum(row, 0.0)[None, :, None, :]
-    m_a = r_pos @ bounds.penult_lower_a[:, None] + r_neg @ bounds.penult_upper_a[:, None]
-    m_b = (r_pos @ bounds.penult_lower_b[:, None, :, None]
-           + r_neg @ bounds.penult_upper_b[:, None, :, None] + row_b)
+    m_a = r_pos @ bounds.lower_a[:, None] + r_neg @ bounds.upper_a[:, None]
+    m_b = (r_pos @ bounds.lower_b[:, None, :, None]
+           + r_neg @ bounds.upper_b[:, None, :, None] + row_b)
     composed = _affine_min(m_a, m_b[..., 0], box.lo[:, None], box.hi[:, None])[..., 0]
-    interval = (r_pos @ bounds.penult_lo[:, None, :, None]
-                + r_neg @ bounds.penult_hi[:, None, :, None] + row_b)[..., 0, 0]
-    concrete = bounds.concrete_lo[:, win] - bounds.concrete_hi[:, lose]
-    return _first_max(composed, interval, concrete)
+    interval = (r_pos @ bounds.lo[:, None, :, None]
+                + r_neg @ bounds.hi[:, None, :, None] + row_b)[..., 0, 0]
+    return _first_max(composed, interval)
 
 
 def _pull_into_region_batch(xs: np.ndarray, region: Region) -> np.ndarray:
@@ -502,8 +485,7 @@ class _RegionSearch:
         the target never wins)."""
         box = Box(lo, hi)
         bounds = propagate_bounds(self.net, box)
-        gaps = score_gap_bound(bounds, box, self.rivals, self.pair_targets,
-                               self.net.score_order)
+        gaps = score_gap_bound(self.net, bounds, box, self.rivals, self.pair_targets)
         gaps = gaps.reshape(len(lo), len(self.tasks), self.net.n_labels - 1)
         return _first_max(*np.moveaxis(gaps, 2, 0))
 

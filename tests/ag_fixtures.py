@@ -12,6 +12,19 @@ BIN = ("0", "1")
 TRI = ("0", "1", "2")
 
 
+def const_component(name="const", port="v", value="1", domain=BIN):
+    """A one-state component that always outputs value on port."""
+    return ComponentModel(
+        name=name,
+        inputs={},
+        outputs={port: tuple(domain)},
+        states=("s",),
+        initial=("s",),
+        output_map={"s": {port: value}},
+        transitions={("s", ()): "s"},
+    )
+
+
 def random_component(name, rng, in_ports, out_ports, max_states=4, in_domain=BIN,
                      out_domain=BIN, n_initial=1):
     """Random total Moore machine; its first n_initial states (as many as it

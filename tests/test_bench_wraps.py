@@ -5,7 +5,8 @@ up. A call that bypasses such a module global would silently drop out of the
 per-layer metrics; only the slow bench/test_bench.py would notice. These
 tests install counting wrappers at the verifier and app entries and run one
 small verification through app.run_parallel_verification, and at the compose
-entries around one assume-guarantee check of the EBS demo.
+entries around assume-guarantee checks of the EBS demo and of a C1 with an
+assumption.
 """
 
 import importlib.util
@@ -14,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ag_fixtures import BIN, const_component
 from conftest import identity_network
 from safecomp import app, compose, verifier
-from safecomp.contracts import LabelIs
+from safecomp.contracts import ComponentContract, LabelIs, parse_property
 from safecomp.regions import Region
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -66,7 +68,8 @@ def test_verifier_and_app_wraps_see_every_call(monkeypatch):
     assert {v["status"] for v in report["regions"][0]["verdicts"].values()} == {"Unsafe", "Safe"}
 
 
-def test_compose_wraps_see_every_premise(monkeypatch):
+def _record_compose(monkeypatch):
+    """Install recording wrappers at the compose entries; span -> results."""
     results = defaultdict(list)
 
     def recording(span, fn):
@@ -79,7 +82,11 @@ def test_compose_wraps_see_every_premise(monkeypatch):
     for owner, attribute, span, _ in _wrap_targets():
         if owner is compose:
             monkeypatch.setattr(owner, attribute, recording(span, getattr(owner, attribute)))
+    return results
 
+
+def test_compose_wraps_see_every_premise(monkeypatch):
+    results = _record_compose(monkeypatch)
     demo = app.build_ebs_demo(braking_ticks=2)
     report = compose.check_assume_guarantee(
         demo.m1, demo.c1, demo.dnn_contract, demo.p, class_domain=app.SEMAPHORE_LABELS,
@@ -90,3 +97,24 @@ def test_compose_wraps_see_every_premise(monkeypatch):
     [premise3] = results["compose.check_implication"]
     assert premise1.states_explored == report.premise("M1 |= C1").states_explored
     assert premise3.states_explored == report.premise("C1 & C2 => P").states_explored > 0
+
+
+def test_compose_wraps_see_the_assumption_environment(monkeypatch):
+    # premise 1 of a C1 with an assumption runs M1 under the most general
+    # environment of that assumption; neither the EBS demo's C1 nor the
+    # fleet's has one
+    results = _record_compose(monkeypatch)
+    c1 = ComponentContract("resp", parse_property("G (c=1 => F<=1 (c=0))"),
+                           parse_property("G (c=1 => F<=1 (v=1))"),
+                           inputs={"c": BIN}, outputs={"v": BIN})
+    c2 = ComponentContract("quiet", None, parse_property("G (c=1 => F<=1 (c=0))"),
+                           inputs={}, outputs={"c": BIN})
+    report = compose.check_assume_guarantee(
+        compose.System((const_component("resp", "v", "1"),)), c1, c2, c1.guarantee,
+        m2_model=compose.System((const_component("quiet", "c", "0"),)))
+
+    assert report.conclusion
+    [env] = results["compose.most_general_environment"]
+    assert set(env.outputs) == {"c"}
+    assert report.premise("M1 |= C1").states_explored > 0
+

@@ -348,6 +348,23 @@ class TestVerifyInput:
         err = capsys.readouterr().err
         assert "width 7" in err and "8 inputs" in err
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_radius_exits_2_without_output(self, semaphore_files, tmp_path,
+                                                      capsys, bad):
+        # an infinite radius must not reach the report: json.dumps writes it
+        # as Infinity, which is not JSON
+        _, _, net_path, data_path = semaphore_files
+        regions_path = tmp_path / "regions.json"
+        assert run(["discover", "--net", net_path, "--data", data_path, "--seed", 42,
+                    "--out", regions_path]) == 0
+        obj = json.loads(regions_path.read_text())
+        obj["regions"][0]["radius"] = bad
+        regions_path.write_text(json.dumps(obj))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--net", net_path, "--regions", regions_path, "--out", out]) == 2
+        assert not out.exists()
+        rid = obj["regions"][0]["id"]
+        assert f"region {rid!r} radius must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--eps", "-0.5", "epsilon"),
@@ -421,6 +438,18 @@ class TestGridCli:
         assert len(lines) == 3
         assert lines[1].endswith(",b")  # 0.1 < 0.5: second label wins
         assert lines[2].endswith(",a")
+
+    def test_grid_width_mismatch_exits_2_without_output(self, tmp_path, capsys):
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network(3)))
+        spec_path = tmp_path / "cuts.json"
+        spec_path.write_text(json.dumps(
+            {"names": ["x1", "x2"], "cutpoints": [[0.1, 0.9], [0.5]]}))
+        out_path = tmp_path / "grid.csv"
+        assert run(["grid", "--cutpoints", spec_path, "--label-with", net_path,
+                    "--out", out_path]) == 2
+        assert not out_path.exists()
+        assert "grid has 2 dimensions, network 'test' takes 3 inputs" in capsys.readouterr().err
 
     def test_grid_unlabeled(self, tmp_path):
         spec_path = tmp_path / "cuts.json"

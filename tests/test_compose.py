@@ -7,6 +7,7 @@ import pytest
 from ag_fixtures import (
     BIN,
     braking_fleet,
+    const_component,
     random_ag_instance,
     random_cyclic_system,
     random_property,
@@ -42,18 +43,6 @@ from safecomp.contracts import (
     LabelNotIn,
     parse_property,
 )
-
-
-def const_component(name="const", port="v", value="1", domain=("0", "1")):
-    return ComponentModel(
-        name=name,
-        inputs={},
-        outputs={port: tuple(domain)},
-        states=("s",),
-        initial=("s",),
-        output_map={"s": {port: value}},
-        transitions={("s", ()): "s"},
-    )
 
 
 def trace_satisfies(prop, valuations):

@@ -153,6 +153,17 @@ class TestRegionContractInvariants:
                            LabelNotIn(("COC", "WeakLeft")),
                            provenance={"expected_label": "COC"})
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -0.28])
+    def test_non_finite_or_non_positive_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="region 'r0' radius must be finite and positive"):
+            RegionContract("r0", COC_CENTROID, bad, "L1", LabelIs("COC"))
+        rc = RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
+                            provenance={"summary": "FullySafe", "expected_label": "COC"})
+        obj = json.loads(render_contract(DnnContract("advisory", (rc,))))
+        obj["regions"][0]["radius"] = bad
+        with pytest.raises(ValueError, match="region 'r0' radius must be finite and positive"):
+            dnn_contract_from_json(obj)
+
     def test_uncertainty_threshold_range(self):
         with pytest.raises(ValueError):
             RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),

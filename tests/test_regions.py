@@ -256,6 +256,16 @@ class TestCsvAndJson:
         with pytest.raises(ValueError, match="region 'r7' has a non-finite centroid"):
             region_from_dict(obj, ["a", "b"])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -0.5])
+    def test_non_finite_or_non_positive_radius_rejected_naming_the_region(self, bad):
+        with pytest.raises(ValueError, match="region 'r7' radius must be finite and positive"):
+            Region("r7", np.array([0.1, 0.2]), bad, "Linf", 0, 1, (0,))
+        obj = region_to_dict(Region("r7", np.array([0.1, 0.2]), 0.5, "Linf", 0, 1, (0,)),
+                             ["a", "b"])
+        obj["radius"] = bad
+        with pytest.raises(ValueError, match="region 'r7' radius must be finite and positive"):
+            region_from_dict(obj, ["a", "b"])
+
     def test_region_dict_round_trip(self):
         region = Region("r001", np.array([0.1, 0.2]), 0.5, "Linf", 1, 3, (1, 4, 7))
         obj = region_to_dict(region, ["a", "b"])

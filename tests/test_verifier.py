@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import safecomp.verifier as verifier_module
 from conftest import capacity_network, identity_network, make_network, random_network
+from safecomp.app import build_semaphore_classifier
 from safecomp.network import Layer, classify, classify_batch, evaluate, evaluate_batch
 from safecomp.regions import METRICS, Region, dist_many, region_membership
 from safecomp.verifier import (
@@ -47,11 +49,35 @@ def one_box(lo, hi):
     return Box(np.array([lo], dtype=np.float64), np.array([hi], dtype=np.float64))
 
 
-def one_gap(bounds, box, true_label, target, score_order):
+def one_gap(net, bounds, box, true_label, target):
     """score_gap_bound of one label pair on a stack of one box, as a float."""
-    gaps = score_gap_bound(bounds, box, np.array([true_label]), np.array([target]), score_order)
+    gaps = score_gap_bound(net, bounds, box, np.array([true_label]), np.array([target]))
     assert gaps.shape == (1, 1)
     return float(gaps[0, 0])
+
+
+def final_inputs(net, xs):
+    """The activations the final layer reads at each row of xs, layer by
+    layer: the sampling oracle of propagate_bounds."""
+    a = np.asarray(xs, dtype=np.float64)
+    for layer in net.layers[:-1]:
+        a = a @ layer.weights.T + layer.bias
+        if layer.activation == "relu":
+            a = np.maximum(a, 0.0)
+    return a
+
+
+def sampled_margins(net, scores, true_label, target):
+    """Per row of an (n, labels) score array, the margin by which target
+    loses to true_label under the network's score order."""
+    margin = scores[:, true_label] - scores[:, target]
+    return -margin if net.score_order == "min_best" else margin
+
+
+def label_pairs(net):
+    """Every ordered pair of distinct labels, as (true, target) arrays."""
+    labels = range(net.n_labels)
+    return np.array([(a, b) for a in labels for b in labels if a != b]).T
 
 
 class TestBox:
@@ -102,8 +128,8 @@ class TestPropagateBounds:
         np.testing.assert_allclose(bounds.lower_a[0], np.eye(2))
         np.testing.assert_allclose(bounds.upper_a[0], np.eye(2))
         np.testing.assert_allclose(bounds.lower_b[0], np.zeros(2))
-        np.testing.assert_allclose(bounds.concrete_lo[0], box.lo[0])
-        np.testing.assert_allclose(bounds.concrete_hi[0], box.hi[0])
+        np.testing.assert_allclose(bounds.lo[0], box.lo[0])
+        np.testing.assert_allclose(bounds.hi[0], box.hi[0])
 
     def test_single_relu_concrete_interval(self):
         # one relu neuron with pre-activation range [-1, 2]
@@ -111,8 +137,8 @@ class TestPropagateBounds:
         out = Layer(np.array([[1.0], [0.0]]), np.zeros(2), "identity")
         net = make_network([hidden, out], input_min=[-1], input_max=[2])
         bounds = propagate_bounds(net, one_box([-1.0], [2.0]))
-        assert bounds.concrete_lo[0, 0] == pytest.approx(0.0)
-        assert bounds.concrete_hi[0, 0] == pytest.approx(2.0)
+        assert bounds.lo[0, 0] == pytest.approx(0.0)
+        assert bounds.hi[0, 0] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampling_oracle(self, seed):
@@ -121,14 +147,27 @@ class TestPropagateBounds:
         box = one_box([-0.5, -0.2], [0.4, 0.9])
         bounds = propagate_bounds(net, box)
         xs = box.lo[0] + rng.random((1000, 2)) * (box.hi[0] - box.lo[0])
-        for x in xs:
-            scores = evaluate(net, x)
+        for x, h in zip(xs, final_inputs(net, xs)):
             lower = bounds.lower_a[0] @ x + bounds.lower_b[0]
             upper = bounds.upper_a[0] @ x + bounds.upper_b[0]
-            assert np.all(lower <= scores + 1e-9)
-            assert np.all(scores <= upper + 1e-9)
-            assert np.all(bounds.concrete_lo[0] <= scores + 1e-9)
-            assert np.all(scores <= bounds.concrete_hi[0] + 1e-9)
+            assert np.all(lower <= h + 1e-9)
+            assert np.all(h <= upper + 1e-9)
+            assert np.all(bounds.lo[0] <= h + 1e-9)
+            assert np.all(h <= bounds.hi[0] + 1e-9)
+        scores = np.stack([evaluate(net, x) for x in xs])
+        for a, b in label_pairs(net).T:
+            margins = sampled_margins(net, scores, a, b)
+            assert one_gap(net, bounds, box, a, b) <= margins.min() + 1e-9
+
+
+# nets of the margin sampling test: two small random nets, the 6x50 capacity
+# net and the seed-42 semaphore classifier
+SAMPLED_NETS = {
+    "3": lambda: random_network(3, dims=(2, 6, 6, 3)),
+    "4": lambda: random_network(4, dims=(2, 6, 6, 3)),
+    "capacity": capacity_network,
+    "semaphore": lambda: build_semaphore_classifier(42)[0],
+}
 
 
 class TestScoreGapBound:
@@ -137,38 +176,50 @@ class TestScoreGapBound:
         box = one_box([0.6, 0.1], [0.8, 0.3])
         bounds = propagate_bounds(net, box)
         # margin = s_true - s_target; minimum at x1 low, x2 high
-        assert one_gap(bounds, box, 0, 1, "max_best") == pytest.approx(0.3)
+        assert one_gap(net, bounds, box, 0, 1) == pytest.approx(0.3)
 
     def test_overlapping_boxes_nonpositive(self):
         net = identity_network(score_order="max_best")
         box = one_box([0.6, 0.1], [0.8, 0.7])
         bounds = propagate_bounds(net, box)
-        assert one_gap(bounds, box, 0, 1, "max_best") <= 0.0
+        assert one_gap(net, bounds, box, 0, 1) <= 0.0
 
     def test_min_best_margin_direction(self):
         net = identity_network(score_order="min_best")
         # true label 0 has the LOW score; margin = s_target - s_true
         box = one_box([0.1, 0.6], [0.3, 0.8])
         bounds = propagate_bounds(net, box)
-        assert one_gap(bounds, box, 0, 1, "min_best") == pytest.approx(0.3)
+        assert one_gap(net, bounds, box, 0, 1) == pytest.approx(0.3)
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_never_exceeds_sampled_minimum(self, seed):
-        net = random_network(seed, dims=(2, 6, 6, 3))
-        rng = np.random.default_rng(seed)
-        box = one_box([-0.3, -0.3], [0.5, 0.5])
-        bounds = propagate_bounds(net, box)
-        xs = box.lo[0] + rng.random((10_000, 2)) * (box.hi[0] - box.lo[0])
-        scores = np.stack([evaluate(net, x) for x in xs])
-        margins = scores[:, 0] - scores[:, 1]  # max_best, true=0, target=1
-        certified = one_gap(bounds, box, 0, 1, "max_best")
-        assert certified <= margins.min() + 1e-9
+    @pytest.mark.parametrize("name", sorted(SAMPLED_NETS))
+    def test_never_exceeds_sampled_minimum(self, name):
+        """For every ordered label pair, the certified margin is at most the
+        smallest one sampled inside the box and at its corners, on the box
+        of [-0.3, 0.5] on every axis and on random in-domain boxes of radius
+        0.002-0.3."""
+        net = SAMPLED_NETS[name]()
+        rng = np.random.default_rng(list(name.encode()))
+        d = net.input_dim
+        dom_lo, dom_hi = net.normalized_domain()
+        center = dom_lo + rng.random((16, d)) * (dom_hi - dom_lo)
+        radius = np.exp(rng.uniform(np.log(0.002), np.log(0.3), size=(16, 1)))
+        lo = np.vstack([np.full(d, -0.3), np.maximum(center - radius, dom_lo)])
+        hi = np.vstack([np.full(d, 0.5), np.minimum(center + radius, dom_hi)])
+        box = Box(lo, hi)
+        true_label, target = label_pairs(net)
+        gaps = score_gap_bound(net, propagate_bounds(net, box), box, true_label, target)
+        corners = np.array(list(itertools.product((False, True), repeat=d)))
+        for k in range(len(lo)):
+            inside = lo[k] + rng.random((10_000, d)) * (hi[k] - lo[k])
+            scores = evaluate_batch(net, np.vstack([inside, np.where(corners, hi[k], lo[k])]))
+            for gap, a, b in zip(gaps[k], true_label, target):
+                assert gap <= sampled_margins(net, scores, a, b).min() + 1e-9, (k, a, b)
 
     def test_distinct_labels_required(self):
         net = identity_network()
         box = one_box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            one_gap(propagate_bounds(net, box), box, 1, 1, "max_best")
+            one_gap(net, propagate_bounds(net, box), box, 1, 1)
 
 
 class TestFindCounterexample:
@@ -373,22 +424,24 @@ class TestBoundSoundnessDuringVerification:
         sample = [probed[i] for i in rng.choice(len(probed), size=min(len(probed), 20),
                                                  replace=False)]
         assert len({box.lo.tobytes() + box.hi.tobytes() for _, box, _ in sample}) > 1
+        true_label, target = label_pairs(net)
         for pnet, box, bounds in sample:
             xs = box.lo[0] + rng.random((200, net.input_dim)) * (box.hi[0] - box.lo[0])
-            for x in xs:
-                scores = evaluate(pnet, x)
-                assert np.all(bounds.lower_a[0] @ x + bounds.lower_b[0] <= scores + 1e-9)
-                assert np.all(scores <= bounds.upper_a[0] @ x + bounds.upper_b[0] + 1e-9)
+            for x, h in zip(xs, final_inputs(pnet, xs)):
+                assert np.all(bounds.lower_a[0] @ x + bounds.lower_b[0] <= h + 1e-9)
+                assert np.all(h <= bounds.upper_a[0] @ x + bounds.upper_b[0] + 1e-9)
+            scores = np.stack([evaluate(pnet, x) for x in xs])
+            gaps = score_gap_bound(pnet, bounds, box, true_label, target)[0]
+            for gap, a, b in zip(gaps, true_label, target):
+                assert gap <= sampled_margins(pnet, scores, a, b).min() + 1e-9
 
 
 def unstack(box, bounds):
     """(box, bounds) of each box of a stacked propagate_bounds call, each as
     a stack of one."""
-    shared = ("final_w", "final_b")
-    return [(Box(box.lo[k:k + 1], box.hi[k:k + 1]), LinearBounds(**{
-                f.name: getattr(bounds, f.name) if f.name in shared
-                else getattr(bounds, f.name)[k:k + 1]
-                for f in dataclasses.fields(LinearBounds)}))
+    names = [f.name for f in dataclasses.fields(LinearBounds)]
+    return [(Box(box.lo[k:k + 1], box.hi[k:k + 1]),
+             LinearBounds(**{name: getattr(bounds, name)[k:k + 1] for name in names}))
             for k in range(len(box.lo))]
 
 
@@ -595,23 +648,21 @@ class TestStackedCalls:
         bounds = propagate_bounds(net, Box(lo, hi))
         pairs = [(a, b) for a in range(net.n_labels) for b in range(net.n_labels) if a != b]
         true, target = np.array(pairs).T
-        gaps = score_gap_bound(bounds, Box(lo, hi), true, target, net.score_order)
+        gaps = score_gap_bound(net, bounds, Box(lo, hi), true, target)
         assert gaps.shape == (8, len(pairs))
         for k, (box, alone) in enumerate(unstack(Box(lo, hi), bounds)):
-            row = score_gap_bound(alone, box, true, target, net.score_order)
+            row = score_gap_bound(net, alone, box, true, target)
             assert row.shape == (1, len(pairs)) and row.tobytes() == gaps[k].tobytes()
             for q, (a, b) in enumerate(pairs):
-                gap = score_gap_bound(alone, box, np.array([a]), np.array([b]), net.score_order)
+                gap = score_gap_bound(net, alone, box, np.array([a]), np.array([b]))
                 assert gap.shape == (1, 1) and gap.tobytes() == gaps[k, q].tobytes()
-        column = score_gap_bound(bounds, Box(lo, hi), np.array([0]), np.array([1]),
-                                 net.score_order)
+        column = score_gap_bound(net, bounds, Box(lo, hi), np.array([0]), np.array([1]))
         assert column[:, 0].tobytes() == gaps[:, pairs.index((0, 1))].tobytes()
         with pytest.raises(ValueError, match="distinct"):
-            score_gap_bound(bounds, Box(lo, hi), np.array([0, 1]), np.array([1, 1]),
-                            net.score_order)
+            score_gap_bound(net, bounds, Box(lo, hi), np.array([0, 1]), np.array([1, 1]))
         for true_label, target_label in ((0, 1), (np.array([0, 1]), np.array([1]))):
             with pytest.raises(ValueError, match="arrays"):
-                score_gap_bound(bounds, Box(lo, hi), true_label, target_label, net.score_order)
+                score_gap_bound(net, bounds, Box(lo, hi), true_label, target_label)
 
     @pytest.mark.parametrize("net, region", [
         (identity_network(3), box_region([0.5, 0.45, 0.1], 0.1)),
