@@ -69,7 +69,6 @@ from .guard import Guard, GuardDecision, build_guard, guard_eval, uncertainty
 from .app import (
     build_ebs_demo,
     build_semaphore_classifier,
-    generate_grid,
     project_polar,
     run_ebs_demo,
     run_parallel_verification,

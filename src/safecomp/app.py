@@ -6,6 +6,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from .contracts import (
     emit_dnn_contract,
     parse_property,
 )
-from .network import Network, Layer, classify_batch, denormalize, normalize
+from .network import Network, Layer, denormalize
 from .regions import DiscoveryConfig, LabeledDataset, Region, discover_regions
 from .verifier import Counterexample, FullResult, Verdict, VerdictStats, verify_full
 
@@ -40,32 +42,18 @@ def project_polar(rho: float, theta: float) -> tuple[float, float]:
 # Grid generation
 
 
-def grid_count(cutpoints) -> int:
-    total = 1
+def iter_grid(cutpoints):
+    """Cartesian product of per-dimension cut points in lexicographic order,
+    made lazily once every dimension is checked to hold finite numbers."""
     for values in cutpoints:
         if not len(values):
             raise ValueError("every dimension needs at least one cut point")
-        total *= len(values)
-    return total
-
-
-def iter_grid(cutpoints):
-    """Cartesian product of per-dimension cut points in lexicographic order."""
-    if any(not len(v) for v in cutpoints):
-        raise ValueError("every dimension needs at least one cut point")
+        for v in values:
+            # abs, not math.isfinite, so that an int beyond float range is refused too
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or \
+                    not abs(v) <= sys.float_info.max:
+                raise ValueError(f"cut point {v!r} is not a finite number")
     return itertools.product(*cutpoints)
-
-
-def generate_grid(cutpoints, names, network: Network | None = None):
-    """Materialize the cut-point grid; with a network, label each point by
-    running the classifier on the normalized coordinates."""
-    if len(names) != len(cutpoints):
-        raise ValueError("one name per dimension required")
-    points = np.array(list(iter_grid(cutpoints)), dtype=np.float64)
-    labels = None
-    if network is not None:
-        labels = classify_batch(network, normalize(network, points))
-    return points, labels
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -34,15 +36,29 @@ from .verifier import FullResult, FullSummary, check_budgets
 _METRICS = {"l1": "L1", "l2": "L2", "linf": "Linf"}
 
 
-def _write_output(text: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The --out stream: stdout for None or "-", otherwise the file, opened
+    only here, so a command that fails its checks first leaves it as it was."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            yield handle
+
+
+def _write_output(text: str, out: str | None):
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_report(args, obj: dict, lines: list[str]):
+    """A report to --out as --format asks: the object as JSON, or the lines."""
+    _write_output("\n".join(lines) + "\n" if args.format == "text" else _dump_json(obj), args.out)
 
 
 def _read_net(path: str):
@@ -108,16 +124,13 @@ def cmd_verify(args) -> int:
     }
     report = app.build_verification_report(net, results, config, attributes,
                                            elapsed=time.perf_counter() - t0)
-    if args.format == "text":
-        lines = [f"{e['id']} {e['summary']} safe={','.join(e['safe_targets']) or '-'}"
-                 for e in report["regions"]]
-        s = report["summary"]
-        lines.append(f"total={s['total']} fully_safe={s['fully_safe']} "
-                     f"targeted_safe={s['targeted_safe']} not_safe={s['not_safe']} "
-                     f"inconclusive={s['inconclusive']}")
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(_dump_json(report), args.out)
+    lines = [f"{e['id']} {e['summary']} safe={','.join(e['safe_targets']) or '-'}"
+             for e in report["regions"]]
+    s = report["summary"]
+    lines.append(f"total={s['total']} fully_safe={s['fully_safe']} "
+                 f"targeted_safe={s['targeted_safe']} not_safe={s['not_safe']} "
+                 f"inconclusive={s['inconclusive']}")
+    _write_report(args, report, lines)
     any_unsafe = any(v.status == "Unsafe" for _, r in results for v in r.verdicts.values())
     return 1 if any_unsafe else 0
 
@@ -167,13 +180,10 @@ def cmd_check_system(args) -> int:
            "system": os.path.basename(args.system),
            "assume_guarantee": app.ag_report_to_json(report),
            "conclusion": "M1 || M2 |= P" if report.conclusion else "not established"}
-    if args.format == "text":
-        lines = [f"{p['name']}: {'PASS' if p['holds'] else 'FAIL'}"
-                 for p in obj["assume_guarantee"]["premises"]]
-        lines.append(f"conclusion: {obj['conclusion']}")
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(_dump_json(obj), args.out)
+    lines = [f"{p['name']}: {'PASS' if p['holds'] else 'FAIL'}"
+             for p in obj["assume_guarantee"]["premises"]]
+    lines.append(f"conclusion: {obj['conclusion']}")
+    _write_report(args, obj, lines)
     return 0 if report.conclusion else 1
 
 
@@ -199,16 +209,12 @@ def cmd_guard(args) -> int:
     guard = build_guard(contract, uncertainty_threshold=args.threshold)
     # both checks run before --out is opened, so a refused run leaves it as it was
     check_network(guard, net)
-    to_stdout = args.out is None or args.out == "-"
-    if not to_stdout and os.path.exists(args.out) and os.path.samefile(args.data, args.out):
+    if args.out not in (None, "-") and os.path.exists(args.out) and \
+            os.path.samefile(args.data, args.out):
         raise ValueError("--out must not be the --data file: decisions are written "
                          "while the rows are read")
-    with open(args.data, newline="") as data:
-        if to_stdout:
-            stream_guard(guard, net, _csv_rows(data, net.input_dim), sys.stdout)
-        else:
-            with open(args.out, "w") as out:
-                stream_guard(guard, net, _csv_rows(data, net.input_dim), out)
+    with open(args.data, newline="") as data, _output(args.out) as out:
+        stream_guard(guard, net, _csv_rows(data, net.input_dim), out)
     return 0
 
 
@@ -217,14 +223,11 @@ def cmd_demo(args) -> int:
         raise ValueError(f"unknown demo scenario {args.scenario!r}")
     report = app.run_ebs_demo(braking_ticks=args.braking_ticks, seed=args.seed,
                               max_nodes=args.node_budget)
-    if args.format == "text":
-        lines = [f"demo ebs (braking_ticks={args.braking_ticks})"]
-        for p in report["assume_guarantee"]["premises"]:
-            lines.append(f"  {p['name']}: {'PASS' if p['holds'] else 'FAIL'}")
-        lines.append(f"conclusion: {report['conclusion']}")
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(_dump_json(report), args.out)
+    lines = [f"demo ebs (braking_ticks={args.braking_ticks})"]
+    for p in report["assume_guarantee"]["premises"]:
+        lines.append(f"  {p['name']}: {'PASS' if p['holds'] else 'FAIL'}")
+    lines.append(f"conclusion: {report['conclusion']}")
+    _write_report(args, report, lines)
     return 0 if report["assume_guarantee"]["conclusion"] else 1
 
 
@@ -234,42 +237,24 @@ def cmd_grid(args) -> int:
     cutpoints = layout["cutpoints"]
     if len(names) != len(cutpoints):
         raise ValueError("names and cutpoints must align")
-    total = app.grid_count(cutpoints)
+    points = app.iter_grid(cutpoints)  # checks the cut points before --out is opened
     net = _read_net(args.label_with) if args.label_with else None
     if net is not None and net.input_dim != len(cutpoints):
         raise ValueError(f"grid has {len(cutpoints)} dimensions, network {net.name!r} "
                          f"takes {net.input_dim} inputs")
-
-    def emit(handle):
+    rows = 0
+    with _output(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(names) + (["label"] if net else []))
-        batch: list = []
-
-        def flush():
-            if not batch:
-                return
+        while batch := list(itertools.islice(points, 10_000)):
             pts = np.array(batch, dtype=np.float64)
+            cells = [[repr(float(v)) for v in p] for p in pts]
             if net is not None:
-                labels = classify_batch(net, normalize(net, pts))
-                for p, l in zip(pts, labels):
-                    writer.writerow([repr(float(v)) for v in p] + [net.labels[int(l)]])
-            else:
-                for p in pts:
-                    writer.writerow([repr(float(v)) for v in p])
-            batch.clear()
-
-        for point in app.iter_grid(cutpoints):
-            batch.append(point)
-            if len(batch) >= 10_000:
-                flush()
-        flush()
-
-    if args.out is None or args.out == "-":
-        emit(sys.stdout)
-    else:
-        with open(args.out, "w") as handle:
-            emit(handle)
-    print(f"grid rows: {total}", file=sys.stderr)
+                for row, label in zip(cells, classify_batch(net, normalize(net, pts))):
+                    row.append(net.labels[label])
+            writer.writerows(cells)
+            rows += len(batch)
+    print(f"grid rows: {rows}", file=sys.stderr)
     return 0
 
 

@@ -80,6 +80,11 @@ class ComponentModel:
                 if nxt not in index:
                     raise ValueError(f"{self.name}: transition target {nxt!r} unknown")
                 table.append(index[nxt])
+        if len(self.transitions) != len(table):  # some key lies outside the domain
+            domain = set(itertools.product(self.states, self.input_keys()))
+            state, key = next(k for k in self.transitions if k not in domain)
+            raise ValueError(f"{self.name}: transition from {state!r} on {key} lies "
+                             "outside its states x input domain")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_next", tuple(table))
 

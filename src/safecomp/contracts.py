@@ -13,6 +13,7 @@ where atoms is `true` or `port=value [& port=value ...]`.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -208,8 +209,11 @@ class RegionContract:
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"region {self.id!r} radius must be finite and positive, "
                              f"got {self.radius!r}")
-        if self.uncertainty_max is not None and not 0 < self.uncertainty_max <= 1:
-            raise ValueError("uncertainty_max must lie in (0, 1]")
+        u = self.uncertainty_max
+        if u is not None and (isinstance(u, bool) or not isinstance(u, numbers.Real)
+                              or not 0 < u <= 1):
+            raise ValueError(f"region {self.id!r} uncertainty_max must be a number in (0, 1], "
+                             f"got {u!r}")
         expected = self.provenance.get("expected_label")
         if isinstance(self.guarantee, LabelNotIn) and expected in self.guarantee.labels:
             raise ValueError("excluded-label set must not contain the expected label")

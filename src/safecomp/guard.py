@@ -69,24 +69,22 @@ def build_guard(contract: DnnContract, fail_safe_action: str = "fail_safe",
     return Guard(contract, fail_safe_action, uncertainty_threshold)
 
 
-def _uncertainties(scores: np.ndarray, score_order: str) -> np.ndarray:
-    """Row-wise softmax-margin uncertainty of an (n, k) score array."""
+def _uncertainties(good: np.ndarray) -> np.ndarray:
+    """Row-wise softmax-margin uncertainty of an (n, k) array of scores
+    already turned by Network.oriented, so that larger is better."""
     # shift the best score to 0 (softmax is shift-invariant; this guards
     # against overflow): then the top probability is exactly 1 / sum(exp)
-    if score_order == "min_best":
-        shifted = np.minimum.reduce(scores, axis=-1, keepdims=True) - scores
-    else:
-        shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    shifted = good - np.maximum.reduce(good, axis=-1, keepdims=True)
     return 1.0 - 1.0 / np.add.reduce(np.exp(shifted), axis=-1)
 
 
 def uncertainty(net: Network, x) -> float:
     """Softmax-margin uncertainty proxy in [0, 1 - 1/k].
 
-    Scores are oriented so that larger means better (negated under min_best),
-    softmaxed at temperature 1; uncertainty is one minus the top probability.
+    Scores are turned by net.oriented so that larger means better, softmaxed
+    at temperature 1; uncertainty is one minus the top probability.
     """
-    return float(_uncertainties(evaluate(net, x), net.score_order))
+    return float(_uncertainties(net.oriented(evaluate(net, x))))
 
 
 def check_network(guard: Guard, net: Network) -> None:
@@ -124,9 +122,9 @@ def _decide(guard: Guard, net: Network, rows) -> list[GuardDecision]:
     decisions = [invalid] * len(parsed)
     if not valid:
         return decisions
-    scores = _forward(net, xs)  # rows are finite and of the network's width
-    best = (scores.argmin(axis=1) if net.score_order == "min_best" else scores.argmax(axis=1)).tolist()
-    u = _uncertainties(scores, net.score_order)
+    good = net.oriented(_forward(net, xs))  # rows are finite and of the network's width
+    best = good.argmax(axis=1).tolist()
+    u = _uncertainties(good)
     first = guard.contract.first_containing(xs)
     uncertain = (u > guard._caps[first]).tolist()
     first, u = first.tolist(), u.tolist()

@@ -88,6 +88,11 @@ class Network:
     def n_labels(self) -> int:
         return len(self.labels)
 
+    def oriented(self, scores: np.ndarray) -> np.ndarray:
+        """Scores turned so that larger is better: the same array (no copy)
+        under max_best, its exact negation under min_best."""
+        return -scores if self.score_order == "min_best" else scores
+
     def normalized_domain(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension [lo, hi] of the raw input bounds, in normalized space."""
         lo = (self.input_min - self.input_mean) / self.input_range
@@ -313,14 +318,8 @@ def evaluate_batch(net: Network, xs: np.ndarray) -> np.ndarray:
 
 def classify(net: Network, x) -> int:
     """Best-label index under the network's score order; ties go to the lowest index."""
-    scores = evaluate(net, x)
-    if net.score_order == "min_best":
-        return int(np.argmin(scores))
-    return int(np.argmax(scores))
+    return int(np.argmax(net.oriented(evaluate(net, x))))
 
 
 def classify_batch(net: Network, xs: np.ndarray) -> np.ndarray:
-    scores = evaluate_batch(net, xs)
-    if net.score_order == "min_best":
-        return np.argmin(scores, axis=1)
-    return np.argmax(scores, axis=1)
+    return np.argmax(net.oriented(evaluate_batch(net, xs)), axis=1)

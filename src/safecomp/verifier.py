@@ -245,11 +245,12 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
     """Certified lower bound over each box of the margin by which the target
     label loses to the true label (positive means the target never wins).
 
-    The margin is one affine row of the final layer, W[win] - W[lose], over
-    the final layer's inputs. Two sound candidates, the first kept on ties:
-    the row against the symbolic bounds (cancels shared terms) and the row
-    against the interval bounds. Subtracting two independently bounded
-    scores is never tighter than the first, so it is not a candidate.
+    The margin is one affine row over the final layer's inputs, the final
+    layer's W[true] - W[target] turned by net.oriented. Two sound candidates,
+    the first kept on ties: the row against the symbolic bounds (cancels
+    shared terms) and the row against the interval bounds. Subtracting two
+    independently bounded scores is never tighter than the first, so it is
+    not a candidate.
 
     bounds come from propagate_bounds on the stack of K boxes, and true_label
     and target are (Q,) arrays of label pairs; the result is (K, Q).
@@ -260,16 +261,12 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
         raise ValueError("labels must be (Q,) arrays of one shape")
     if np.any(true_label == target):
         raise ValueError("labels must be distinct")
-    if net.score_order == "min_best":
-        win, lose = target, true_label  # margin = s_target - s_true
-    else:
-        win, lose = true_label, target  # margin = s_true - s_target
 
     # the row sign-split against each bound; arrays are (box, pair, 1, n),
     # so each (box, pair) is its own one-row product
     final = net.layers[-1]
-    row = final.weights[win] - final.weights[lose]
-    row_b = (final.bias[win] - final.bias[lose])[:, None, None]
+    row = net.oriented(final.weights[true_label] - final.weights[target])
+    row_b = net.oriented(final.bias[true_label] - final.bias[target])[:, None, None]
     r_pos = np.maximum(row, 0.0)[None, :, None, :]
     r_neg = np.minimum(row, 0.0)[None, :, None, :]
     m_a = r_pos @ bounds.lower_a[:, None] + r_neg @ bounds.upper_a[:, None]
@@ -300,7 +297,8 @@ def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndar
                         effort: int, seeds: list[int]) -> list[np.ndarray | None]:
     """Concrete violation search in each box of the stack, for its own
     target label and seed: seeded random starts inside the box pulled into
-    the region, then coordinate descent on the target's advantage.
+    the region, then coordinate descent on the target's advantage, read from
+    scores turned by net.oriented once per forward pass.
 
     Returns, per box, a point only if it validates: inside the region under
     its own metric and classified as the target. None proves nothing; an
@@ -314,29 +312,23 @@ def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndar
         return found
     lo, hi, targets = box.lo[boxes], box.hi[boxes], np.asarray(targets)[boxes]
     d = lo.shape[1]
-    sign = -1.0 if net.score_order == "min_best" else 1.0
     others = np.arange(net.n_labels) != targets[:, None]  # (J, L)
 
-    def first_hit(xs: np.ndarray, scores: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+    def first_hit(xs: np.ndarray, good: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         # per job, the index of its first validated point, or -1
-        if net.score_order == "min_best":
-            winners = np.argmin(scores, axis=-1)
-        else:
-            winners = np.argmax(scores, axis=-1)
         inside = dist_many(region.metric, xs, region.centroid) <= region.radius
-        valid = (winners == targets[jobs][:, None]) & inside
+        valid = (np.argmax(good, axis=-1) == targets[jobs][:, None]) & inside
         return np.where(np.any(valid, axis=1), np.argmax(valid, axis=1), -1)
 
-    def advantage(scores: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+    def advantage(good: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         # how far the target is from winning outright: positive means it wins
-        good = sign * scores
         own = np.take_along_axis(good, targets[jobs][:, None, None], axis=2)[..., 0]
         rival = np.max(np.where(others[jobs][:, None, :], good, -np.inf), axis=2)
         return own - rival
 
-    def settle(xs: np.ndarray, scores: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+    def settle(xs: np.ndarray, good: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         # record the jobs that hit; the mask of those still searching
-        hit = first_hit(xs, scores, jobs)
+        hit = first_hit(xs, good, jobs)
         for i in np.flatnonzero(hit >= 0):
             found[boxes[jobs[i]]] = xs[i, hit[i]].copy()
         return hit < 0
@@ -347,12 +339,12 @@ def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndar
     starts = np.concatenate([((lo + hi) / 2.0)[:, None, :],
                              lo[:, None, :] + draws * width[:, None, :]], axis=1)
     starts = _pull_into_region_batch(starts, region)
-    scores = evaluate_batch(net, starts)
+    good = net.oriented(evaluate_batch(net, starts))
     jobs = np.arange(len(boxes))
-    going = settle(starts, scores, jobs)
+    going = settle(starts, good, jobs)
 
     # coordinate descent from each job's most promising start
-    adv = advantage(scores, jobs)
+    adv = advantage(good, jobs)
     idx = np.argmax(adv, axis=1)
     x = starts[jobs, idx]
     best = adv[jobs, idx]
@@ -368,9 +360,9 @@ def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndar
         moves[:, 2 * axes, axes] = np.where(hi[jobs] < up, hi[jobs], up)
         moves[:, 2 * axes + 1, axes] = np.where(lo[jobs] > down, lo[jobs], down)
         moves = _pull_into_region_batch(moves, region)
-        mscores = evaluate_batch(net, moves)
-        going = settle(moves, mscores, jobs)
-        madv = advantage(mscores, jobs)
+        mgood = net.oriented(evaluate_batch(net, moves))
+        going = settle(moves, mgood, jobs)
+        madv = advantage(mgood, jobs)
         rows = np.arange(len(jobs))
         j = np.argmax(madv, axis=1)
         better = madv[rows, j] > best

@@ -232,6 +232,15 @@ class TestGuardCli:
         err = capsys.readouterr().err
         assert "'test'" in err and "'other'" in err
 
+    def test_non_number_uncertainty_max_exits_2_without_output(self, files, tmp_path, capsys):
+        obj = json.loads(files[1].read_text())
+        obj["regions"][0]["uncertainty_max"] = "0.5"
+        files[1].write_text(json.dumps(obj))
+        code, lines = self.guard(files, tmp_path, "0.2,0.1\n")
+        assert code == 2
+        assert lines is None
+        assert "region 'r0' uncertainty_max must be a number" in capsys.readouterr().err
+
     def test_out_same_as_data_exits_2_and_keeps_data(self, files, tmp_path, capsys):
         data_path = tmp_path / "rows.csv"
         data_path.write_text("0.2,0.1\n")
@@ -285,6 +294,18 @@ class TestCheckSystem:
         report = json.loads(out.read_text())
         failing = [p for p in report["assume_guarantee"]["premises"] if not p["holds"]]
         assert failing and failing[0]["counterexample"]
+
+    def test_transition_outside_the_domain_exits_2(self, tmp_path, capsys):
+        sys_path, contract_path = self._write_system(tmp_path, 2)
+        sysobj = json.loads(sys_path.read_text())
+        sysobj["components"][0]["transitions"].append({"from": "nowhere", "to": "nowhere"})
+        sys_path.write_text(json.dumps(sysobj))
+        out = tmp_path / "ag.json"
+        code = run(["check-system", "--system", sys_path, "--contracts", contract_path,
+                    "--property", "G (x=red => F<=4 (velocity=0))", "--out", out])
+        assert code == 2
+        assert not out.exists()
+        assert "transition from 'nowhere'" in capsys.readouterr().err
 
 
 class TestDemoCli:
@@ -450,6 +471,19 @@ class TestGridCli:
                     "--out", out_path]) == 2
         assert not out_path.exists()
         assert "grid has 2 dimensions, network 'test' takes 3 inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), True, None, 10**400])
+    def test_non_finite_cut_point_exits_2_without_output(self, tmp_path, capsys, bad):
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network()))
+        spec_path = tmp_path / "cuts.json"
+        spec_path.write_text(json.dumps(
+            {"names": ["x1", "x2"], "cutpoints": [[0.1, bad], [0.5]]}))
+        out_path = tmp_path / "grid.csv"
+        assert run(["grid", "--cutpoints", spec_path, "--label-with", net_path,
+                    "--out", out_path]) == 2
+        assert not out_path.exists()
+        assert f"cut point {bad!r} is not a finite number" in capsys.readouterr().err
 
     def test_grid_unlabeled(self, tmp_path):
         spec_path = tmp_path / "cuts.json"

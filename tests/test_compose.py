@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import deque
 
 import numpy as np
@@ -8,7 +9,9 @@ from ag_fixtures import (
     BIN,
     braking_fleet,
     const_component,
+    mine_guarantee,
     random_ag_instance,
+    random_component,
     random_cyclic_system,
     random_property,
 )
@@ -41,6 +44,7 @@ from safecomp.contracts import (
     Eventually,
     LabelIs,
     LabelNotIn,
+    RegionContract,
     parse_property,
 )
 
@@ -440,6 +444,53 @@ class TestDnnPathOracle:
         # deadline the rule proves for a fleet that brakes in time
         assert got == ([(False, False), (True, True), (True, True)] if bt == 2 else
                        [(False, False)] * 3)
+
+    @staticmethod
+    def random_guarantee(rng, expected):
+        """label_is the expected label, or label_not_in one or two others."""
+        if rng.random() < 0.5:
+            return LabelIs(expected)
+        others = [l for l in LABELS if l != expected]
+        size = int(rng.integers(1, len(others) + 1))
+        return LabelNotIn(tuple(sorted(rng.choice(others, size=size, replace=False))))
+
+    def random_case(self, seed):
+        """Random M1 reading Class and writing o, its mined C1, a random DNN
+        contract and token map, and properties over x, Class and o."""
+        rng = np.random.default_rng(seed)
+        m1 = System((random_component("M1", rng, ["Class"], ["o"], in_domain=LABELS),))
+        triggers = [Atom(())] + [Atom((("Class", l),)) for l in LABELS]
+        c1_candidates = [Always(t, Eventually(k, Atom((("o", w),))) if k else Atom((("o", w),)))
+                         for t in triggers for w in BIN for k in (0, 1, 2)]
+        g1 = mine_guarantee(m1, c1_candidates, rng) or Always(Atom(()), Atom(()))
+        c1 = ComponentContract("C1", None, g1, inputs={"Class": LABELS}, outputs={"o": BIN})
+        regions = []
+        for i in range(int(rng.integers(1, 4))):
+            expected = str(rng.choice(LABELS))
+            guarantee = self.random_guarantee(rng, expected)
+            summary = "FullySafe" if isinstance(guarantee, LabelIs) else "TargetedSafe"
+            regions.append(RegionContract(f"r{i}", np.full(2, 0.5), 0.1, "Linf", guarantee,
+                                          {"summary": summary, "expected_label": expected}))
+        dnn = DnnContract("net", tuple(regions))
+        token_map = None
+        if rng.random() < 0.7:
+            names = [r.id for r in regions] + (["outside"] if rng.random() < 0.5 else [])
+            token_map = {name: None if rng.random() < 0.3 else
+                         self.random_guarantee(rng, str(rng.choice(LABELS))) for name in names}
+        tokens = tuple(token_map or [r.id for r in regions])
+        tokens += ("outside",) if "outside" not in tokens else ()
+        ports = {"x": tokens, "Class": LABELS, "o": BIN}
+        props = [g1] + [random_property(rng, ports) for _ in range(8)]
+        return m1, c1, dnn, props, token_map
+
+    def test_random_contracts_conclusions_hold_on_latched_composition(self):
+        outcomes = set()
+        for seed in range(40):
+            m1, c1, dnn, props, token_map = self.random_case(seed)
+            for prop, concluded, holds in self.conclusions(m1, c1, dnn, props, token_map):
+                assert holds or not concluded, (seed, prop)
+                outcomes.add(concluded)
+        assert outcomes == {True, False}
 
 
 class TestMonitors:
@@ -880,6 +931,24 @@ class TestModelJson:
             ],
         }
         with pytest.raises(ValueError, match="overlap"):
+            component_from_json(obj)
+
+    @pytest.mark.parametrize("row, key", [
+        ({"from": "s", "when": {"x": "l"}, "to": "s"}, "'s' on ('l',)"),  # typo for "1"
+        ({"from": "q", "to": "s"}, "'q' on ('0',)"),  # unknown state
+    ])
+    def test_rows_outside_the_domain_rejected(self, row, key):
+        obj = {
+            "name": "typo",
+            "states": ["s"],
+            "init": "s",
+            "inputs": {"x": ["0", "1"]},
+            "outputs": {"y": ["0"]},
+            "outputs_map": {"s": {"y": "0"}},
+            "transitions": [{"from": "s", "when": {"x": "*"}, "to": "s"}, row],
+        }
+        with pytest.raises(ValueError, match=f"typo: transition from {re.escape(key)} lies "
+                                             "outside its states x input domain"):
             component_from_json(obj)
 
     def test_system_with_property(self):

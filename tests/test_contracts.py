@@ -169,6 +169,18 @@ class TestRegionContractInvariants:
             RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
                            uncertainty_max=1.5)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, [0.5], float("nan")])
+    def test_uncertainty_max_must_be_a_number(self, bad):
+        match = "region 'r0' uncertainty_max must be a number in \\(0, 1\\]"
+        with pytest.raises(ValueError, match=match):
+            RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"), uncertainty_max=bad)
+        rc = RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
+                            provenance={"summary": "FullySafe", "expected_label": "COC"})
+        obj = json.loads(render_contract(DnnContract("advisory", (rc,))))
+        obj["regions"][0]["uncertainty_max"] = bad
+        with pytest.raises(ValueError, match=match):
+            dnn_contract_from_json(obj)
+
 
 class TestSerialization:
     def make_coc_contract(self):

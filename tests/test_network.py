@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from conftest import (
     networks_equal,
     random_network,
 )
+import safecomp
 from safecomp.network import (
     Layer,
     NetworkFormatError,
@@ -242,6 +246,29 @@ class TestEvaluate:
     def test_batch_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             evaluate(identity_network(), [[0.1, 0.2], [np.nan, 0.0]])
+
+
+class TestOrientation:
+    def test_max_best_returns_the_same_array(self):
+        scores = np.array([[0.3, -1.0], [2.0, 0.0]])
+        assert identity_network(score_order="max_best").oriented(scores) is scores
+
+    def test_min_best_negates(self):
+        scores = np.array([[0.3, -1.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(identity_network(score_order="min_best").oriented(scores),
+                                      -scores)
+
+    def test_only_network_reads_score_order(self):
+        # every other module goes through Network.oriented, so a new kernel
+        # cannot get the score order wrong on its own
+        readers = []
+        for path in sorted(Path(safecomp.__file__).parent.glob("*.py")):
+            if path.name == "network.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "score_order":
+                    readers.append(f"{path.name}:{node.lineno}")
+        assert readers == []
 
 
 class TestClassify:
