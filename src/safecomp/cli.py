@@ -235,6 +235,10 @@ def cmd_grid(args) -> int:
     layout = json.loads(Path(args.cutpoints).read_text())
     names = layout["names"]
     cutpoints = layout["cutpoints"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"'names' must be a list of strings, got {names!r}")
+    if not (isinstance(cutpoints, list) and all(isinstance(c, list) for c in cutpoints)):
+        raise ValueError(f"'cutpoints' must be a list of lists of numbers, got {cutpoints!r}")
     if len(names) != len(cutpoints):
         raise ValueError("names and cutpoints must align")
     points = app.iter_grid(cutpoints)  # checks the cut points before --out is opened

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import METRICS, Region, dist, dist_many
+from .regions import METRICS, Region, dist, dist_many, geometry_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +404,8 @@ def dnn_contract_to_json(c: DnnContract) -> dict:
 def dnn_contract_from_json(obj: dict) -> DnnContract:
     regions = tuple(
         RegionContract(
-            id=r["id"],
-            centroid=np.array(r["centroid"], dtype=np.float64),
-            radius=float(r["radius"]),
+            r["id"],
+            *geometry_from_dict(r),
             metric=r["metric"],
             guarantee=_guarantee_from_json(r["guarantee"]),
             provenance=dict(r.get("provenance", {})),

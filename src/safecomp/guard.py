@@ -9,7 +9,8 @@ guarantee. Anything else fails safe, with one of four reasons:
 - ``outside_domain``: a region contains the row, but it lies outside
   ``net.normalized_domain()``, where nothing was proved;
 - ``uncertain``: the network's uncertainty exceeds the guard's threshold or
-  the containing region's ``uncertainty_max``, whichever is lower.
+  the containing region's ``uncertainty_max``, whichever is lower, or the
+  forward pass overflowed, so that the scores are not all finite.
 
 The guard never actuates: it reports a decision and leaves the reaction to
 the surrounding system. Rows are decided in arrays, a block at a time; a
@@ -38,16 +39,16 @@ class Guard:
     contract: DnnContract
     fail_safe_action: str = "fail_safe"
     uncertainty_threshold: float | None = None
-    # per region in id order: the uncertainty above which a covered row fails safe
-    _caps: np.ndarray = field(init=False, compare=False, repr=False)
+    # per region in id order: the uncertainty above which a covered row fails
+    # safe, as Python floats for the per-row comparison in _outcomes
+    _caps: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         u = self.uncertainty_threshold
         if u is not None and not 0 < u <= 1:
             raise ValueError("uncertainty threshold must lie in (0, 1]")
         caps = np.minimum(self.contract.uncertainty_caps, np.inf if u is None else u)
-        # the trailing inf is read for rows that no region contains
-        object.__setattr__(self, "_caps", np.append(caps, np.inf))
+        object.__setattr__(self, "_caps", caps.tolist())
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class GuardDecision:
     reason: str | None
     region_id: str | None
     guarantee: LabelIs | LabelNotIn | None
-    label: str | None   # network's actual classification; None only for invalid input
+    label: str | None   # network's actual classification; None for invalid input
+    # and for a row whose scores are not all finite, as is uncertainty
     uncertainty: float | None
     action: str | None = None  # fail-safe action when kind == "FailSafe"
 
@@ -69,13 +71,13 @@ def build_guard(contract: DnnContract, fail_safe_action: str = "fail_safe",
     return Guard(contract, fail_safe_action, uncertainty_threshold)
 
 
-def _uncertainties(good: np.ndarray) -> np.ndarray:
-    """Row-wise softmax-margin uncertainty of an (n, k) array of scores
-    already turned by Network.oriented, so that larger is better."""
-    # shift the best score to 0 (softmax is shift-invariant; this guards
-    # against overflow): then the top probability is exactly 1 / sum(exp)
+def _softmax_sums(good: np.ndarray) -> np.ndarray:
+    """Row-wise softmax denominators of an (n, k) array of scores already
+    turned by Network.oriented, so that larger is better, after the best
+    score is shifted to 0 (softmax is shift-invariant; this guards against
+    overflow): the top probability is exactly 1 / sum."""
     shifted = good - np.maximum.reduce(good, axis=-1, keepdims=True)
-    return 1.0 - 1.0 / np.add.reduce(np.exp(shifted), axis=-1)
+    return np.add.reduce(np.exp(shifted), axis=-1)
 
 
 def uncertainty(net: Network, x) -> float:
@@ -84,7 +86,7 @@ def uncertainty(net: Network, x) -> float:
     Scores are turned by net.oriented so that larger means better, softmaxed
     at temperature 1; uncertainty is one minus the top probability.
     """
-    return float(_uncertainties(net.oriented(evaluate(net, x))))
+    return 1.0 - 1.0 / float(_softmax_sums(net.oriented(evaluate(net, x))))
 
 
 def check_network(guard: Guard, net: Network) -> None:
@@ -103,55 +105,63 @@ def _floats(row) -> list[float] | None:
         return None
 
 
-def _decide(guard: Guard, net: Network, rows) -> list[GuardDecision]:
-    """Decisions for a sequence of rows, in order, in one pass of array work.
-    The caller has run check_network."""
-    action = guard.fail_safe_action
+def _outcomes(guard: Guard, net: Network, rows) -> tuple[list, list]:
+    """Per row, in one pass of array work, its outcome key (reason, region,
+    label) and its uncertainty. The reason is None for Covered; the region is
+    an index into contract.ordered, None where the decision names none; the
+    label index and the uncertainty are None for an invalid row and for one
+    whose scores are not all finite. The caller has run check_network."""
     parsed = [_floats(row) for row in rows]
     valid = [i for i, values in enumerate(parsed) if values is not None and len(values) == net.input_dim]
     xs = np.array([parsed[i] for i in valid], dtype=np.float64).reshape(len(valid), net.input_dim)
     lo, hi = net.normalized_domain()
-    in_domain = ((xs >= lo) & (xs <= hi)).all(axis=1)
-    if not in_domain.all():  # NaN and inf lie outside the domain
+    in_domain = np.logical_and.reduce((xs >= lo) & (xs <= hi), axis=1).tolist()
+    if not all(in_domain):  # NaN and inf lie outside the domain
         finite = np.isfinite(xs).all(axis=1)
         valid = [i for i, ok in zip(valid, finite) if ok]
-        xs, in_domain = xs[finite], in_domain[finite]
-    in_domain = in_domain.tolist()
-    invalid = (GuardDecision("FailSafe", "invalid_input", None, None, None, None, action)
-               if len(valid) < len(parsed) else None)
-    decisions = [invalid] * len(parsed)
+        xs, in_domain = xs[finite], [d for d, ok in zip(in_domain, finite) if ok]
+    keys, us = [("invalid_input", None, None)] * len(parsed), [None] * len(parsed)
     if not valid:
-        return decisions
+        return keys, us
     good = net.oriented(_forward(net, xs))  # rows are finite and of the network's width
+    # a forward pass that overflowed computed no label and no uncertainty
+    scored = np.logical_and.reduce(np.isfinite(good), axis=1).tolist()
     best = good.argmax(axis=1).tolist()
-    u = _uncertainties(good)
-    first = guard.contract.first_containing(xs)
-    uncertain = (u > guard._caps[first]).tolist()
-    first, u = first.tolist(), u.tolist()
-    regions = guard.contract.ordered
+    sums = _softmax_sums(good).tolist()
+    first = guard.contract.first_containing(xs).tolist()
+    n, caps = len(guard.contract.ordered), guard._caps
     for j, i in enumerate(valid):
-        label, k = net.labels[best[j]], first[j]
-        if k == len(regions):
-            decision = GuardDecision("FailSafe", "outside_regions", None, None, label, u[j],
-                                     action)
+        k = first[j]
+        b, u = (best[j], 1.0 - 1.0 / sums[j]) if scored[j] else (None, None)
+        if k == n:
+            keys[i] = ("outside_regions", None, b)
         elif not in_domain[j]:
-            decision = GuardDecision("FailSafe", "outside_domain", None, None, label, u[j],
-                                     action)
-        elif uncertain[j]:
-            decision = GuardDecision("FailSafe", "uncertain", regions[k].id, None, label,
-                                     u[j], action)
+            keys[i] = ("outside_domain", None, b)
+        elif b is None or u > caps[k]:
+            keys[i] = ("uncertain", k, b)
         else:
-            decision = GuardDecision("Covered", None, regions[k].id, regions[k].guarantee, label,
-                                     u[j])
-        decisions[i] = decision
-    return decisions
+            keys[i] = (None, k, b)
+        us[i] = u
+    return keys, us
+
+
+def _decision(guard: Guard, net: Network, key, u) -> GuardDecision:
+    """The decision an outcome key of _outcomes stands for, with uncertainty u."""
+    reason, k, b = key
+    label = None if b is None else net.labels[b]
+    if reason is None:
+        region = guard.contract.ordered[k]
+        return GuardDecision("Covered", None, region.id, region.guarantee, label, u)
+    region_id = None if k is None else guard.contract.ordered[k].id
+    return GuardDecision("FailSafe", reason, region_id, None, label, u, guard.fail_safe_action)
 
 
 def guard_eval(guard: Guard, net: Network, x) -> GuardDecision:
     """Pure decision: covered by the lowest-id region that contains x, or
     fail-safe for one of the four reasons in the module docstring."""
     check_network(guard, net)
-    return _decide(guard, net, [x])[0]
+    (key,), (u,) = _outcomes(guard, net, [x])
+    return _decision(guard, net, key, u)
 
 
 def decision_to_json(decision: GuardDecision) -> dict:
@@ -176,10 +186,18 @@ def stream_guard(guard: Guard, net: Network, rows, out) -> int:
     each block. A malformed row gets an invalid_input decision; only a
     contract/network width mismatch raises, before any row is read."""
     check_network(guard, net)
+    # per outcome key, its line up to the uncertainty, which sorts last
+    prefixes: dict = {}
     rows = iter(rows)
     count = 0
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        out.write("".join(_ENCODER.encode(decision_to_json(d)) + "\n"
-                          for d in _decide(guard, net, block)))
+        lines = []
+        for key, u in zip(*_outcomes(guard, net, block)):
+            prefix = prefixes.get(key)
+            if prefix is None:
+                template = _ENCODER.encode(decision_to_json(_decision(guard, net, key, 0.0)))
+                prefix = prefixes[key] = template.removesuffix("0.0}")
+            lines.append(prefix + ("null" if u is None else repr(u)) + "}\n")
+        out.write("".join(lines))
         count += len(block)
     return count

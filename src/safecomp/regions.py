@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,14 +321,35 @@ def region_to_dict(region: Region, label_names) -> dict:
     }
 
 
+def _real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} {value!r} lies beyond float range") from None
+
+
+def geometry_from_dict(obj: dict) -> tuple[np.ndarray, float]:
+    """Centroid and radius of a JSON region record. Each must be a real
+    number, not a bool and not a numeric string; the error names the region."""
+    rid, centroid = obj["id"], obj["centroid"]
+    if not isinstance(centroid, list):
+        raise ValueError(f"region {rid!r} centroid must be a list of numbers, got {centroid!r}")
+    return (np.array([_real(v, f"region {rid!r} centroid entry") for v in centroid],
+                     dtype=np.float64),
+            _real(obj["radius"], f"region {rid!r} radius"))
+
+
 def region_from_dict(obj: dict, label_names) -> Region:
     label_names = list(label_names)
     member_indices = tuple(obj.get("member_indices", ()))
     member_count = int(obj.get("member_count", len(member_indices)))
+    centroid, radius = geometry_from_dict(obj)
     return Region(
         id=obj["id"],
-        centroid=np.array(obj["centroid"], dtype=np.float64),
-        radius=float(obj["radius"]),
+        centroid=centroid,
+        radius=radius,
         metric=obj["metric"],
         expected_label=label_names.index(obj["expected_label"]),
         member_count=member_count,

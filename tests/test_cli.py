@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_network, make_network, parse_dnn_contract
-from safecomp.app import build_ebs_demo, build_semaphore_classifier
+from safecomp.app import build_ebs_demo, build_semaphore_classifier, run_parallel_verification
 from safecomp.cli import cli_main
 from safecomp.compose import system_to_json
 from safecomp.contracts import (
@@ -13,10 +13,12 @@ from safecomp.contracts import (
     LabelIs,
     RegionContract,
     component_contract_to_json,
+    emit_dnn_contract,
     render_contract,
 )
+from safecomp.guard import build_guard, decision_to_json, guard_eval
 from safecomp.network import Layer, render_network
-from safecomp.regions import LabeledDataset, render_dataset_csv
+from safecomp.regions import DiscoveryConfig, LabeledDataset, discover_regions, render_dataset_csv
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -241,6 +243,18 @@ class TestGuardCli:
         assert lines is None
         assert "region 'r0' uncertainty_max must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, bad", [("radius", True), ("radius", "0.3"),
+                                          ("centroid", [0.2, "0.1"])])
+    def test_non_number_geometry_exits_2_without_output(self, files, tmp_path, capsys,
+                                                        key, bad):
+        obj = json.loads(files[1].read_text())
+        obj["regions"][0][key] = bad
+        files[1].write_text(json.dumps(obj))
+        code, lines = self.guard(files, tmp_path, "0.2,0.1\n")
+        assert code == 2
+        assert lines is None
+        assert "region 'r0' " in capsys.readouterr().err
+
     def test_out_same_as_data_exits_2_and_keeps_data(self, files, tmp_path, capsys):
         data_path = tmp_path / "rows.csv"
         data_path.write_text("0.2,0.1\n")
@@ -249,6 +263,53 @@ class TestGuardCli:
         assert code == 2
         assert data_path.read_text() == "0.2,0.1\n"
         assert "--out must not be the --data file" in capsys.readouterr().err
+
+
+class TestGuardCliStream:
+    def test_bytes_equal_one_by_one_decisions(self, semaphore_files, tmp_path, rng):
+        # 10^5 rows against the seed-42 Linf contract: a header, rows near the
+        # regions, uniform and off-domain rows, malformed cells, short, long
+        # and blank rows, each decided by one guard_eval call for reference
+        net, data, net_path, _ = semaphore_files
+        regions = discover_regions(data, "Linf", DiscoveryConfig(seed=42)).regions
+        contract = emit_dnn_contract(net.name, net.labels,
+                                     run_parallel_verification(net, regions, seed=42))
+        contract_path = tmp_path / "contract.json"
+        contract_path.write_text(render_contract(contract))
+        n, d = 100_000, net.input_dim
+        lo, hi = net.normalized_domain()
+        picked = rng.integers(len(contract.regions), size=n)
+        near = np.array([rc.centroid for rc in contract.regions])[picked]
+        spread = np.array([rc.radius for rc in contract.regions])[picked, None] * 1.2
+        xs = np.where(rng.random((n, 1)) < 0.6, near + rng.uniform(-1, 1, (n, d)) * spread,
+                      rng.uniform(lo, hi, (n, d)))
+        off = rng.random(n) < 0.1
+        xs[off, 0] = np.where(rng.random(off.sum()) < 0.5, lo[0] - 0.01, hi[0] + 0.01)
+        lines, rows = ["x" + ",x".join(map(str, range(d)))], []
+        for k, x in enumerate(xs.tolist()):
+            cells = [repr(v) for v in x]
+            kind = k % 50
+            if kind == 0:
+                cells[k % d] = ("oops", "", "nan", "-inf")[k // 50 % 4]
+            elif kind == 1:
+                cells = cells[:d - 1]
+            elif kind == 2:
+                cells.append("0.5")  # cells past the input width are ignored
+            elif kind == 3:
+                lines.append("")  # a blank line is no row
+            lines.append(",".join(cells))
+            rows.append(cells[:d])
+        data_path = tmp_path / "rows.csv"
+        data_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "decisions.jsonl"
+        assert run(["guard", "--net", net_path, "--contracts", contract_path,
+                    "--data", data_path, "--threshold", 0.25, "--out", out]) == 0
+        guard = build_guard(contract, uncertainty_threshold=0.25)
+        expected = "".join(json.dumps(decision_to_json(guard_eval(guard, net, row)),
+                                      sort_keys=True) + "\n" for row in rows)
+        assert out.read_text() == expected
+        reasons = {json.loads(line).get("reason") for line in expected.splitlines()}
+        assert reasons == {None, "invalid_input", "outside_regions", "outside_domain", "uncertain"}
 
 
 class TestCheckSystem:
@@ -387,6 +448,20 @@ class TestVerifyInput:
         rid = obj["regions"][0]["id"]
         assert f"region {rid!r} radius must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, bad", [("radius", True), ("radius", "0.1"),
+                                          ("centroid", [0.5, False])])
+    def test_non_number_geometry_exits_2_without_output(self, tmp_path, capsys, key, bad):
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network()))
+        region = {"id": "r000", "metric": "Linf", "centroid": [0.5, 0.45], "radius": 0.1,
+                  "expected_label": "a", "member_count": 1, "member_indices": [0]}
+        regions_path = tmp_path / "regions.json"
+        regions_path.write_text(json.dumps({"regions": [dict(region, **{key: bad})]}))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--net", net_path, "--regions", regions_path, "--out", out]) == 2
+        assert not out.exists()
+        assert f"region 'r000' {key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, name", [
         ("--eps", "-0.5", "epsilon"),
         ("--eps", "nan", "epsilon"),
@@ -484,6 +559,20 @@ class TestGridCli:
                     "--out", out_path]) == 2
         assert not out_path.exists()
         assert f"cut point {bad!r} is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layout, message", [
+        ({"names": ["a"], "cutpoints": [0.5]}, "'cutpoints' must be a list of lists"),
+        ({"names": ["a"], "cutpoints": "0.5"}, "'cutpoints' must be a list of lists"),
+        ({"names": "a", "cutpoints": [[0.5]]}, "'names' must be a list of strings"),
+        ({"names": [1], "cutpoints": [[0.5]]}, "'names' must be a list of strings"),
+    ])
+    def test_layout_not_lists_exits_2_without_output(self, tmp_path, capsys, layout, message):
+        spec_path = tmp_path / "cuts.json"
+        spec_path.write_text(json.dumps(layout))
+        out_path = tmp_path / "grid.csv"
+        assert run(["grid", "--cutpoints", spec_path, "--out", out_path]) == 2
+        assert not out_path.exists()
+        assert message in capsys.readouterr().err
 
     def test_grid_unlabeled(self, tmp_path):
         spec_path = tmp_path / "cuts.json"

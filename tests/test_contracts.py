@@ -164,6 +164,23 @@ class TestRegionContractInvariants:
         with pytest.raises(ValueError, match="region 'r0' radius must be finite and positive"):
             dnn_contract_from_json(obj)
 
+    @pytest.mark.parametrize("key, bad, message", [
+        ("radius", True, "region 'r0' radius must be a number, got True"),
+        ("radius", "0.5", "region 'r0' radius must be a number, got '0.5'"),
+        ("radius", None, "region 'r0' radius must be a number, got None"),
+        ("radius", 10**400, "region 'r0' radius 1000.* lies beyond float range"),
+        ("centroid", [0.1, True, 0.2, 0.3, 0.3], "region 'r0' centroid entry must be a number"),
+        ("centroid", [0.1, "0.3", 0.2, 0.3, 0.3], "region 'r0' centroid entry must be a number"),
+        ("centroid", "0.1,0.3", "region 'r0' centroid must be a list of numbers"),
+    ], ids=["bool", "string", "null", "huge-int", "bool-entry", "string-entry", "not-a-list"])
+    def test_non_number_geometry_rejected_from_json(self, key, bad, message):
+        rc = RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
+                            provenance={"summary": "FullySafe", "expected_label": "COC"})
+        obj = json.loads(render_contract(DnnContract("advisory", (rc,))))
+        obj["regions"][0][key] = bad
+        with pytest.raises(ValueError, match=message):
+            dnn_contract_from_json(obj)
+
     def test_uncertainty_threshold_range(self):
         with pytest.raises(ValueError):
             RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),

@@ -1,19 +1,22 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from conftest import identity_network, random_network
+from conftest import identity_network, make_network, random_network
 from safecomp.contracts import DnnContract, LabelIs, LabelNotIn, RegionContract
 from safecomp.guard import (
     BLOCK_ROWS,
+    GuardDecision,
     build_guard,
     decision_to_json,
     guard_eval,
     stream_guard,
     uncertainty,
 )
+from safecomp.network import Layer
 from safecomp.regions import dist
 
 
@@ -310,6 +313,61 @@ def mixed_rows(rng, n):
     return rows
 
 
+def strict_json(line: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+def one_by_one(guard, net, rows) -> str:
+    """The reference stream: each row through guard_eval, encoded on its own."""
+    return "".join(json.dumps(decision_to_json(guard_eval(guard, net, row)), sort_keys=True) + "\n"
+                   for row in rows)
+
+
+# two-input nets whose forward pass overflows at (0.9, 0.9), inside the
+# domain [0, 1]^2: one score +inf, one score -inf, or NaN scores (inf - inf
+# in an identity hidden layer)
+OVERFLOWING = {
+    "plus_inf": [Layer(np.array([[1e308, 1e308], [0.0, 0.0]]), np.zeros(2), "identity")],
+    "minus_inf": [Layer(np.array([[1.0, 0.0], [-1e308, -1e308]]), np.zeros(2), "identity")],
+    "nan": [Layer(np.array([[1e308, 1e308], [-1e308, -1e308]]), np.zeros(2), "identity"),
+            Layer(np.ones((2, 2)), np.zeros(2), "identity")],
+}
+
+
+class TestNonFiniteScores:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_overflowing_row_inside_a_region_fails_safe_as_uncertain(self, name):
+        net = make_network(OVERFLOWING[name])
+        guard = build_guard(make_contract(("r0", [0.9, 0.9], 0.05, "Linf", LabelIs("a"))),
+                            fail_safe_action="brake")
+        decision = guard_eval(guard, net, [0.9, 0.9])
+        assert (decision.kind, decision.reason, decision.region_id, decision.action) == (
+            "FailSafe", "uncertain", "r0", "brake")
+        assert decision.label is decision.uncertainty is None
+        out = io.StringIO()
+        stream_guard(guard, net, [[0.9, 0.9], [0.1, 0.1]], out)
+        assert out.getvalue() == one_by_one(guard, net, [[0.9, 0.9], [0.1, 0.1]])
+        lines = [strict_json(line) for line in out.getvalue().splitlines()]
+        assert (lines[0]["label"], lines[0]["uncertainty"]) == (None, None)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_row_outside_regions_has_no_label(self):
+        net = random_network(7, dims=(5, 12, 5))
+        guard = build_guard(make_contract(network=net.name))
+        rows = [[1e308] * 5, [-1e308] * 5, [0.5] * 5]
+        out = io.StringIO()
+        stream_guard(guard, net, rows, out)
+        lines = [strict_json(line) for line in out.getvalue().splitlines()]
+        assert [(l["reason"], l["label"], l["uncertainty"]) for l in lines[:2]] == [
+            ("outside_regions", None, None)] * 2
+        assert lines[2]["label"] is not None and lines[2]["uncertainty"] is not None
+        assert out.getvalue() == one_by_one(guard, net, rows)
+
+
 class TestStreamingIdentity:
     def contracts(self, network="test"):
         return make_contract(
@@ -323,24 +381,58 @@ class TestStreamingIdentity:
         net = random_network(7, dims=(5, 12, 5), score_order="min_best")
         guard = build_guard(self.contracts(net.name), uncertainty_threshold=0.4)
         rows = mixed_rows(rng, 2 * BLOCK_ROWS + 300)
+        expected = one_by_one(guard, net, rows)
+        self.assert_streams(guard, net, rows, expected)
+        reasons = {json.loads(line).get("reason") for line in expected.splitlines()}
+        assert reasons == {None, "invalid_input", "outside_regions", "outside_domain", "uncertain"}
 
-        def streamed(chunk):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_same_bytes_under_json_escaping(self, rng):
+        # ids and labels that JSON escapes, a multi-label guarantee, a custom
+        # action, min_best scores, and rows whose forward pass overflows;
+        # the net answers labels 1, 3 and 4 on these rows
+        labels = ("tab\t", 'q"uote', "\u00fcn\u00efc\u00f6de", "back\\slash", "ctl\x01\u00e9")
+        net = dataclasses.replace(random_network(7, dims=(5, 12, 5), score_order="min_best"),
+                                  labels=labels)
+        contract = make_contract(
+            ('r"0', COC_CENTROID, 0.28, "L1", LabelNotIn((labels[1], labels[3], labels[4]))),
+            ("r\\1", [0.6, 0.6, 0.6, 0.6, 0.6], 0.2, "Linf", LabelIs(labels[2])),
+            ("a\u00f62\x07", [0.3, 0.3, 0.3, 0.3, 0.3], 0.15, "L2", LabelIs(labels[0])),
+            network=net.name,
+        )
+        guard = build_guard(contract, fail_safe_action='stop "now"\u2026',
+                            uncertainty_threshold=0.4)
+        rows = mixed_rows(rng, 2 * BLOCK_ROWS + 300) + [[1e308] * 5, [-1e308] * 5]
+        expected = one_by_one(guard, net, rows)
+        self.assert_streams(guard, net, rows, expected)
+        lines = [strict_json(line) for line in expected.splitlines()]
+        assert {l.get("region") for l in lines} == {None, 'r"0', "r\\1", "a\u00f62\x07"}
+        assert {l.get("reason") for l in lines} == {
+            None, "invalid_input", "outside_regions", "outside_domain", "uncertain"}
+        assert {l["label"] for l in lines} == {None, labels[1], labels[3], labels[4]}
+        assert {l.get("action") for l in lines} == {None, 'stop "now"\u2026'}
+
+    @staticmethod
+    def assert_streams(guard, net, rows, expected):
+        whole = io.StringIO()
+        assert stream_guard(guard, net, iter(rows), whole) == len(rows)
+        assert whole.getvalue() == expected
+        for chunk in (1, 7, 1000):
             out = io.StringIO()
             count = sum(stream_guard(guard, net, rows[k:k + chunk], out)
                         for k in range(0, len(rows), chunk))
             assert count == len(rows)
-            return out.getvalue()
+            assert out.getvalue() == expected
 
-        whole = io.StringIO()
-        assert stream_guard(guard, net, iter(rows), whole) == len(rows)
-        one_by_one = "".join(json.dumps(decision_to_json(guard_eval(guard, net, row)),
-                                        sort_keys=True) + "\n" for row in rows)
-        assert whole.getvalue() == one_by_one
-        for chunk in (1, 7, 1000):
-            assert streamed(chunk) == one_by_one
-        reasons = {json.loads(line).get("reason") for line in one_by_one.splitlines()}
-        assert reasons == {None, "invalid_input", "outside_regions", "outside_domain", "uncertain"}
-
+    def test_uncertainty_is_the_last_key(self):
+        # stream_guard writes each line as a fixed prefix per outcome and the
+        # row's uncertainty, so no key of a decision may sort after it
+        every_field = GuardDecision("FailSafe", "uncertain", "r0", LabelNotIn(("a", "b")), "c",
+                                    0.5, "brake")
+        assert all(getattr(every_field, f.name) is not None
+                   for f in dataclasses.fields(GuardDecision))
+        keys = list(json.loads(json.dumps(decision_to_json(every_field), sort_keys=True)))
+        assert keys[-1] == "uncertainty"
     def test_blocks_are_written_as_decided(self):
         net = identity_network(5, labels=("COC", "b", "c", "d", "e"))
         out = io.StringIO()

@@ -266,6 +266,23 @@ class TestCsvAndJson:
         with pytest.raises(ValueError, match="region 'r7' radius must be finite and positive"):
             region_from_dict(obj, ["a", "b"])
 
+    @pytest.mark.parametrize("key, bad, message", [
+        ("radius", True, "region 'r7' radius must be a number, got True"),
+        ("radius", "0.5", "region 'r7' radius must be a number, got '0.5'"),
+        ("radius", 10**400, "region 'r7' radius 1000.* lies beyond float range"),
+        ("centroid", [False, 0.2], "region 'r7' centroid entry must be a number, got False"),
+        ("centroid", ["0.1", 0.2], "region 'r7' centroid entry must be a number, got '0.1'"),
+        ("centroid", [[0.1], 0.2], "region 'r7' centroid entry must be a number"),
+        ("centroid", {"x": 0.1}, "region 'r7' centroid must be a list of numbers"),
+    ], ids=["bool", "string", "huge-int", "bool-entry", "string-entry", "list-entry",
+            "not-a-list"])
+    def test_non_number_geometry_rejected_naming_the_region(self, key, bad, message):
+        obj = region_to_dict(Region("r7", np.array([0.1, 0.2]), 0.5, "Linf", 0, 1, (0,)),
+                             ["a", "b"])
+        obj[key] = bad
+        with pytest.raises(ValueError, match=message):
+            region_from_dict(obj, ["a", "b"])
+
     def test_region_dict_round_trip(self):
         region = Region("r001", np.array([0.1, 0.2]), 0.5, "Linf", 1, 3, (1, 4, 7))
         obj = region_to_dict(region, ["a", "b"])
