@@ -65,7 +65,7 @@ from .compose import (
     contract_monitor,
     most_general_environment,
 )
-from .guard import Guard, GuardDecision, build_guard, guard_eval, uncertainty
+from .guard import Guard, GuardDecision, build_guard, guard_eval
 from .app import (
     build_ebs_demo,
     build_semaphore_classifier,

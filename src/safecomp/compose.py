@@ -6,18 +6,21 @@ output map, wired inputs copy producer outputs of the same tick, unbound
 inputs branch nondeterministically over their domains, and all components
 step simultaneously. Moore outputs make cyclic wiring well-defined. A
 component may declare several initial states; the product branches over
-their cross product at tick zero. One search over integer transition tables
-checks a property on a system and, over compiled contract observers, premise 3
-of the assume-guarantee rule; traces replay on the name-keyed steps, kept as
-their oracles.
+their cross product at tick zero. One breadth-first search, a whole level at
+a time over integer numpy tables, checks a property on a system and, over
+compiled contract observers, premise 3 of the assume-guarantee rule; traces
+replay on the name-keyed steps, kept as their oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .contracts import (
     Always,
@@ -51,7 +54,7 @@ class ComponentModel:
     # compiled form: the index of each state name, and the next state's index
     # at next[state * n_keys + key], key the position in input_keys()
     _index: dict[str, int] = field(init=False, compare=False, repr=False)
-    _next: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _next: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_ports", tuple(sorted(self.inputs)))
@@ -86,7 +89,7 @@ class ComponentModel:
             raise ValueError(f"{self.name}: transition from {state!r} on {key} lies "
                              "outside its states x input domain")
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_next", tuple(table))
+        object.__setattr__(self, "_next", np.array(table, dtype=np.intp))
 
     def input_ports(self) -> tuple[str, ...]:
         return self._ports
@@ -174,26 +177,41 @@ class Product:
 
     def __init__(self, system: System):
         self.comps = system.components
+        self._env_ports = system.env_ports
         index = {c.name: i for i, c in enumerate(self.comps)}
         self._wired = {(index[w.dst_comp], w.dst_port): (index[w.src_comp], w.src_port)
                        for w in system.wiring}
-        self.envs = list(_valuations(system.env_ports))
-        # per component: its table, its row width, each wired port's key
-        # weight per producer state, and its unbound ports' key per env index
-        self._compiled, self._interned = [], {}
+        # each env port's value index per env index, the last port fastest
+        dims = [len(d) for d in self._env_ports.values()]
+        self._n_env = math.prod(dims)
+        digits = np.indices(dims).reshape(len(dims), self._n_env)
+        self._digits = dict(zip(self._env_ports, digits))
+        # component i's next state lies in the tables end to end at offset[i] +
+        # state * radix[i] + env_key[i, e] + each wired input's key, read off
+        # the producer's state by a (producer, consumer, key per state) wire
+        radix, env_weight, self._wires = [], np.zeros((len(self.comps), len(dims)), np.intp), []
         for i, c in enumerate(self.comps):
-            wires, env_key, radix = [], [0] * len(self.envs), 1
+            radix.append(1)
             for port in reversed(c.input_ports()):  # the last port varies fastest in input_keys
-                weight = {v: k * radix for k, v in enumerate(c.inputs[port])}
-                radix *= len(c.inputs[port])
                 src = self._wired.get((i, port))
                 if src is None:
-                    env_key = [key + weight[env[port]] for key, env in zip(env_key, self.envs)]
+                    env_weight[i, list(self._env_ports).index(port)] = radix[i]
                 else:
-                    producer = self.comps[src[0]]
-                    wires.append((src[0], [weight[producer.output_map[st][src[1]]]
-                                           for st in producer.states]))
-            self._compiled.append((c._next, radix, wires, env_key))
+                    outs = map(self.comps[src[0]].output_map.get, self.comps[src[0]].states)
+                    self._wires.append((src[0], i, np.array(
+                        [c.inputs[port].index(o[src[1]]) * radix[i] for o in outs], np.intp)))
+                radix[i] *= len(c.inputs[port])
+        self._env_key = env_weight @ digits
+        self._table = np.concatenate([np.zeros(0, np.intp), *(c._next for c in self.comps)])
+        self._radix = np.array(radix, np.intp)[:, None]
+        self._offset = np.cumsum([0, *(len(c._next) for c in self.comps)])[:-1, None]
+        # the first index of each component's states in per-state tables
+        self._states_at = np.cumsum([0, *(len(c.states) for c in self.comps)])[:-1, None]
+
+    @functools.cached_property
+    def envs(self) -> list[dict[str, str]]:
+        """Every environment valuation, at its env index."""
+        return list(_valuations(self._env_ports))
 
     def initial_states(self) -> list[tuple[str, ...]]:
         return list(itertools.product(*(c.initial for c in self.comps)))
@@ -222,32 +240,28 @@ class Product:
     def _names(self, s: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(c.states[i] for c, i in zip(self.comps, s))
 
-    def _successors(self, s: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The next product state for each environment index. Equal states
-        share one tuple, so the search's caches hold each state once."""
-        cols = []
-        for i, (table, n_keys, wires, env_key) in enumerate(self._compiled):
-            base = s[i] * n_keys + sum(weights[s[j]] for j, weights in wires)
-            cols.append([table[base + key] for key in env_key])
-        nexts = zip(*cols) if cols else [()] * len(self.envs)
-        return [self._interned.setdefault(t, t) for t in nexts]
+    def _step(self, nodes: np.ndarray) -> np.ndarray:
+        """The (C, F, E) next states of F product states, given as (C, F)."""
+        index = nodes * self._radix + self._offset
+        for producer, consumer, keys in self._wires:
+            index[consumer] += keys[nodes[producer]]
+        return self._table[index[:, :, None] + self._env_key[:, None, :]]
 
-    def _truth(self, atom: Atom):
-        """A function from a product state to the atom's truth per environment
-        index. Each literal names an env port or a component's output."""
-        env_ok = [all(env.get(q, v) == v for q, v in atom.literals) for env in self.envs]
-        tests = [(j, [c.output_map[st][q] == v for st in c.states])
-                 for j, c in enumerate(self.comps) for q, v in atom.literals if q in c.outputs]
-        never = [False] * len(self.envs)
-        return lambda s: env_ok if all(ok[s[j]] for j, ok in tests) else never
+    def _atom(self, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
+        """Whether an atom's literals on a component's outputs hold, per state
+        of every component end to end, and those on env ports, per env index."""
+        states = np.array([all(c.output_map[st].get(q, v) == v for q, v in atom.literals)
+                           for c in self.comps for st in c.states], dtype=np.intp)
+        env = np.ones(self._n_env, np.intp)
+        for q, v in atom.literals:
+            if q in self._digits:
+                env &= self._digits[q] == self._env_ports[q].index(v)
+        return states, env
 
     def explore(self) -> list[tuple[str, ...]]:
         """Reachable product states in BFS order."""
-        def successors(s):
-            for nxt in self._successors(s):
-                yield None, nxt, False
-
-        return [self._names(s) for s in _search(self._initial(), successors)[0]]
+        levels, _, _ = _check(self, Always(Atom(()), Atom(())))
+        return [self._names(s) for nodes, _, _ in levels for s in nodes.T.tolist()]
 
 
 def compose(system: System) -> Product:
@@ -262,34 +276,17 @@ def _valuations(ports: dict[str, tuple[str, ...]]):
         yield dict(zip(names, combo))
 
 
-def _search(roots, successors):
-    """Breadth-first search: the one reachability loop of the model checker.
-
-    `successors(node)` yields `(label, next_node, bad)` edges. A bad edge
-    stops the search; a `None` next node ends that branch. Returns
-    `(order, explored, path)`: the nodes in discovery order, the number of
-    nodes expanded, and the shortest edge path from a root to the first bad
-    edge as `(source node, label)` pairs ending with that edge, or None when
-    no bad edge is reachable.
-    """
-    parents = dict.fromkeys(roots)
-    queue = deque(parents)
-    explored = 0
-    while queue:
-        node = queue.popleft()
-        explored += 1
-        for label, nxt, bad in successors(node):
-            if bad:
-                path = [(node, label)]
-                while parents[node] is not None:
-                    node, label = parents[node]
-                    path.append((node, label))
-                path.reverse()
-                return list(parents), explored, path
-            if nxt is not None and nxt not in parents:
-                parents[nxt] = (node, label)
-                queue.append(nxt)
-    return list(parents), explored, None
+def _search(roots, successors) -> list:
+    """The nodes reachable from the roots, in breadth-first discovery order,
+    where `successors(node)` yields a node's next nodes; compiles observers."""
+    order = list(dict.fromkeys(roots))
+    seen = set(order)
+    for node in order:  # the list grows while the loop reads it
+        for nxt in successors(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -404,44 +401,83 @@ def _bind_check(ports: dict[str, tuple[str, ...]], p: Property):
                 raise ValueError(f"property value {port}={value!r} outside domain {ports[port]}")
 
 
-def _check(prod: Product, p: Property, accepts=None) -> tuple[int, list | None]:
-    """The expansion loop of check_property and check_implication: BFS over
-    product x PropertyMonitor states.
+# edges a step of the level search holds at most (a node's are never split);
+# a step with more than SORT_EDGES sorts out repeats before the set lookups
+LEVEL_EDGES = 1 << 13
+SORT_EDGES = 512
 
-    Each reached product state is expanded once into its distinct (next state,
-    antecedent, consequent) outcomes, each under the first env index giving it:
-    a later index with the same outcome finds no new node and no violation.
-    An outcome whose next state `accepts` rejects is dropped: that state is
-    not expanded and a violation on its edge does not count. Returns the
-    states explored and the shortest (product state, env index) path to a
-    violation, or None."""
+
+def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | None]:
+    """Breadth-first search over product x PropertyMonitor states, a level
+    at a time, for check_property, check_implication and Product.explore.
+
+    The first violating edge in (node, env) order ends it; else each new
+    (state, memory) is kept at its first edge in that order, as a FIFO
+    search finds it. `accept` flags each state of every component: an edge
+    into a false one is dropped, with any violation on it. Returns the levels
+    as (states, memories, edge from the previous level), the nodes expanded,
+    and the shortest (state, env index) path to a violation, or None."""
     mon = PropertyMonitor(p)
-    truths = [prod._truth(atom) for atom in mon.atoms]
-    expanded: dict = {}
-
-    def successors(node):
-        s, mem = node
-        edges = expanded.get(s)
-        if edges is None:
-            outcomes = zip(prod._successors(s), *(truth(s) for truth in truths))
-            first: dict = {}
-            for e, outcome in enumerate(outcomes):
-                first.setdefault(outcome, e)
-            edges = expanded[s] = [(e, *outcome) for outcome, e in first.items()
-                                   if accepts is None or accepts(outcome[0])]
-        for e, nxt, a, c in edges:
-            violated, mem2 = mon.advance(mem, a, c)
-            yield e, None if violated else (nxt, mem2), violated
-
-    _, explored, path = _search([(s, mon.initial()) for s in prod._initial()], successors)
-    return explored, None if path is None else [(s, e) for (s, _mem), e in path]
+    mems, table = [mon.initial()], []
+    for mem in mems:  # grows to the memories reachable from the initial one
+        for a, c in itertools.product((False, True), repeat=2):
+            violated, nxt = mon.advance(mem, a, c)
+            mems += [nxt] * (nxt not in mems)
+            table += [violated, mems.index(nxt)]
+    viol, step = np.array(table, np.intp).reshape(-1, 2).T
+    # an edge's cell is 4 * memory + 2 * antecedent + consequent: the AND of
+    # its node's states' codes (the atoms on their outputs) and its env
+    # index's code (on env ports, with every higher bit set)
+    (a_states, a_env), (c_states, c_env) = (prod._atom(atom) for atom in mon.atoms)
+    codes, env_code = 2 * a_states + c_states, 2 * a_env + c_env | ~3
+    # a node's key: its state in mixed radix, then its memory, in Python ints
+    # past int64; a dropped edge's key is -1, seen from the start
+    sizes = [len(c.states) for c in prod.comps]
+    dtype = np.int64 if len(mems) * math.prod(sizes) < 2 ** 63 else object
+    strides = np.array([math.prod(sizes[i + 1:]) * len(mems) for i in range(len(sizes))], dtype)
+    roots = prod._initial()
+    level = (np.array(roots, np.intp).reshape(len(roots), len(sizes)).T,
+             *np.zeros((2, len(roots)), np.intp))
+    seen = {-1, *(strides @ level[0]).tolist()}
+    levels, explored, n_env, at = [], 0, prod._n_env, prod._states_at
+    batch = max(1, LEVEL_EDGES // n_env)
+    while len(level[1]):
+        levels.append(level)
+        found = []
+        for lo in range(0, len(level[1]), batch):
+            nodes = level[0][:, lo:lo + batch]
+            cell = ((4 * level[1][lo:lo + batch] + np.bitwise_and.reduce(
+                codes[nodes + at], axis=0, initial=3))[:, None] & env_code).ravel()
+            nxt = prod._step(nodes).reshape(len(sizes), len(cell))
+            ok = None if accept is None else np.logical_and.reduce(accept[nxt + at], axis=0)
+            bad = viol[cell] if ok is None else viol[cell] & ok
+            if bad[i := int(bad.argmax())]:
+                (f, e), path = divmod(lo * n_env + i, n_env), []
+                for nodes, _mem, edge in reversed(levels):  # back through the parents
+                    path.append((tuple(nodes[:, f].tolist()), e))
+                    f, e = divmod(int(edge[f]), n_env)
+                return levels, explored + lo + i // n_env + 1, path[::-1]
+            mem = step[cell]
+            key = strides @ nxt + mem
+            if ok is not None:
+                key[~ok] = -1
+            # on a large step, first find each key's first edge by sorting
+            pos = np.sort(np.unique(key, return_index=True)[1]) if key.size > SORT_EDGES else None
+            new = [i for i, k in enumerate((key if pos is None else key[pos]).tolist())
+                   if k not in seen and not seen.add(k)]  # add returns None
+            edge = np.array(new, np.intp) if pos is None else pos[new]
+            found.append((nxt[:, edge], mem[edge], lo * n_env + edge))
+        explored += len(level[1])
+        level = found[0] if len(found) == 1 else \
+            tuple(np.concatenate(part, axis=-1) for part in zip(*found))
+    return levels, explored, None
 
 
 def check_property(system: System, p: Property) -> CheckResult:
     """BFS over product x monitor states; a counterexample is a shortest trace."""
     _bind_check(system.ports(), p)
     prod = compose(system)
-    explored, path = _check(prod, p)
+    _, explored, path = _check(prod, p)
     if path is None:
         return CheckResult(True, None, explored)
     named = [(prod._names(s), prod.envs[e]) for s, e in path]
@@ -479,8 +515,8 @@ def check_implication(constraints: list[ComponentModel], p: Property,
     A constraint is a Moore observer of ports (contract_monitor) whose outputs
     read "true" until the prefix it consumed leaves its language. The search
     is check_property's, over the constraints and a stateless reader of the
-    ports none reads, with `accepts` on the constraints' outputs: a constraint
-    breaking at the tick of a violation absolves the trace."""
+    ports none reads, accepting the states whose outputs are all "true": a
+    constraint breaking at the tick of a violation absolves the trace."""
     ports = {q: tuple(d) for q, d in sorted(ports.items())}
     _bind_check(ports, p)
     read = {q for c in constraints for q in c.inputs}
@@ -494,9 +530,8 @@ def check_implication(constraints: list[ComponentModel], p: Property,
     if system.env_ports != ports:
         raise ValueError("constraints must read the declared ports with their domains")
     prod = compose(system)
-    ok = [(j, [all(v == "true" for v in c.output_map[st].values()) for st in c.states])
-          for j, c in enumerate(constraints)]
-    explored, path = _check(prod, p, lambda s: all(flags[s[j]] for j, flags in ok))
+    _, explored, path = _check(prod, p, np.array([all(v == "true" for v in c.output_map[s].values())
+                                                   for c in prod.comps for s in c.states]))
     if path is None:
         return CheckResult(True, None, explored)
     return CheckResult(False, tuple(TraceStep((), prod.envs[e], prod.envs[e])
@@ -534,16 +569,20 @@ def contract_monitor(c: ComponentContract | Property,
     ports = {p: tuple(ports[p]) for p in sorted(needed)}
 
     cm = ContractMonitor(c)
-    valuations = list(_valuations(ports))
+    # step once per vector of the atoms' truths, all the monitor reads of a valuation
+    atoms = [a for q in (c.assumption, c.guarantee) if q
+             for a in (q.antecedent, _consequent_atom(q))]
+    classes: dict = {}
+    for v in _valuations(ports):
+        classes.setdefault(tuple(a.holds(v) for a in atoms), (v, []))[1].append(tuple(v.values()))
     edges = []
 
     def successors(mstate):
-        for v in valuations:
-            nxt = cm.step(mstate, v)
-            edges.append((mstate, tuple(v.values()), nxt))
-            yield None, nxt, False
+        for v, keys in classes.values():
+            edges.append((mstate, keys, cm.step(mstate, v)))
+            yield edges[-1][2]
 
-    order, _, _ = _search([cm.initial()], successors)
+    order = _search([cm.initial()], successors)
     state_names = {ms: f"m{i}" for i, ms in enumerate(order)}
     return ComponentModel(
         name=name,
@@ -553,7 +592,8 @@ def contract_monitor(c: ComponentContract | Property,
         initial=(state_names[cm.initial()],),
         output_map={sn: {ok_port: "false" if ContractMonitor.is_bad(ms) else "true"}
                     for ms, sn in state_names.items()},
-        transitions={(state_names[src], key): state_names[dst] for src, key, dst in edges},
+        transitions={(state_names[src], key): state_names[dst]
+                     for src, keys, dst in edges for key in keys},
     )
 
 
@@ -616,9 +656,9 @@ def most_general_environment(c: ComponentContract, name: str | None = None) -> C
                 key = tuple(full_inputs[p] for p in input_names)
                 nxt = (m2, tuple(w2.values()))
                 edges.append((node, key, nxt))
-                yield None, nxt, False
+                yield nxt
 
-    order, _, _ = _search(roots, successors)
+    order = _search(roots, successors)
     state_names = {node: f"g{k}" for k, node in enumerate(order)}
     return ComponentModel(
         name=name or f"env_{c.name}",

@@ -54,6 +54,8 @@ class Network:
     input_mean: np.ndarray
     input_range: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
+    # normalized_domain(), computed once, as read-only arrays
+    _domain: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) < 2:
@@ -83,6 +85,11 @@ class Network:
             raise ValueError("input_range entries must be positive")
         if np.any(self.input_min > self.input_max):
             raise ValueError("input_min must not exceed input_max")
+        domain = tuple((bound - self.input_mean) / self.input_range
+                       for bound in (self.input_min, self.input_max))
+        for bound in domain:
+            bound.setflags(write=False)
+        object.__setattr__(self, "_domain", domain)
 
     @property
     def n_labels(self) -> int:
@@ -95,9 +102,7 @@ class Network:
 
     def normalized_domain(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension [lo, hi] of the raw input bounds, in normalized space."""
-        lo = (self.input_min - self.input_mean) / self.input_range
-        hi = (self.input_max - self.input_mean) / self.input_range
-        return lo, hi
+        return self._domain
 
 
 def _parse_floats(text: str, n: int | None, line: int) -> np.ndarray:

@@ -305,6 +305,74 @@ class TestCompiledAgainstReference:
                 prop = parse_property(f"G (x=red => F<={k} (velocity=0))")
                 assert check_property(system, prop) == reference_check(system, prop)[0]
 
+    @staticmethod
+    def assert_matches_reference(system, props):
+        for prop in props:
+            assert check_property(system, prop) == reference_check(system, prop)[0], prop
+        _, order = reference_check(system, parse_property("G (true => true)"))
+        assert compose(system).explore() == order
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bt", [2, 4])
+    def test_fleets_against_reference(self, n, bt):
+        m1, c1, stopped = braking_fleet(n, bt)
+        dnn = build_ebs_demo(bt).dnn_contract
+        full = wire_by_name(m1, abstract_dnn_component(dnn, LABELS, token_map=TOKEN_MAPS[0]))
+        self.assert_matches_reference(full, [parse_property(f"G (x=red => F<={k} ({stopped}))")
+                                             for k in (3, 4, 5)])
+        self.assert_matches_reference(m1, [c1.guarantee])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_wide_systems(self, seed):
+        """Six to eight components, each with two initial states, wired in a
+        ring; every other one also reads an environment port."""
+        rng = np.random.default_rng(500 + seed)
+        k = int(rng.integers(6, 9))
+        comps = tuple(random_component(f"K{i}", rng, [f"o{(i - 1) % k}"] + ["e"] * (i % 2 == 0),
+                                       [f"o{i}"], n_initial=2) for i in range(k))
+        system = System(comps, tuple(Wire(f"K{i}", f"o{i}", f"K{(i + 1) % k}", f"o{i}")
+                                     for i in range(k)))
+        ports = system.ports()
+        self.assert_matches_reference(system, [random_property(rng, ports) for _ in range(6)])
+
+    def test_system_of_no_components(self):
+        self.assert_matches_reference(System(()), [parse_property("G (true => true)")])
+        assert check_implication([], parse_property("G (true => true)"), {}) == \
+            CheckResult(True, None, 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_steps_and_sorting_change_nothing(self, seed, monkeypatch):
+        # one node a step, and every step's repeated keys sorted out first
+        import safecomp.compose as compose_module
+        monkeypatch.setattr(compose_module, "LEVEL_EDGES", 1)
+        monkeypatch.setattr(compose_module, "SORT_EDGES", 0)
+        self.test_fleets_against_reference(2, 2 + 2 * (seed % 2))
+        self.test_random_wide_systems(seed)
+        self.test_state_count_bound_past_int64()
+
+    def test_state_count_bound_past_int64(self):
+        """22 components of 9 states: about 1e21 product states, beyond int64
+        keys, of which the 9 where every counter agrees are reachable."""
+        def counter(i):
+            states = tuple(f"c{j}" for j in range(9))
+            inputs = {"go": BIN, **({f"top{i - 1}": BIN} if i else {})}
+            return ComponentModel(
+                f"C{i}", inputs, {f"top{i}": BIN}, states, ("c0",),
+                {st: {f"top{i}": "1" if st == "c8" else "0"} for st in states},
+                {(st, key): states[(j + int(key[0])) % 9] for j, st in enumerate(states)
+                 for key in itertools.product(BIN, repeat=len(inputs))})
+
+        comps = tuple(counter(i) for i in range(22))
+        assert np.prod([float(len(c.states)) for c in comps]) > 2.0 ** 63
+        system = System(comps, tuple(Wire(f"C{i}", f"top{i}", f"C{i + 1}", f"top{i}")
+                                     for i in range(21)))
+        props = [parse_property("G (true => top21=0)"), parse_property("G (go=1 => F<=3 (top0=1))"),
+                 parse_property("G (top3=1 => top20=1)")]
+        self.assert_matches_reference(system, props)
+        assert len(compose(system).explore()) == 9
+        result = check_property(system, props[0])
+        assert not result.holds and len(result.counterexample) == 9
+
     # (holds, states_explored) of the EBS full system under
     # G (x=red => F<=k (velocity=0)), k = 1..6, as the name-keyed checker gave them
     EBS_PINS = {
@@ -388,6 +456,19 @@ class TestPremiseThree:
         assert [st.valuation for st in result.counterexample] == \
             [{"a": "1", "b": "0", "c": "1", "z": "0"}]
         assert result == reference_implication([c1, c2], prop, ports)
+
+    def test_violation_into_rejected_constraint_state_is_absolved(self):
+        # p fails at the tick a=0 arrives; at that same tick C1 breaks, so the
+        # edge leads into its rejecting state and the violation does not count
+        c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"), outputs={"a": BIN})
+        ports = {"a": BIN, "b": BIN}
+        prop = parse_property("G (b=1 => a=1)")
+        monitor = contract_monitor(c1, ports, "C1", ok_port="C1.ok")
+        result = check_implication([monitor], prop, ports)
+        assert result == reference_implication([c1], prop, ports) == CheckResult(True, None, 1)
+        unconstrained = check_implication([], prop, ports)
+        assert not unconstrained.holds
+        assert [st.valuation for st in unconstrained.counterexample] == [{"a": "0", "b": "1"}]
 
     def test_constraints_must_read_declared_domains(self):
         c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"), outputs={"a": BIN})

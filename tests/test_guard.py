@@ -14,9 +14,8 @@ from safecomp.guard import (
     decision_to_json,
     guard_eval,
     stream_guard,
-    uncertainty,
 )
-from safecomp.network import Layer
+from safecomp.network import Layer, evaluate
 from safecomp.regions import dist
 
 
@@ -27,6 +26,14 @@ def make_contract(*specs, network="test", uncertainty_max=None):
         for rid, c, r, metric, guarantee in specs
     )
     return DnnContract(network, regions)
+
+
+def uncertainty(net, x) -> float:
+    """Softmax-margin uncertainty, the oracle of the guard's: scores turned by
+    net.oriented so that larger means better, softmaxed at temperature 1
+    after the best is shifted to 0; one minus the top probability."""
+    good = net.oriented(evaluate(net, x))
+    return 1.0 - 1.0 / float(np.exp(good - good.max()).sum())
 
 
 COC_CENTROID = [0.19, 0.31, 0.28, 0.33, 0.33]
@@ -57,25 +64,33 @@ class TestBuildGuard:
 
 
 class TestUncertainty:
+    @staticmethod
+    def reported(net, x) -> float:
+        """The uncertainty guard_eval reports for x (for any finite row of the
+        network's width, covered or not), checked against the oracle."""
+        u = guard_eval(build_guard(make_contract(network=net.name)), net, x).uncertainty
+        assert u == pytest.approx(uncertainty(net, x), rel=0, abs=1e-12)
+        return u
+
     def test_flat_scores_give_one_minus_inverse_k(self):
         net = identity_network(3, labels=("a", "b", "c"))
-        assert uncertainty(net, [0.4, 0.4, 0.4]) == pytest.approx(1 - 1 / 3)
+        assert self.reported(net, [0.4, 0.4, 0.4]) == pytest.approx(1 - 1 / 3)
 
     def test_dominating_score_is_near_certain(self):
         net = identity_network(score_order="max_best")
-        assert uncertainty(net, [15.0, 0.0]) < 0.01
+        assert self.reported(net, [15.0, 0.0]) < 0.01
 
     def test_min_best_orientation(self):
         net = identity_network(score_order="min_best")
         # a decisively LOW score should be confident under min_best
-        assert uncertainty(net, [-15.0, 0.0]) < 0.01
+        assert self.reported(net, [-15.0, 0.0]) < 0.01
 
     def test_bounded_sweep(self, rng):
         net = random_network(3, dims=(2, 6, 6, 3))
         k = 3
         for _ in range(10_000):
             x = rng.uniform(-1, 1, size=2)
-            u = uncertainty(net, x)
+            u = self.reported(net, x)
             assert 0.0 <= u <= 1 - 1 / k + 1e-12
 
 
@@ -353,6 +368,16 @@ class TestNonFiniteScores:
         assert out.getvalue() == one_by_one(guard, net, [[0.9, 0.9], [0.1, 0.1]])
         lines = [strict_json(line) for line in out.getvalue().splitlines()]
         assert (lines[0]["label"], lines[0]["uncertainty"]) == (None, None)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_overflowing_row_raises_no_warning(self, name):
+        # the guard fails safe on scores that are not finite, so the forward
+        # pass's overflow warnings would only litter the stream's stderr
+        net = make_network(OVERFLOWING[name])
+        guard = build_guard(make_contract(("r0", [0.9, 0.9], 0.05, "Linf", LabelIs("a"))))
+        assert guard_eval(guard, net, [0.9, 0.9]).reason == "uncertain"
+        assert stream_guard(guard, net, [[0.9, 0.9], [0.1, 0.1]], io.StringIO()) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_row_outside_regions_has_no_label(self):
