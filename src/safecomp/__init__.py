@@ -47,7 +47,6 @@ from .contracts import (
     LabelIs,
     LabelNotIn,
     RegionContract,
-    check_point_against_contract,
     emit_dnn_contract,
     parse_property,
     render_contract,
@@ -69,7 +68,6 @@ from .guard import Guard, GuardDecision, build_guard, guard_eval
 from .app import (
     build_ebs_demo,
     build_semaphore_classifier,
-    project_polar,
     run_ebs_demo,
     run_parallel_verification,
 )

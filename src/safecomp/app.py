@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from . import compose as cm
 from .contracts import (
     ComponentContract,
@@ -23,19 +24,11 @@ from .contracts import (
     emit_dnn_contract,
     parse_property,
 )
-from .network import Network, Layer, denormalize
+from .network import Network, Layer
 from .regions import DiscoveryConfig, LabeledDataset, Region, discover_regions
 from .verifier import Counterexample, FullResult, Verdict, VerdictStats, verify_full
 
-TOOL_VERSION = "0.1.0"
 SEMAPHORE_LABELS = ("red", "green", "yellow")
-
-
-def project_polar(rho: float, theta: float) -> tuple[float, float]:
-    """(downrange, crossrange) = (rho*cos(theta), rho*sin(theta)); rho >= 0."""
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    return rho * math.cos(theta), rho * math.sin(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +115,10 @@ def verdict_from_json(obj: dict) -> Verdict:
                    obj.get("reason"))
 
 
-def _polar_annotation(net: Network, attributes, point: np.ndarray) -> dict | None:
-    names = [a.lower() for a in attributes]
-    if "rho" not in names or "theta" not in names:
-        return None
-    raw = denormalize(net, point)
-    rho = float(raw[names.index("rho")])
-    theta = float(raw[names.index("theta")])
-    if rho < 0:
-        return None
-    down, cross = project_polar(rho, theta)
-    return {"downrange": down, "crossrange": cross}
-
-
 def build_verification_report(net: Network, results, config: dict,
-                              attributes=None, elapsed: float = 0.0) -> dict:
+                              elapsed: float = 0.0) -> dict:
     """Report for a verify run: per-region verdicts, contract-style summary
-    counts, and counterexamples (with a polar projection when the dataset
-    exposes rho/theta attributes)."""
+    counts, and counterexamples."""
     region_entries = []
     counterexamples = []
     counts = {"FullySafe": 0, "TargetedSafe": 0, "NotSafe": 0, "Inconclusive": 0}
@@ -161,19 +140,14 @@ def build_verification_report(net: Network, results, config: dict,
         for t, v in sorted(result.verdicts.items()):
             if v.counterexample is None:
                 continue
-            ce = {
+            counterexamples.append({
                 "region": region.id,
                 "target": net.labels[t],
                 "point": [float(c) for c in v.counterexample.point],
-            }
-            if attributes:
-                polar = _polar_annotation(net, attributes, v.counterexample.point)
-                if polar is not None:
-                    ce["polar"] = polar
-            counterexamples.append(ce)
+            })
     return {
         "tool": "safecomp",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "network": net.name,
         "config": config,
         "regions": region_entries,
@@ -430,7 +404,7 @@ def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, max_nodes: int = 50_000
     elapsed = time.perf_counter() - t0
     report = {
         "tool": "safecomp",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "demo": "ebs",
         "config": {"braking_ticks": braking_ticks, "seed": seed,
                    "min_members": cfg.min_members, "max_nodes": max_nodes},

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import app
+from . import __version__, app
 from .compose import check_assume_guarantee, system_from_json
 from .contracts import (
     component_contract_from_json,
@@ -88,7 +88,6 @@ def cmd_discover(args) -> int:
         "network": net.name,
         "labels": list(net.labels),
         "metric": _METRICS[args.metric],
-        "attributes": list(data.attributes),
         "radius_strategy": args.radius,
         "seed": args.seed,
         "regions": [region_to_dict(r, net.labels) for r in result.regions],
@@ -99,17 +98,12 @@ def cmd_discover(args) -> int:
     return 0
 
 
-def _load_regions(path: str, labels):
-    obj = json.loads(Path(path).read_text())
-    regions = [region_from_dict(r, labels) for r in obj["regions"]]
-    return regions, obj.get("attributes")
-
-
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     check_budgets(args.node_budget, args.time_budget, args.eps)
     net = _read_net(args.net)
-    regions, attributes = _load_regions(args.regions, net.labels)
+    regions = [region_from_dict(r, net.labels)
+               for r in json.loads(Path(args.regions).read_text())["regions"]]
     for r in regions:
         if r.centroid.shape != (net.input_dim,):
             raise ValueError(f"region {r.id!r} has a centroid of width {r.centroid.size}, "
@@ -122,7 +116,7 @@ def cmd_verify(args) -> int:
         "workers": args.workers, "seed": args.seed, "node_budget": args.node_budget,
         "eps": args.eps, "regions_file": os.path.basename(args.regions),
     }
-    report = app.build_verification_report(net, results, config, attributes,
+    report = app.build_verification_report(net, results, config,
                                            elapsed=time.perf_counter() - t0)
     lines = [f"{e['id']} {e['summary']} safe={','.join(e['safe_targets']) or '-'}"
              for e in report["regions"]]
@@ -176,7 +170,7 @@ def cmd_check_system(args) -> int:
     report = check_assume_guarantee(system, c1, dnn, prop,
                                     token_port=token_port, class_port=class_port,
                                     class_domain=tuple(str(v) for v in class_domain))
-    obj = {"tool": "safecomp", "version": app.TOOL_VERSION,
+    obj = {"tool": "safecomp", "version": __version__,
            "system": os.path.basename(args.system),
            "assume_guarantee": app.ag_report_to_json(report),
            "conclusion": "M1 || M2 |= P" if report.conclusion else "not established"}
@@ -188,19 +182,18 @@ def cmd_check_system(args) -> int:
 
 
 def _csv_rows(lines, width: int):
-    """Data rows of a CSV stream, cut to `width` cells, as strings. A first
-    row that does not parse as numbers is a header and is skipped; any other
-    such row is passed on for the guard to reject."""
-    for i, row in enumerate(csv.reader(lines)):
-        if not row:
-            continue
-        cells = row[:width]
-        if i == 0:
-            try:
-                list(map(float, cells))
-            except ValueError:
-                continue  # header row
+    """Data rows of a CSV stream, cut to `width` cells, as strings. Blank
+    lines are skipped. A first non-blank row that does not parse as numbers
+    is a header and is skipped; any other such row is passed on for the
+    guard to reject."""
+    rows = (row[:width] for row in csv.reader(lines) if row)
+    for cells in itertools.islice(rows, 1):
+        try:
+            list(map(float, cells))
+        except ValueError:
+            continue  # header row
         yield cells
+    yield from rows
 
 
 def cmd_guard(args) -> int:

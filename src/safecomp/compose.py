@@ -264,10 +264,6 @@ class Product:
         return [self._names(s) for nodes, _, _ in levels for s in nodes.T.tolist()]
 
 
-def compose(system: System) -> Product:
-    return Product(system)
-
-
 def _valuations(ports: dict[str, tuple[str, ...]]):
     """Every assignment of one domain value per port, as dicts keyed in
     sorted port order, enumerated lexicographically."""
@@ -476,7 +472,7 @@ def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | N
 def check_property(system: System, p: Property) -> CheckResult:
     """BFS over product x monitor states; a counterexample is a shortest trace."""
     _bind_check(system.ports(), p)
-    prod = compose(system)
+    prod = Product(system)
     _, explored, path = _check(prod, p)
     if path is None:
         return CheckResult(True, None, explored)
@@ -488,7 +484,7 @@ def check_property(system: System, p: Property) -> CheckResult:
 def replay_violation(system: System, p: Property, trace) -> bool:
     """Deterministically re-run a counterexample trace; true iff it reproduces
     the violation at the final tick and only there."""
-    prod = compose(system)
+    prod = Product(system)
     mon = PropertyMonitor(p)
     mem = mon.initial()
     states = trace[0].states
@@ -529,7 +525,7 @@ def check_implication(constraints: list[ComponentModel], p: Property,
     system = System(components)
     if system.env_ports != ports:
         raise ValueError("constraints must read the declared ports with their domains")
-    prod = compose(system)
+    prod = Product(system)
     _, explored, path = _check(prod, p, np.array([all(v == "true" for v in c.output_map[s].values())
                                                    for c in prod.comps for s in c.states]))
     if path is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import METRICS, Region, dist, dist_many, geometry_from_dict
+from .regions import METRICS, check_ball, dist, dist_many, geometry_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +202,7 @@ class RegionContract:
     uncertainty_max: float | None = None
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if np.ndim(self.centroid) != 1:
-            raise ValueError("centroid must be a vector")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"region {self.id!r} radius must be finite and positive, "
-                             f"got {self.radius!r}")
+        check_ball(self.id, self.metric, self.centroid, self.radius)
         u = self.uncertainty_max
         if u is not None and (isinstance(u, bool) or not isinstance(u, numbers.Real)
                               or not 0 < u <= 1):
@@ -219,8 +213,8 @@ class RegionContract:
             raise ValueError("excluded-label set must not contain the expected label")
 
     def contains(self, x) -> bool:
-        """Membership of one point in this region alone. The guard and
-        check_point_against_contract ask DnnContract.first_containing."""
+        """Membership of one point in this region alone. The guard asks
+        DnnContract.first_containing."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.centroid.shape:
             raise ValueError(f"dimension mismatch: {x.shape} vs {self.centroid.shape}")
@@ -342,26 +336,6 @@ def emit_dnn_contract(network_name: str, labels, results) -> DnnContract:
             provenance=provenance,
         ))
     return DnnContract(network_name, tuple(region_contracts), tuple(annex))
-
-
-@dataclass(frozen=True)
-class ContractAnswer:
-    determined: bool
-    region_id: str | None = None
-    guarantee: LabelIs | LabelNotIn | None = None
-
-
-def check_point_against_contract(contract: DnnContract, x) -> ContractAnswer:
-    """First containing region in id order decides; no region means undetermined."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected one input vector, got shape {x.shape}")
-    contract.check_width(len(x), "the point")
-    k = contract.first_containing(x[None, :])[0]
-    if k == len(contract.ordered):
-        return ContractAnswer(False)
-    rc = contract.ordered[k]
-    return ContractAnswer(True, rc.id, rc.guarantee)
 
 
 # ---------------------------------------------------------------------------

@@ -264,13 +264,6 @@ def normalize(net: Network, raw) -> np.ndarray:
     return (raw - net.input_mean) / net.input_range
 
 
-def denormalize(net: Network, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"expected {net.input_dim} inputs, got shape {x.shape}")
-    return x * net.input_range + net.input_mean
-
-
 def evaluate(net: Network, x) -> np.ndarray:
     """Forward pass on one normalized input, or on an (n, input_dim) batch of
     them; returns the raw score vector, or an (n, n_labels) array of them.

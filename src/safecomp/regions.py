@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,21 @@ class LabeledDataset:
         return self.points.shape[1]
 
 
+def check_ball(rid: str, metric: str, centroid, radius) -> None:
+    """The rule for every region ball, a Region's or a contract's: a known
+    metric, a finite 1-D centroid and a finite positive radius. The error
+    names the region."""
+    if metric not in METRICS:
+        raise ValueError(f"region {rid!r} has unknown metric {metric!r}")
+    if np.ndim(centroid) != 1:
+        raise ValueError(f"region {rid!r} centroid must be a vector, "
+                         f"got shape {np.shape(centroid)}")
+    if not np.all(np.isfinite(centroid)):
+        raise ValueError(f"region {rid!r} has a non-finite centroid")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"region {rid!r} radius must be finite and positive, got {radius!r}")
+
+
 @dataclass(frozen=True)
 class Region:
     """A centroid/radius ball (under one metric) whose members share a label."""
@@ -54,13 +69,7 @@ class Region:
     member_indices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if not np.all(np.isfinite(self.centroid)):
-            raise ValueError(f"region {self.id!r} has a non-finite centroid")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"region {self.id!r} radius must be finite and positive, "
-                             f"got {self.radius!r}")
+        check_ball(self.id, self.metric, self.centroid, self.radius)
         if self.member_indices and self.member_count != len(self.member_indices):
             raise ValueError("member_count must match member_indices")
 

@@ -24,7 +24,6 @@ from safecomp.contracts import (
     DnnContract,
     LabelIs,
     RegionContract,
-    check_point_against_contract,
     emit_dnn_contract,
     parse_property,
     render_contract,
@@ -186,8 +185,9 @@ class TestCriterion4:
             provenance={"summary": "FullySafe", "expected_label": "COC"}),))
         back = parse_dnn_contract(render_contract(contract))
         assert contracts_equal(contract, back)
-        answer = check_point_against_contract(back, centroid)
-        assert answer.determined and answer.guarantee == LabelIs("COC")
+        back.check_width(len(centroid), "the centroid")
+        k = back.first_containing(centroid[None, :])[0]
+        assert k < len(back.ordered) and back.ordered[k].guarantee == LabelIs("COC")
         report_line(4, True, "L1 r=0.28 label_is(COC) contract round-trips; "
                              "centroid determined as COC")
 

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from safecomp.app import (
     build_verification_report,
     iter_grid,
     mask_timing,
-    project_polar,
     run_ebs_demo,
     run_parallel_verification,
     task_seed,
@@ -23,27 +21,6 @@ from safecomp.compose import check_property
 from safecomp.network import classify, evaluate
 from safecomp.regions import DiscoveryConfig, Region, discover_regions
 from safecomp.verifier import Counterexample, Verdict, VerdictStats, verify_full
-
-
-class TestPolar:
-    def test_zero_angle(self):
-        assert project_polar(1.0, 0.0) == (1.0, 0.0)
-
-    def test_right_angle(self):
-        down, cross = project_polar(1.0, math.pi / 2)
-        assert down == pytest.approx(0.0, abs=1e-12)
-        assert cross == pytest.approx(1.0, abs=1e-12)
-
-    def test_radius_identity(self, rng):
-        for _ in range(200):
-            rho = float(rng.uniform(0, 100))
-            theta = float(rng.uniform(-math.pi, math.pi))
-            down, cross = project_polar(rho, theta)
-            assert down * down + cross * cross == pytest.approx(rho * rho, rel=1e-9)
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError):
-            project_polar(-1.0, 0.0)
 
 
 class TestGrid:
@@ -188,19 +165,6 @@ class TestReport:
         assert summary["total"] == 3
         assert sum(summary[k] for k in
                    ("fully_safe", "targeted_safe", "not_safe", "inconclusive")) == 3
-
-    def test_counterexamples_carry_polar_projection_for_rho_theta_schema(self):
-        net = identity_network(score_order="max_best")
-        region = Region("r000", np.array([0.5, 0.5]), 0.2, "Linf", 0, 1, (0,))
-        results = run_parallel_verification(net, [region], seed=0)
-        report = build_verification_report(net, results, config={},
-                                           attributes=("rho", "theta"))
-        assert report["counterexamples"]
-        ce = report["counterexamples"][0]
-        assert "polar" in ce
-        rho, theta = ce["point"]
-        assert ce["polar"]["downrange"] == pytest.approx(rho * math.cos(theta))
-        assert ce["polar"]["crossrange"] == pytest.approx(rho * math.sin(theta))
 
     def test_mask_timing_zeroes_nested_elapsed(self):
         obj = {"timing": {"elapsed": 3.2},

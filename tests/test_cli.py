@@ -1,11 +1,19 @@
 import json
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import safecomp
 from conftest import identity_network, make_network, parse_dnn_contract
-from safecomp.app import build_ebs_demo, build_semaphore_classifier, run_parallel_verification
+from safecomp.app import (
+    build_ebs_demo,
+    build_semaphore_classifier,
+    mask_timing,
+    run_parallel_verification,
+)
 from safecomp.cli import cli_main
 from safecomp.compose import system_to_json
 from safecomp.contracts import (
@@ -123,6 +131,7 @@ class TestPipeline:
                     "--metric", "linf", "--seed", 42, "--out", regions_path]) == 0
         regions_obj = json.loads(regions_path.read_text())
         assert regions_obj["metric"] == "Linf"
+        assert "attributes" not in regions_obj
         assert len(regions_obj["regions"]) >= 3
 
         report_path = tmp_path / "report.json"
@@ -164,6 +173,25 @@ class TestPipeline:
         }))
         assert run(["verify", "--net", net_path, "--regions", regions_path,
                     "--out", tmp_path / "r.json"]) == 1
+
+    def test_regions_file_with_attributes_verifies_as_without(self, tmp_path):
+        # discover wrote "attributes" once; such a file still loads, and the
+        # key changes nothing in the report, counterexamples included
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network(score_order="max_best")))
+        region = {"id": "r000", "metric": "Linf", "centroid": [0.5, 0.5], "radius": 0.2,
+                  "expected_label": "a", "member_count": 1, "member_indices": [0]}
+        reports = []
+        for name, extra in (("plain", {}), ("named", {"attributes": ["rho", "theta"]})):
+            (tmp_path / name).mkdir()
+            regions_path = tmp_path / name / "regions.json"
+            regions_path.write_text(json.dumps({"regions": [region], **extra}))
+            out = tmp_path / name / "report.json"
+            assert run(["verify", "--net", net_path, "--regions", regions_path,
+                        "--out", out]) == 1
+            reports.append(mask_timing(json.loads(out.read_text())))
+        assert reports[0]["counterexamples"]
+        assert reports[0] == reports[1]
 
     def test_verify_text_format(self, semaphore_files, tmp_path):
         net, _, net_path, data_path = semaphore_files
@@ -211,6 +239,13 @@ class TestGuardCli:
             ("FailSafe", "outside_regions"),
         ]
 
+    def test_header_after_blank_lines_is_skipped(self, files, tmp_path):
+        # the header is the first non-blank row; a later non-number row is data
+        code, lines = self.guard(files, tmp_path, "\n\nx1,x2\n0.2,0.1\nx1,x2\n")
+        assert code == 0
+        assert [(l["kind"], l.get("reason")) for l in lines] == [
+            ("Covered", None), ("FailSafe", "invalid_input")]
+
     def test_off_domain_row(self, files, tmp_path):
         code, lines = self.guard(files, tmp_path, "0.2,-0.1\n")
         assert code == 0
@@ -244,7 +279,9 @@ class TestGuardCli:
         assert "region 'r0' uncertainty_max must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, bad", [("radius", True), ("radius", "0.3"),
-                                          ("centroid", [0.2, "0.1"])])
+                                          ("centroid", [0.2, "0.1"]),
+                                          ("centroid", [float("nan"), 0.1]),
+                                          ("centroid", [float("inf"), 0.1])])
     def test_non_number_geometry_exits_2_without_output(self, files, tmp_path, capsys,
                                                         key, bad):
         obj = json.loads(files[1].read_text())
@@ -355,6 +392,20 @@ class TestCheckSystem:
         report = json.loads(out.read_text())
         failing = [p for p in report["assume_guarantee"]["premises"] if not p["holds"]]
         assert failing and failing[0]["counterexample"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_centroid_exits_2_without_output(self, tmp_path, capsys, bad):
+        # premise 2 would otherwise pass a region that no input can fall in
+        sys_path, contract_path = self._write_system(tmp_path, 2)
+        obj = json.loads(contract_path.read_text())
+        obj["regions"][0]["centroid"][0] = bad
+        contract_path.write_text(json.dumps(obj))
+        out = tmp_path / "ag.json"
+        code = run(["check-system", "--system", sys_path, "--contracts", contract_path,
+                    "--property", "G (x=red => F<=4 (velocity=0))", "--out", out])
+        assert code == 2
+        assert not out.exists()
+        assert "region 'red' has a non-finite centroid" in capsys.readouterr().err
 
     def test_transition_outside_the_domain_exits_2(self, tmp_path, capsys):
         sys_path, contract_path = self._write_system(tmp_path, 2)
@@ -580,3 +631,34 @@ class TestGridCli:
         out_path = tmp_path / "grid.csv"
         assert run(["grid", "--cutpoints", spec_path, "--out", out_path]) == 0
         assert len(out_path.read_text().splitlines()) == 4
+
+
+class TestVersion:
+    def test_reports_carry_the_package_version(self, tmp_path):
+        net_path = tmp_path / "id.net"
+        net_path.write_text(render_network(identity_network()))
+        regions_path = tmp_path / "regions.json"
+        regions_path.write_text(json.dumps({"regions": [{
+            "id": "r000", "metric": "Linf", "centroid": [0.8, 0.2], "radius": 0.1,
+            "expected_label": "a", "member_count": 1, "member_indices": [0]}]}))
+        assert run(["verify", "--net", net_path, "--regions", regions_path,
+                    "--out", tmp_path / "verify.json"]) == 0
+        sys_path, contract_path = TestCheckSystem()._write_system(tmp_path, 2)
+        assert run(["check-system", "--system", sys_path, "--contracts", contract_path,
+                    "--property", "G (x=red => F<=4 (velocity=0))",
+                    "--out", tmp_path / "check-system.json"]) == 0
+        assert run(["demo", "ebs", "--out", tmp_path / "demo.json"]) == 0
+        for name in ("verify", "check-system", "demo"):
+            report = json.loads((tmp_path / f"{name}.json").read_text())
+            assert report["version"] == safecomp.__version__, name
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_pyproject_reads_the_version_from_the_package(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "safecomp.__version__"}

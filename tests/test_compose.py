@@ -21,6 +21,7 @@ from safecomp.compose import (
     ComponentModel,
     TraceStep,
     ContractMonitor,
+    Product,
     PropertyMonitor,
     System,
     Wire,
@@ -29,7 +30,6 @@ from safecomp.compose import (
     check_implication,
     check_property,
     component_from_json,
-    compose,
     contract_monitor,
     most_general_environment,
     replay_violation,
@@ -70,7 +70,7 @@ def trace_satisfies(prop, valuations):
 
 class TestComponentAndSystem:
     def test_stateless_component_has_one_product_state(self):
-        prod = compose(System((const_component(),)))
+        prod = Product(System((const_component(),)))
         assert prod.explore() == [("s",)]
 
     def test_cyclic_wiring_is_well_defined(self):
@@ -90,7 +90,7 @@ class TestComponentAndSystem:
             (echo("a", "inb", "outa"), echo("b", "ina", "outb")),
             (Wire("a", "outa", "b", "ina"), Wire("b", "outb", "a", "inb")),
         )
-        reachable = compose(sys).explore()
+        reachable = Product(sys).explore()
         assert ("0", "0") in reachable
         assert len(reachable) <= 4
 
@@ -134,7 +134,7 @@ class TestComponentAndSystem:
 
     def test_product_count_matches_duplicate_bfs(self):
         demo = build_ebs_demo(braking_ticks=2)
-        prod = compose(demo.full_system)
+        prod = Product(demo.full_system)
         reachable = prod.explore()
 
         # independent BFS written against the same semantics, name-keyed
@@ -177,10 +177,10 @@ class TestComponentAndSystem:
     def test_compose_order_invariant_state_counts(self):
         demo = build_ebs_demo(braking_ticks=2)
         comps = demo.full_system.components
-        base = len(compose(demo.full_system).explore())
+        base = len(Product(demo.full_system).explore())
         for perm in itertools.permutations(range(3)):
             sys_p = System(tuple(comps[i] for i in perm), demo.full_system.wiring)
-            assert len(compose(sys_p).explore()) == base
+            assert len(Product(sys_p).explore()) == base
 
 
 class TestCheckProperty:
@@ -290,7 +290,7 @@ class TestCompiledAgainstReference:
             assert check_property(system, prop) == reference_check(system, prop)[0]
         # a property that never fails walks the whole product
         _, order = reference_check(system, parse_property("G (true => true)"))
-        assert compose(system).explore() == order
+        assert Product(system).explore() == order
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_ag_systems(self, seed):
@@ -310,7 +310,7 @@ class TestCompiledAgainstReference:
         for prop in props:
             assert check_property(system, prop) == reference_check(system, prop)[0], prop
         _, order = reference_check(system, parse_property("G (true => true)"))
-        assert compose(system).explore() == order
+        assert Product(system).explore() == order
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("bt", [2, 4])
@@ -369,7 +369,7 @@ class TestCompiledAgainstReference:
         props = [parse_property("G (true => top21=0)"), parse_property("G (go=1 => F<=3 (top0=1))"),
                  parse_property("G (top3=1 => top20=1)")]
         self.assert_matches_reference(system, props)
-        assert len(compose(system).explore()) == 9
+        assert len(Product(system).explore()) == 9
         result = check_property(system, props[0])
         assert not result.holds and len(result.counterexample) == 9
 
@@ -675,7 +675,7 @@ class TestMonitors:
 class TestMostGeneralEnvironment:
     def _language(self, comp, out_ports, depth):
         """All output-valuation sequences the generator can produce."""
-        prod = compose(System((comp,)))
+        prod = Product(System((comp,)))
         traces = set()
 
         def rec(states, prefix):
@@ -797,7 +797,7 @@ class TestMostGeneralEnvironment:
             inputs={"c": BIN}, outputs={"v": BIN},
         )
         gen = most_general_environment(contract)
-        prod = compose(System((gen,)))
+        prod = Product(System((gen,)))
         depth = 4
         joint = set()
 
@@ -846,14 +846,14 @@ class TestAbstractDnn:
 
     def test_label_is_token_pins_class_next_tick(self):
         comp = abstract_dnn_component(self._contract(), ("red", "green", "yellow"))
-        prod = compose(System((comp,)))
+        prod = Product(System((comp,)))
         for init in prod.initial_states():
             nxt = prod.step(init, {"x": "R1", "Class_pick": "green"})
             assert prod.valuation(nxt, {}) == {"Class": "red"}
 
     def test_label_not_in_token_ranges_over_allowed(self):
         comp = abstract_dnn_component(self._contract(), ("red", "green", "yellow"))
-        prod = compose(System((comp,)))
+        prod = Product(System((comp,)))
         seen = set()
         for pick in ("red", "green", "yellow"):
             nxt = prod.step(prod.initial_states()[0], {"x": "R2", "Class_pick": pick})
@@ -862,7 +862,7 @@ class TestAbstractDnn:
 
     def test_outside_token_ranges_over_all_labels(self):
         comp = abstract_dnn_component(self._contract(), ("red", "green", "yellow"))
-        prod = compose(System((comp,)))
+        prod = Product(System((comp,)))
         seen = set()
         for pick in ("red", "green", "yellow"):
             nxt = prod.step(prod.initial_states()[0], {"x": "outside", "Class_pick": pick})

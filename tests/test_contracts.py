@@ -14,7 +14,6 @@ from safecomp.contracts import (
     LabelNotIn,
     PropertySyntaxError,
     RegionContract,
-    check_point_against_contract,
     component_contract_from_json,
     component_contract_to_json,
     dnn_contract_from_json,
@@ -172,7 +171,11 @@ class TestRegionContractInvariants:
         ("centroid", [0.1, True, 0.2, 0.3, 0.3], "region 'r0' centroid entry must be a number"),
         ("centroid", [0.1, "0.3", 0.2, 0.3, 0.3], "region 'r0' centroid entry must be a number"),
         ("centroid", "0.1,0.3", "region 'r0' centroid must be a list of numbers"),
-    ], ids=["bool", "string", "null", "huge-int", "bool-entry", "string-entry", "not-a-list"])
+        # a NaN centroid holds no input, yet premise 2 would pass its region
+        ("centroid", [float("nan"), 0.3, 0.2, 0.3, 0.3], "region 'r0' has a non-finite centroid"),
+        ("centroid", [0.1, float("-inf"), 0.2, 0.3, 0.3], "region 'r0' has a non-finite centroid"),
+    ], ids=["bool", "string", "null", "huge-int", "bool-entry", "string-entry", "not-a-list",
+            "nan-entry", "inf-entry"])
     def test_non_number_geometry_rejected_from_json(self, key, bad, message):
         rc = RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
                             provenance={"summary": "FullySafe", "expected_label": "COC"})
@@ -259,6 +262,8 @@ class TestSerialization:
 
 
 class TestCheckPoint:
+    """DnnContract.first_containing, the one membership query of a contract."""
+
     def make_contract(self, *specs):
         regions = tuple(
             RegionContract(rid, np.asarray(c, dtype=float), r, metric, guarantee,
@@ -267,25 +272,28 @@ class TestCheckPoint:
         )
         return DnnContract("n", regions)
 
+    def deciding(self, contract, x):
+        """The region deciding the point x, or None where no region holds it."""
+        k = contract.first_containing(np.asarray(x, dtype=float)[None, :])[0]
+        return contract.ordered[k] if k < len(contract.ordered) else None
+
     def test_coc_centroid_determined(self):
         contract = self.make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")))
-        answer = check_point_against_contract(contract, COC_CENTROID)
-        assert answer.determined
-        assert answer.guarantee == LabelIs("COC")
-        assert answer.region_id == "r000"
+        rc = self.deciding(contract, COC_CENTROID)
+        assert rc is not None
+        assert rc.guarantee == LabelIs("COC")
+        assert rc.id == "r000"
 
     def test_outside_all_regions_undetermined(self):
         contract = self.make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")))
-        answer = check_point_against_contract(contract, np.ones(5) * 9.0)
-        assert not answer.determined
+        assert self.deciding(contract, np.ones(5) * 9.0) is None
 
     def test_overlap_resolved_by_lowest_id(self):
         contract = self.make_contract(
             ("b", [0.0, 0.0], 1.0, "L2", LabelIs("WeakLeft")),
             ("a", [0.1, 0.0], 1.0, "L2", LabelIs("COC")),
         )
-        answer = check_point_against_contract(contract, [0.05, 0.0])
-        assert answer.region_id == "a"
+        assert self.deciding(contract, [0.05, 0.0]).id == "a"
 
     def test_agrees_with_brute_force_membership(self, rng):
         regions = []
@@ -294,25 +302,25 @@ class TestCheckPoint:
                             ("L1", "L2", "Linf")[i % 3], LabelIs("COC")))
         contract = self.make_contract(*regions)
         from safecomp.regions import dist
-        for _ in range(10_000):
-            x = rng.uniform(-0.2, 1.2, size=3)
-            answer = check_point_against_contract(contract, x)
+        xs = rng.uniform(-0.2, 1.2, size=(10_000, 3))
+        for x, k in zip(xs, contract.first_containing(xs)):
             containing = sorted(
                 rid for rid, c, r, metric, _ in regions
                 if dist(metric, x, np.asarray(c)) <= r
             )
             if containing:
-                assert answer.determined and answer.region_id == containing[0]
+                assert k < len(contract.ordered) and contract.ordered[k].id == containing[0]
             else:
-                assert not answer.determined
+                assert k == len(contract.ordered)
 
     @pytest.mark.parametrize("metric", ["L1", "L2", "Linf"])
     def test_boundary_is_contained(self, metric):
         contract = self.make_contract(("r000", [0.5, 0.5], 0.25, metric, LabelIs("COC")))
-        assert check_point_against_contract(contract, [0.75, 0.5]).determined
-        assert not check_point_against_contract(contract, [0.75 + 1e-12, 0.5]).determined
+        assert self.deciding(contract, [0.75, 0.5]) is not None
+        assert self.deciding(contract, [0.75 + 1e-12, 0.5]) is None
 
     def test_dimension_mismatch(self):
         contract = self.make_contract(("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC")))
-        with pytest.raises(ValueError):
-            check_point_against_contract(contract, np.zeros(3))
+        with pytest.raises(ValueError, match="contract regions have 5 inputs but the point has 3"):
+            contract.check_width(3, "the point")
+        contract.check_width(5, "the point")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from safecomp.contracts import LabelIs, RegionContract
 from safecomp.regions import (
     DiscoveryConfig,
     LabeledDataset,
@@ -282,6 +283,22 @@ class TestCsvAndJson:
         obj[key] = bad
         with pytest.raises(ValueError, match=message):
             region_from_dict(obj, ["a", "b"])
+
+    @pytest.mark.parametrize("metric, centroid, radius, message", [
+        ("L3", [0.1, 0.2], 0.5, "region 'r7' has unknown metric 'L3'"),
+        ("Linf", [[0.1, 0.2]], 0.5, "region 'r7' centroid must be a vector"),
+        ("Linf", 0.1, 0.5, "region 'r7' centroid must be a vector"),
+        ("Linf", [np.nan, 0.0], 0.5, "region 'r7' has a non-finite centroid"),
+        ("Linf", [0.1, np.inf], 0.5, "region 'r7' has a non-finite centroid"),
+        ("Linf", [0.1, 0.2], np.nan, "region 'r7' radius must be finite and positive"),
+        ("Linf", [0.1, 0.2], 0.0, "region 'r7' radius must be finite and positive"),
+    ], ids=["metric", "matrix", "scalar", "nan", "inf", "nan-radius", "zero-radius"])
+    def test_region_and_contract_keep_one_ball_rule(self, metric, centroid, radius, message):
+        centroid = np.asarray(centroid, dtype=np.float64)
+        with pytest.raises(ValueError, match=message):
+            Region("r7", centroid, radius, metric, 0, 1, (0,))
+        with pytest.raises(ValueError, match=message):
+            RegionContract("r7", centroid, radius, metric, LabelIs("a"))
 
     def test_region_dict_round_trip(self):
         region = Region("r001", np.array([0.1, 0.2]), 0.5, "Linf", 1, 3, (1, 4, 7))
