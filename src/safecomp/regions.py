@@ -279,17 +279,20 @@ def discover_regions(data: LabeledDataset, metric: str,
 
 
 def load_dataset_csv(text: str, label_names: list[str] | tuple[str, ...]) -> LabeledDataset:
-    """Read the dataset CSV: header x1,...,xn,label; labels resolved by name."""
+    """Read the dataset CSV: header x1,...,xn,label on the first non-blank
+    line; labels resolved by name. Blank lines are skipped, and an error names
+    the row by its line in the file."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    header = next((row for row in reader if row), None)
     if not header or len(header) < 2 or header[-1].strip() != "label":
         raise ValueError("dataset CSV needs a header ending in 'label'")
     attributes = tuple(h.strip() for h in header[:-1])
     points, labels = [], []
     index = {name: i for i, name in enumerate(label_names)}
-    for row_num, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        row_num = reader.line_num
         if len(row) != len(header):
             raise ValueError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
         try:

@@ -1,12 +1,12 @@
 """Targeted safety verification of a network over a region.
 
 The engine is input-splitting branch-and-bound: each input box gets symbolic
-affine lower/upper bounds on the activations the final layer reads (exact
-through affine layers, ReLU relaxed), and is discharged when the score margin
-certified through the final layer clears the safety threshold, refuted when a
-concrete in-region counterexample validates, or bisected otherwise. Safe is
-sound by construction; Unsafe is exact (every counterexample re-validates by
-forward evaluation); Unknown reports which budget ran out.
+affine lower/upper bounds over box ∩ ball on the activations the final layer
+reads (exact through affine layers, ReLU relaxed), and is discharged when the
+score margin certified through the final layer clears the safety threshold,
+refuted when a concrete in-region counterexample validates, or bisected
+otherwise. Safe is sound by construction; Unsafe is exact (every counterexample
+re-validates by forward evaluation); Unknown reports which budget ran out.
 
 Boxes come in stacks: a Box holds (K, d) bounds, and the kernels below
 (propagate_bounds, score_gap_bound, find_counterexample) take a stack and
@@ -48,6 +48,7 @@ class Box:
 
     lo: np.ndarray
     hi: np.ndarray
+    ball: Region | None = None  # bounds may assume every point lies in its ball
 
     def __post_init__(self):
         if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
@@ -64,7 +65,7 @@ class LinearBounds:
     """Affine lower/upper bounding functions of the final layer's inputs.
 
     lower(x) = lower_a @ x + lower_b and upper(x) = upper_a @ x + upper_b
-    satisfy lower(x) <= h(x) <= upper(x) for every x in the box, h(x) being
+    satisfy lower(x) <= h(x) <= upper(x) for every x in box ∩ ball, h(x) being
     the activations of the last hidden layer (the input itself when the
     network has one layer). lo/hi are interval bounds on h at least as tight
     as the concretized functions. Every field has a leading axis of length K,
@@ -164,6 +165,17 @@ def _affine_min(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     return _mv(pos, lo) + _mv(neg, hi) + b
 
 
+def _ball_min(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray | float:
+    """Minimum of a @ x + b over box.ball, a @ c + b - r * |a|_q with q the
+    dual norm, taken over a transposed copy (a short last axis reduces row by
+    row, far slower); -inf with no ball or an Linf one (its own box)."""
+    if box.ball is None or box.ball.metric == "Linf":
+        return -np.inf
+    t = np.abs(a).T.copy()
+    norm = (t.max(0) if box.ball.metric == "L1" else np.sqrt((t * t).sum(0))).T
+    return _mv(a, box.ball.centroid) + b - box.ball.radius * norm
+
+
 def _affine_max(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     pos = np.maximum(a, 0.0)
     neg = np.minimum(a, 0.0)
@@ -186,8 +198,8 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
     Affine layers compose the bounding functions exactly (sign-split on the
     weights). A ReLU with pre-activation interval [l, u] becomes: zero when
     u <= 0, identity when l >= 0, and otherwise the chord u(z-l)/(u-l) above
-    with alpha*z below, alpha = 1 if u >= -l else 0. Interval bounds are
-    tracked alongside and intersected with the concretized functions.
+    with alpha*z below, alpha = 1 if u >= -l else 0. [l, u] is the tightest of
+    interval propagation and the functions concretized over box and ball.
     """
     k, d = box.lo.shape
     lower_a = np.broadcast_to(np.eye(d), (k, d, d))
@@ -206,8 +218,10 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
         # interval propagation runs in parallel; keep the tighter of the two
         int_lo = _mv(w_pos, clo) + _mv(w_neg, chi) + layer.bias
         int_hi = _mv(w_pos, chi) + _mv(w_neg, clo) + layer.bias
-        l = np.maximum(_affine_min(pre_la, pre_lb, box.lo, box.hi), int_lo)
-        u = np.minimum(_affine_max(pre_ua, pre_ub, box.lo, box.hi), int_hi)
+        l = np.maximum(np.maximum(_affine_min(pre_la, pre_lb, box.lo, box.hi), int_lo),
+                       _ball_min(pre_la, pre_lb, box))
+        u = np.minimum(np.minimum(_affine_max(pre_ua, pre_ub, box.lo, box.hi), int_hi),
+                       -_ball_min(-pre_ua, -pre_ub, box))
         u = np.maximum(u, l)  # float-rounding guard; raising an upper bound is sound
 
         if layer.activation == "identity":
@@ -247,10 +261,10 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
 
     The margin is one affine row over the final layer's inputs, the final
     layer's W[true] - W[target] turned by net.oriented. Two sound candidates,
-    the first kept on ties: the row against the symbolic bounds (cancels
-    shared terms) and the row against the interval bounds. Subtracting two
-    independently bounded scores is never tighter than the first, so it is
-    not a candidate.
+    the first kept on ties: the row against the symbolic bounds over box ∩
+    ball (cancels shared terms) and the row against the interval bounds.
+    Subtracting two independently bounded scores is never tighter than the
+    first, so it is not a candidate.
 
     bounds come from propagate_bounds on the stack of K boxes, and true_label
     and target are (Q,) arrays of label pairs; the result is (K, Q).
@@ -272,7 +286,8 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
     m_a = r_pos @ bounds.lower_a[:, None] + r_neg @ bounds.upper_a[:, None]
     m_b = (r_pos @ bounds.lower_b[:, None, :, None]
            + r_neg @ bounds.upper_b[:, None, :, None] + row_b)
-    composed = _affine_min(m_a, m_b[..., 0], box.lo[:, None], box.hi[:, None])[..., 0]
+    composed = np.maximum(_affine_min(m_a, m_b[..., 0], box.lo[:, None], box.hi[:, None]),
+                          _ball_min(m_a, m_b[..., 0], box))[..., 0]
     interval = (r_pos @ bounds.lo[:, None, :, None]
                 + r_neg @ bounds.hi[:, None, :, None] + row_b)[..., 0, 0]
     return _first_max(composed, interval)
@@ -475,7 +490,7 @@ class _RegionSearch:
         """(K, targets) certified discharge bounds of a stack of boxes: per
         target, the best margin by which any rival beats it (positive means
         the target never wins)."""
-        box = Box(lo, hi)
+        box = Box(lo, hi, self.region)
         bounds = propagate_bounds(self.net, box)
         gaps = score_gap_bound(self.net, bounds, box, self.rivals, self.pair_targets)
         gaps = gaps.reshape(len(lo), len(self.tasks), self.net.n_labels - 1)

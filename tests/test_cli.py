@@ -111,6 +111,19 @@ def run(argv):
     return cli_main([str(a) for a in argv])
 
 
+def write_ebs_system(tmp_path, braking_ticks):
+    """The EBS demo's M1 with its contract C1 and perception block, as the
+    system JSON check-system reads."""
+    demo = build_ebs_demo(braking_ticks=braking_ticks)
+    sysobj = system_to_json(demo.m1)
+    sysobj["contract"] = component_contract_to_json(demo.c1)
+    sysobj["perception"] = {"token_port": "x", "class_port": "Class",
+                            "class_domain": ["red", "green", "yellow"]}
+    sys_path = tmp_path / f"ebs{braking_ticks}.json"
+    sys_path.write_text(json.dumps(sysobj))
+    return sys_path
+
+
 class TestUsage:
     def test_no_arguments_usage_exit_2(self, capsys):
         assert run([]) == 2
@@ -157,6 +170,30 @@ class TestPipeline:
         assert len(lines) == 50
         for line in lines:
             jsonschema.validate(line, GUARD_LINE_SCHEMA)
+
+    def test_l1_pass_proves_every_region_and_concludes(self, semaphore_files, tmp_path):
+        """An L1 pass of the seed-42 pipeline at a 64-node budget: every
+        region is proved (bounds over box ∩ ball decide at the root what the
+        enclosing box alone leaves budget-bound), so the contract has a red
+        region and the AG proof of the EBS concludes on its token."""
+        _, _, net_path, data_path = semaphore_files
+        paths = {k: tmp_path / f"{k}.json" for k in ("regions", "report", "contract", "ag")}
+        assert run(["discover", "--net", net_path, "--data", data_path, "--metric", "l1",
+                    "--seed", 42, "--out", paths["regions"]]) == 0
+        assert run(["verify", "--net", net_path, "--regions", paths["regions"], "--seed", 42,
+                    "--workers", 1, "--node-budget", 64, "--out", paths["report"]]) == 0
+        report = json.loads(paths["report"].read_text())
+        assert report["regions"] and all(
+            r["metric"] == "L1" and r["summary"] == "FullySafe" for r in report["regions"])
+        assert run(["emit-contracts", "--net", net_path, "--report", paths["report"],
+                    "--out", paths["contract"]]) == 0
+        regions = json.loads(paths["contract"].read_text())["regions"]
+        red = [r["id"] for r in regions if r["guarantee"].get("label_is") == "red"]
+        assert red
+        assert run(["check-system", "--system", write_ebs_system(tmp_path, 2),
+                    "--contracts", paths["contract"], "--out", paths["ag"],
+                    "--property", f"G (x={red[0]} => F<=4 (velocity=0))"]) == 0
+        assert json.loads(paths["ag"].read_text())["conclusion"] == "M1 || M2 |= P"
 
     def test_verify_exit_1_on_unsafe(self, tmp_path):
         net = identity_network(score_order="max_best")
@@ -351,13 +388,7 @@ class TestGuardCliStream:
 
 class TestCheckSystem:
     def _write_system(self, tmp_path, braking_ticks):
-        demo = build_ebs_demo(braking_ticks=braking_ticks)
-        sysobj = system_to_json(demo.m1)
-        sysobj["contract"] = component_contract_to_json(demo.c1)
-        sysobj["perception"] = {"token_port": "x", "class_port": "Class",
-                                "class_domain": ["red", "green", "yellow"]}
-        sys_path = tmp_path / f"ebs{braking_ticks}.json"
-        sys_path.write_text(json.dumps(sysobj))
+        sys_path = write_ebs_system(tmp_path, braking_ticks)
         # region ids double as perception tokens in the system property
         contract = {
             "network": "semaphore",

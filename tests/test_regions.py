@@ -247,6 +247,15 @@ class TestCsvAndJson:
         with pytest.raises(ValueError, match=message):
             load_dataset_csv(f"x1,x2,label\n0.5,0.5,zero\n0.5,{cell},one\n", ["zero", "one"])
 
+    def test_csv_header_after_blank_lines(self):
+        # the header is the first non-blank row, as the guard's CSV reader
+        # takes it; errors still name the row by its line in the file
+        back = load_dataset_csv("\nx1,label\n0.5,zero\n", ["zero", "one"])
+        assert back.attributes == ("x1",)
+        assert back.points.tolist() == [[0.5]] and back.labels.tolist() == [0]
+        with pytest.raises(ValueError, match="row 6: bad number"):
+            load_dataset_csv("\n\nx1,label\n0.5,zero\n\noops,one\n", ["zero", "one"])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_centroid_rejected_naming_the_region(self, bad):
         with pytest.raises(ValueError, match="region 'r7' has a non-finite centroid"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import time
 
@@ -690,6 +691,121 @@ class TestStackedCalls:
         assert find_counterexample(net, region, Box(lo, hi), targets, 0, seeds) == [None] * 24
 
 
+def straddling_boxes(net, region, n, rng):
+    """n random sub-boxes of the region's enclosing box, each around a point
+    of its sphere, so that each holds points inside and outside the ball."""
+    root = enclosing_box(region, net.normalized_domain())
+    u = rng.normal(size=(n, net.input_dim))
+    u /= np.linalg.norm(u, ord=1 if region.metric == "L1" else 2, axis=1)[:, None]
+    on_sphere = region.centroid + region.radius * u
+    below, above = region.radius * rng.uniform(0.05, 0.6, size=(2, n, net.input_dim))
+    return (np.maximum(on_sphere - below, root.lo), np.minimum(on_sphere + above, root.hi))
+
+
+def ball_box_sample(region, lo, hi, n, rng):
+    """n points of ball ∩ box for one box: uniform draws in the box that lie
+    in the ball, and the others pulled radially onto the sphere if that
+    keeps them in the box."""
+    xs = lo + rng.random((4 * n, len(lo))) * (hi - lo)
+    d = dist_many(region.metric, xs, region.centroid)
+    inside = d <= region.radius
+    assert 0 < inside.sum() < len(xs)  # the box straddles the sphere
+    pulled = region.centroid + (xs[~inside] - region.centroid) * (
+        region.radius / d[~inside] * (1.0 - 1e-12))[:, None]
+    pulled = pulled[np.all((lo <= pulled) & (pulled <= hi), axis=1)]
+    points = np.vstack([xs[inside], pulled])
+    assert np.all(dist_many(region.metric, points, region.centroid) <= region.radius)
+    return points[rng.permutation(len(points))[:n]]
+
+
+def bounds_digest(net, box):
+    """sha256 of every LinearBounds field and every label pair's
+    score_gap_bound on a stack of boxes."""
+    h = hashlib.sha256()
+    bounds = propagate_bounds(net, box)
+    for f in dataclasses.fields(LinearBounds):
+        h.update(np.ascontiguousarray(getattr(bounds, f.name)).tobytes())
+    true_label, target = label_pairs(net)
+    h.update(score_gap_bound(net, bounds, box, true_label, target).tobytes())
+    return h.hexdigest()
+
+
+BALL_NETS = {
+    "random-5": lambda: random_network(5, dims=(3, 8, 8, 3)),
+    "random-6-min-best": lambda: random_network(6, dims=(2, 6, 6, 4), score_order="min_best"),
+    "capacity": capacity_network,
+}
+
+# bounds_digest of 16 sub-boxes of [0, 1]^d per STACK_NETS net (sub_boxes,
+# seed 4), recorded from bounds over the box alone, before Box had a ball
+BOX_ONLY_DIGESTS = {
+    "capacity": "893f427d80ff311a575c0fd406a5baab4c55b1dfdabc23cab18ef5872efb91ec",
+    "one-layer": "15d716d5283243b1c54dc2d4629648f28c7e61be40cab8e39a82908b6b91150b",
+    "random-min-best": "6cf3f537bfba943b3e913b6551ea2848a6fdf8750352cdf34322830c268a3ef1",
+}
+
+
+class TestBallBounds:
+    """Bounds given a Box with an L1 or L2 ball hold on box ∩ ball, which is
+    all the search must cover; with no ball or an Linf one they are the
+    box-only bounds, bit for bit."""
+
+    @pytest.mark.parametrize("metric", ["L1", "L2"])
+    @pytest.mark.parametrize("name", sorted(BALL_NETS))
+    def test_sampled_ball_box_points_within_bounds(self, name, metric):
+        net = BALL_NETS[name]()
+        rng = np.random.default_rng(list(name.encode()) + [METRICS.index(metric)])
+        true_label, target = label_pairs(net)
+        tighter = 0
+        for _ in range(2):
+            c = rng.uniform(0.3, 0.7, size=net.input_dim)
+            region = Region("r0", c, float(rng.uniform(0.05, 0.25)), metric,
+                            classify(net, c), 1, (0,))
+            lo, hi = straddling_boxes(net, region, 6, rng)
+            box = Box(lo, hi, region)
+            bounds = propagate_bounds(net, box)
+            gaps = score_gap_bound(net, bounds, box, true_label, target)
+            box_only = Box(lo, hi)
+            tighter += np.sum(gaps > score_gap_bound(net, propagate_bounds(net, box_only),
+                                                     box_only, true_label, target))
+            for k in range(len(lo)):
+                xs = ball_box_sample(region, lo[k], hi[k], 4000, rng)
+                h = final_inputs(net, xs)
+                assert np.all(bounds.lo[k] <= h + 1e-9) and np.all(h <= bounds.hi[k] + 1e-9)
+                assert np.all(xs @ bounds.lower_a[k].T + bounds.lower_b[k] <= h + 1e-9)
+                assert np.all(h <= xs @ bounds.upper_a[k].T + bounds.upper_b[k] + 1e-9)
+                scores = evaluate_batch(net, xs)
+                for gap, a, b in zip(gaps[k], true_label, target):
+                    assert gap <= sampled_margins(net, scores, a, b).min() + 1e-9, (k, a, b)
+        assert tighter > 0  # the ball term decides some margin
+
+    @pytest.mark.parametrize("metric", ["L1", "L2"])
+    def test_stack_with_a_ball_equals_each_box_alone(self, metric):
+        net = capacity_network()
+        region = box_region(np.full(5, 0.5), 0.2, metric=metric)
+        lo, hi = sub_boxes(enclosing_box(region), 16, np.random.default_rng(5))
+        true_label, target = label_pairs(net)
+        stacked = propagate_bounds(net, Box(lo, hi, region))
+        gaps = score_gap_bound(net, stacked, Box(lo, hi, region), true_label, target)
+        for k in range(len(lo)):
+            box = Box(lo[k:k + 1], hi[k:k + 1], region)
+            alone = propagate_bounds(net, box)
+            for f in dataclasses.fields(LinearBounds):
+                assert getattr(stacked, f.name)[k:k + 1].tobytes() == \
+                    getattr(alone, f.name).tobytes(), (k, f.name)
+            assert score_gap_bound(net, alone, box, true_label, target).tobytes() == \
+                gaps[k:k + 1].tobytes(), k
+
+    @pytest.mark.parametrize("name", sorted(STACK_NETS))
+    def test_no_ball_or_linf_ball_is_box_only(self, name):
+        net = STACK_NETS[name]()
+        root = one_box(np.zeros(net.input_dim), np.ones(net.input_dim))
+        lo, hi = sub_boxes(root, 16, np.random.default_rng(4))
+        linf = box_region(np.full(net.input_dim, 0.5), 0.5)
+        assert bounds_digest(net, Box(lo, hi)) == BOX_ONLY_DIGESTS[name]
+        assert bounds_digest(net, Box(lo, hi, linf)) == BOX_ONLY_DIGESTS[name]
+
+
 GOLDEN_REGIONS = (  # (kind, centroid, radius) on capacity_network()
     ("boundary", (0.5246, 0.4834, 0.2602, 0.1517, 0.4784), 0.01),
     ("interior", (0.3, 0.6, 0.4, 0.5, 0.7), 0.003),
@@ -727,7 +843,9 @@ def fingerprint(verdicts):
 def test_verdicts_match_parent_golden():
     """Verdicts recorded from the per-target search that preceded the
     lockstep one (GOLDEN_VERDICTS below): Safe, Unsafe at the root and
-    fourteen nodes deep, budget and min_box, on L1, L2 and Linf."""
+    fourteen nodes deep, budget and min_box, on L1, L2 and Linf. The L1 and
+    L2 entries were recorded again when bounds came to hold over box ∩ ball;
+    test_decided_golden_verdicts_keep_their_status guards that step."""
     got = {name: fingerprint(verify_full(net, region, max_nodes=max_nodes, seed=seed,
                                          epsilon=epsilon).verdicts)
            for name, net, region, max_nodes, seed, epsilon in golden_cases()}
@@ -745,6 +863,20 @@ def test_verdicts_independent_of_frontier_batch(monkeypatch, batch):
         verdicts = verify_full(net, region, max_nodes=max_nodes, seed=seed,
                                epsilon=epsilon).verdicts
         assert fingerprint(verdicts) == GOLDEN_VERDICTS[name], name
+
+
+def test_decided_golden_verdicts_keep_their_status():
+    """Every Safe and Unsafe of the golden table before bounds held over box
+    ∩ ball (PARENT_DECIDED, frozen) keeps its status, in the table and in a
+    fresh run: tighter bounds may decide more targets, never fewer."""
+    for name, decided in PARENT_DECIDED.items():
+        assert {t: status for t, status, *_ in GOLDEN_VERDICTS[name] if t in decided} == \
+            decided, name
+    for name, net, region, max_nodes, seed, epsilon in golden_cases():
+        verdicts = verify_full(net, region, max_nodes=max_nodes, seed=seed,
+                               epsilon=epsilon).verdicts
+        for t, status in PARENT_DECIDED.get(name, {}).items():
+            assert verdicts[t].status == status, (name, t)
 
 
 @pytest.mark.parametrize("max_nodes", [16, 64])
@@ -797,36 +929,36 @@ def test_tiny_time_budget_leaves_every_target_unknown():
 
 GOLDEN_VERDICTS = {
     "capacity-boundary-L1-16": (
-        (0, "Unknown", "budget", 16, 5),
-        (1, "Unknown", "budget", 17, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
         (2, "Unsafe", None, 1, 0,
          "118b294881cae03f81395ae109c7de3f75836f233955d03ffce4db1e95aec33ff1d11e4f43a3de3f",
          "9204727a2db423c0581be8afa6c737c07dc22b84c41141c0ee524919110913c06f4397fbd90741c0"),
-        (3, "Unknown", "budget", 16, 6),
+        (3, "Safe", None, 1, 0),
     ),
     "capacity-boundary-L1-64": (
-        (0, "Safe", None, 39, 8),
-        (1, "Unknown", "budget", 72, 8),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
         (2, "Unsafe", None, 1, 0,
          "118b294881cae03f81395ae109c7de3f75836f233955d03ffce4db1e95aec33ff1d11e4f43a3de3f",
          "9204727a2db423c0581be8afa6c737c07dc22b84c41141c0ee524919110913c06f4397fbd90741c0"),
-        (3, "Safe", None, 29, 8),
+        (3, "Safe", None, 1, 0),
     ),
     "capacity-boundary-L2-16": (
-        (0, "Unknown", "budget", 16, 5),
-        (1, "Unknown", "budget", 17, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
         (2, "Unsafe", None, 1, 0,
          "364fae102bcbe03f712286065aabde3f3d526655e71dd03f2ad9e4704cdcc33fbc547429bfa6de3f",
          "ad15eab6c8ac23c0bd79416f85e337c0d73e3100091c41c04622e083036413c00756de0dca0941c0"),
-        (3, "Unknown", "budget", 16, 6),
+        (3, "Safe", None, 1, 0),
     ),
     "capacity-boundary-L2-64": (
-        (0, "Unknown", "budget", 65, 10),
-        (1, "Unknown", "budget", 65, 8),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
         (2, "Unsafe", None, 1, 0,
          "364fae102bcbe03f712286065aabde3f3d526655e71dd03f2ad9e4704cdcc33fbc547429bfa6de3f",
          "ad15eab6c8ac23c0bd79416f85e337c0d73e3100091c41c04622e083036413c00756de0dca0941c0"),
-        (3, "Safe", None, 69, 11),
+        (3, "Safe", None, 1, 0),
     ),
     "capacity-boundary-Linf-16": (
         (0, "Unknown", "budget", 16, 5),
@@ -848,25 +980,25 @@ GOLDEN_VERDICTS = {
         (0, "Safe", None, 1, 0),
         (1, "Safe", None, 1, 0),
         (3, "Safe", None, 1, 0),
-        (4, "Unknown", "budget", 19, 5),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-interior-L1-64": (
         (0, "Safe", None, 1, 0),
         (1, "Safe", None, 1, 0),
         (3, "Safe", None, 1, 0),
-        (4, "Safe", None, 23, 6),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-interior-L2-16": (
         (0, "Safe", None, 1, 0),
         (1, "Safe", None, 1, 0),
         (3, "Safe", None, 1, 0),
-        (4, "Unknown", "budget", 19, 5),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-interior-L2-64": (
         (0, "Safe", None, 1, 0),
         (1, "Safe", None, 1, 0),
         (3, "Safe", None, 1, 0),
-        (4, "Safe", None, 23, 6),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-interior-Linf-16": (
         (0, "Safe", None, 1, 0),
@@ -966,7 +1098,7 @@ GOLDEN_VERDICTS = {
     ),
     "sweep-3-L1-1": (
         (0, "Safe", None, 1, 0),
-        (1, "Unknown", "budget", 1, 0),
+        (1, "Safe", None, 1, 0),
     ),
     "sweep-3-L1-2": (
         (0, "Safe", None, 1, 0),
@@ -974,7 +1106,7 @@ GOLDEN_VERDICTS = {
     ),
     "sweep-3-L1-3": (
         (0, "Safe", None, 1, 0),
-        (1, "Unknown", "budget", 3, 1),
+        (1, "Safe", None, 1, 0),
     ),
     "sweep-3-L1-4": (
         (0, "Safe", None, 1, 0),
@@ -1052,4 +1184,44 @@ GOLDEN_VERDICTS = {
         (1, "Unknown", "min_box", 1, 0),
         (2, "Safe", None, 1, 0),
     ),
+}
+
+
+# case: {target: status} of every Safe and Unsafe in GOLDEN_VERDICTS as it
+# stood before bounds held over box ∩ ball; frozen, so that no later change
+# can loosen it along with the table
+PARENT_DECIDED = {
+    "capacity-boundary-L1-16": {2: "Unsafe"},
+    "capacity-boundary-L1-64": {0: "Safe", 2: "Unsafe", 3: "Safe"},
+    "capacity-boundary-L2-16": {2: "Unsafe"},
+    "capacity-boundary-L2-64": {2: "Unsafe", 3: "Safe"},
+    "capacity-boundary-Linf-16": {2: "Unsafe"},
+    "capacity-boundary-Linf-64": {2: "Unsafe"},
+    "capacity-interior-L1-16": {0: "Safe", 1: "Safe", 3: "Safe"},
+    "capacity-interior-L1-64": {0: "Safe", 1: "Safe", 3: "Safe", 4: "Safe"},
+    "capacity-interior-L2-16": {0: "Safe", 1: "Safe", 3: "Safe"},
+    "capacity-interior-L2-64": {0: "Safe", 1: "Safe", 3: "Safe", 4: "Safe"},
+    "capacity-interior-Linf-16": {0: "Safe", 1: "Safe", 3: "Safe"},
+    "capacity-interior-Linf-64": {0: "Safe", 1: "Safe", 3: "Safe", 4: "Safe"},
+    "capacity-budget-Linf-16": {4: "Unsafe"},
+    "capacity-budget-Linf-64": {4: "Unsafe"},
+    "capacity-deep-Linf-16": {4: "Unsafe"},
+    "capacity-deep-Linf-64": {4: "Unsafe"},
+    "sweep-3-L1-0": {2: "Safe"},
+    "sweep-3-L1-1": {0: "Safe"},
+    "sweep-3-L1-2": {0: "Safe", 1: "Safe"},
+    "sweep-3-L1-3": {0: "Safe"},
+    "sweep-3-L1-4": {0: "Safe", 1: "Safe"},
+    "sweep-3-L1-5": {0: "Safe", 1: "Safe"},
+    "sweep-3-L1-6": {1: "Safe", 2: "Unsafe"},
+    "sweep-3-L1-7": {1: "Unsafe", 2: "Unsafe"},
+    "sweep-2-L2-0": {0: "Safe", 1: "Safe", 2: "Safe"},
+    "sweep-2-L2-1": {0: "Safe", 2: "Safe"},
+    "sweep-2-L2-2": {1: "Safe", 2: "Safe", 3: "Unsafe"},
+    "sweep-2-L2-3": {1: "Safe", 2: "Safe", 3: "Unsafe"},
+    "sweep-2-L2-4": {0: "Safe", 2: "Safe", 3: "Unsafe"},
+    "sweep-2-L2-5": {0: "Safe", 1: "Safe", 2: "Safe"},
+    "sweep-2-L2-6": {0: "Safe", 1: "Safe", 3: "Unsafe"},
+    "sweep-2-L2-7": {0: "Safe", 1: "Safe", 3: "Unsafe"},
+    "min-box": {2: "Safe"},
 }
