@@ -1,12 +1,14 @@
 """Targeted safety verification of a network over a region.
 
-The engine is input-splitting branch-and-bound: each input box gets symbolic
-affine lower/upper bounds over box ∩ ball on the activations the final layer
-reads (exact through affine layers, ReLU relaxed), and is discharged when the
-score margin certified through the final layer clears the safety threshold,
-refuted when a concrete in-region counterexample validates, or bisected
-otherwise. Safe is sound by construction; Unsafe is exact (every counterexample
-re-validates by forward evaluation); Unknown reports which budget ran out.
+The engine is input-splitting branch-and-bound. Each input box gets its
+bounds by backward substitution (CROWN, Zhang et al. 2018; DeepPoly, Singh
+et al. 2019): every hidden layer's pre-activations, and then the score
+margin, are sent back as affine rows through the ReLU relaxations of the
+layers below and concretized over box ∩ ball. A box is discharged when the
+certified margin clears the safety threshold, refuted when a concrete
+in-region counterexample validates, or bisected otherwise. Safe is sound by
+construction; Unsafe is exact (every counterexample re-validates by forward
+evaluation); Unknown reports which budget ran out.
 
 Boxes come in stacks: a Box holds (K, d) bounds, and the kernels below
 (propagate_bounds, score_gap_bound, find_counterexample) take a stack and
@@ -62,22 +64,22 @@ class Box:
 
 @dataclass(frozen=True)
 class LinearBounds:
-    """Affine lower/upper bounding functions of the final layer's inputs.
+    """Interval bounds on the final layer's inputs and the ReLU relaxations
+    that certify them, over box ∩ ball.
 
-    lower(x) = lower_a @ x + lower_b and upper(x) = upper_a @ x + upper_b
-    satisfy lower(x) <= h(x) <= upper(x) for every x in box ∩ ball, h(x) being
-    the activations of the last hidden layer (the input itself when the
-    network has one layer). lo/hi are interval bounds on h at least as tight
-    as the concretized functions. Every field has a leading axis of length K,
-    one entry per box of the stack.
+    lo <= h(x) <= hi for every x in box ∩ ball, h(x) being the activations of
+    the last hidden layer (the input itself when the network has one layer).
+    Hidden neuron j with pre-activation z lies between lower_slope[j] * z and
+    upper_slope[j] * z + upper_shift[j]; the neurons of every hidden layer
+    are concatenated in layer order. Every field has a leading axis of length
+    K, one entry per box of the stack.
     """
 
-    lower_a: np.ndarray
-    lower_b: np.ndarray
-    upper_a: np.ndarray
-    upper_b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    lower_slope: np.ndarray
+    upper_slope: np.ndarray
+    upper_shift: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,6 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-def _affine_min(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    pos = np.maximum(a, 0.0)
-    neg = np.minimum(a, 0.0)
-    return _mv(pos, lo) + _mv(neg, hi) + b
-
-
 def _ball_min(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray | float:
     """Minimum of a @ x + b over box.ball, a @ c + b - r * |a|_q with q the
     dual norm, taken over a transposed copy (a short last axis reduces row by
@@ -176,12 +172,6 @@ def _ball_min(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray | float:
     return _mv(a, box.ball.centroid) + b - box.ball.radius * norm
 
 
-def _affine_max(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    pos = np.maximum(a, 0.0)
-    neg = np.minimum(a, 0.0)
-    return _mv(pos, hi) + _mv(neg, lo) + b
-
-
 def _first_max(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Elementwise max(first, *rest) with Python's max semantics: a later
     value replaces the running one only when it is strictly greater."""
@@ -191,67 +181,79 @@ def _first_max(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     return best
 
 
-def propagate_bounds(net: Network, box: Box) -> LinearBounds:
-    """Layer-by-layer symbolic propagation over each box of the stack, up to
-    the final layer's inputs (score_gap_bound composes the final layer).
+def _lower_bound(layers, relax: tuple[np.ndarray, ...], a: np.ndarray, b: np.ndarray,
+                 box: Box) -> np.ndarray:
+    """Certified lower bound over each box ∩ ball of a @ h + b, h being the
+    activations of the last of the hidden layers given (the input when there
+    are none), by backward substitution: each coefficient goes back through
+    its neuron's relaxation, the lower line when it is positive and the
+    upper one when negative, then through the layer's weights. The affine
+    function of the input that results is concretized over the box by sign
+    split and over the ball.
 
-    Affine layers compose the bounding functions exactly (sign-split on the
-    weights). A ReLU with pre-activation interval [l, u] becomes: zero when
-    u <= 0, identity when l >= 0, and otherwise the chord u(z-l)/(u-l) above
-    with alpha*z below, alpha = 1 if u >= -l else 0. [l, u] is the tightest of
-    interval propagation and the functions concretized over box and ball.
+    relax is (lower slope, upper slope, upper shift), each (K, N) with the
+    neurons of the layers in order, as LinearBounds holds them. a is (1 or
+    K, M, m, n) and b broadcasts to (K, M, m): one (m, n) product per (box,
+    block), so no block's bound depends on another's. The result is
+    (K, M, m).
     """
-    k, d = box.lo.shape
-    lower_a = np.broadcast_to(np.eye(d), (k, d, d))
-    lower_b = np.zeros((k, d))
-    upper_a = lower_a
-    upper_b = lower_b
-    clo, chi = box.lo, box.hi
+    end = sum(len(layer.bias) for layer in layers)
+    for layer in reversed(layers):
+        start = end - len(layer.bias)
+        lower, upper, shift = (f[:, None, start:end] for f in relax)
+        neg = np.minimum(a, 0.0)
+        b = b + _mv(neg, shift)
+        a = np.maximum(a, 0.0) * lower[:, None] + neg * upper[:, None]
+        b = b + _mv(a, layer.bias)
+        a = a @ layer.weights
+        end = start
+    lo, hi = box.lo[:, None], box.hi[:, None]
+    box_min = _mv(np.maximum(a, 0.0), lo) + _mv(np.minimum(a, 0.0), hi) + b
+    return np.maximum(box_min, _ball_min(a, b, box))
 
-    for layer in net.layers[:-1]:
+
+def propagate_bounds(net: Network, box: Box) -> LinearBounds:
+    """Bounds on every hidden layer over each box of the stack, up to the
+    final layer's inputs (score_gap_bound sends the final layer back).
+
+    Each hidden layer's pre-activation interval [l, u] is the tighter of
+    interval propagation and the rows [W; -W] sent back through the
+    relaxations of the layers below (_lower_bound). A ReLU over [l, u] is
+    then relaxed to: zero when u <= 0, identity when l >= 0, and otherwise
+    the chord u(z-l)/(u-l) above with alpha*z below, alpha = 1 if u >= -l
+    else 0. An identity layer is its own relaxation.
+    """
+    hidden = net.layers[:-1]
+    width = (len(box.lo), sum(len(layer.bias) for layer in hidden))
+    relax = (np.ones(width), np.ones(width), np.zeros(width))
+    clo, chi = box.lo, box.hi
+    start = 0
+    for i, layer in enumerate(hidden):
+        n = len(layer.bias)
+        rows = np.concatenate([layer.weights, -layer.weights])[None, None]
+        bound = _lower_bound(hidden[:i], relax, rows,
+                             np.concatenate([layer.bias, -layer.bias]), box)[:, 0]
         w_pos = np.maximum(layer.weights, 0.0)
         w_neg = np.minimum(layer.weights, 0.0)
-        pre_la = w_pos @ lower_a + w_neg @ upper_a
-        pre_lb = _mv(w_pos, lower_b) + _mv(w_neg, upper_b) + layer.bias
-        pre_ua = w_pos @ upper_a + w_neg @ lower_a
-        pre_ub = _mv(w_pos, upper_b) + _mv(w_neg, lower_b) + layer.bias
-        # interval propagation runs in parallel; keep the tighter of the two
-        int_lo = _mv(w_pos, clo) + _mv(w_neg, chi) + layer.bias
-        int_hi = _mv(w_pos, chi) + _mv(w_neg, clo) + layer.bias
-        l = np.maximum(np.maximum(_affine_min(pre_la, pre_lb, box.lo, box.hi), int_lo),
-                       _ball_min(pre_la, pre_lb, box))
-        u = np.minimum(np.minimum(_affine_max(pre_ua, pre_ub, box.lo, box.hi), int_hi),
-                       -_ball_min(-pre_ua, -pre_ub, box))
+        l = np.maximum(bound[:, :n], _mv(w_pos, clo) + _mv(w_neg, chi) + layer.bias)
+        u = np.minimum(-bound[:, n:], _mv(w_pos, chi) + _mv(w_neg, clo) + layer.bias)
         u = np.maximum(u, l)  # float-rounding guard; raising an upper bound is sound
 
         if layer.activation == "identity":
-            lower_a, lower_b, upper_a, upper_b = pre_la, pre_lb, pre_ua, pre_ub
             clo, chi = l, u
-            continue
-
-        # relu
-        neg_mask = u <= 0.0
-        pos_mask = l >= 0.0
-        mixed = ~(neg_mask | pos_mask)
-        up_slope = np.ones_like(u)
-        up_shift = np.zeros_like(u)
-        lo_slope = np.ones_like(l)
-        if np.any(mixed):
+        else:
+            lower, upper, shift = (f[:, start:start + n] for f in relax)
+            off = u <= 0.0
+            mixed = ~(off | (l >= 0.0))
             s = u[mixed] / (u[mixed] - l[mixed])
-            up_slope[mixed] = s
-            up_shift[mixed] = -s * l[mixed]
-            lo_slope[mixed] = (u[mixed] >= -l[mixed]).astype(np.float64)
-        up_slope[neg_mask] = 0.0
-        lo_slope[neg_mask] = 0.0
-
-        lower_a = lo_slope[..., None] * pre_la
-        lower_b = lo_slope * pre_lb
-        upper_a = up_slope[..., None] * pre_ua
-        upper_b = up_slope * pre_ub + up_shift
-        clo = np.maximum(l, 0.0)
-        chi = np.maximum(u, 0.0)
-
-    return LinearBounds(lower_a, lower_b, upper_a, upper_b, clo, chi)
+            upper[mixed] = s
+            shift[mixed] = -s * l[mixed]
+            lower[mixed] = (u[mixed] >= -l[mixed]).astype(np.float64)
+            upper[off] = 0.0
+            lower[off] = 0.0
+            clo, chi = np.maximum(l, 0.0), np.maximum(u, 0.0)
+        start += n
+    return LinearBounds(clo, chi, *relax)
 
 
 def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np.ndarray,
@@ -261,10 +263,9 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
 
     The margin is one affine row over the final layer's inputs, the final
     layer's W[true] - W[target] turned by net.oriented. Two sound candidates,
-    the first kept on ties: the row against the symbolic bounds over box ∩
-    ball (cancels shared terms) and the row against the interval bounds.
-    Subtracting two independently bounded scores is never tighter than the
-    first, so it is not a candidate.
+    the first kept on ties: the row sent back through every hidden layer's
+    relaxation and concretized over box ∩ ball, and the row against the
+    interval bounds.
 
     bounds come from propagate_bounds on the stack of K boxes, and true_label
     and target are (Q,) arrays of label pairs; the result is (K, Q).
@@ -276,21 +277,15 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
     if np.any(true_label == target):
         raise ValueError("labels must be distinct")
 
-    # the row sign-split against each bound; arrays are (box, pair, 1, n),
-    # so each (box, pair) is its own one-row product
+    # each (box, pair) is its own one-row product: arrays are (box, pair, 1, n)
     final = net.layers[-1]
-    row = net.oriented(final.weights[true_label] - final.weights[target])
-    row_b = net.oriented(final.bias[true_label] - final.bias[target])[:, None, None]
-    r_pos = np.maximum(row, 0.0)[None, :, None, :]
-    r_neg = np.minimum(row, 0.0)[None, :, None, :]
-    m_a = r_pos @ bounds.lower_a[:, None] + r_neg @ bounds.upper_a[:, None]
-    m_b = (r_pos @ bounds.lower_b[:, None, :, None]
-           + r_neg @ bounds.upper_b[:, None, :, None] + row_b)
-    composed = np.maximum(_affine_min(m_a, m_b[..., 0], box.lo[:, None], box.hi[:, None]),
-                          _ball_min(m_a, m_b[..., 0], box))[..., 0]
-    interval = (r_pos @ bounds.lo[:, None, :, None]
-                + r_neg @ bounds.hi[:, None, :, None] + row_b)[..., 0, 0]
-    return _first_max(composed, interval)
+    row = net.oriented(final.weights[true_label] - final.weights[target])[None, :, None, :]
+    row_b = net.oriented(final.bias[true_label] - final.bias[target])[:, None]
+    relax = (bounds.lower_slope, bounds.upper_slope, bounds.upper_shift)
+    crown = _lower_bound(net.layers[:-1], relax, row, row_b, box)[..., 0]
+    interval = (np.maximum(row, 0.0) @ bounds.lo[:, None, :, None]
+                + np.minimum(row, 0.0) @ bounds.hi[:, None, :, None] + row_b[..., None])
+    return _first_max(crown, interval[..., 0, 0])
 
 
 def _pull_into_region_batch(xs: np.ndarray, region: Region) -> np.ndarray:

@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import safecomp.verifier as verifier_module
 from conftest import capacity_network, identity_network, make_network, random_network
-from safecomp.app import build_semaphore_classifier
+from safecomp.app import build_semaphore_classifier, run_parallel_verification
 from safecomp.network import Layer, classify, classify_batch, evaluate, evaluate_batch
 from safecomp.regions import METRICS, Region, dist_many, region_membership
 from safecomp.verifier import (
@@ -57,15 +59,48 @@ def one_gap(net, bounds, box, true_label, target):
     return float(gaps[0, 0])
 
 
-def final_inputs(net, xs):
-    """The activations the final layer reads at each row of xs, layer by
-    layer: the sampling oracle of propagate_bounds."""
+def hidden_layers(net, xs):
+    """Per hidden layer, its pre-activations and activations at each row of
+    xs, layer by layer: the sampling oracle of propagate_bounds."""
     a = np.asarray(xs, dtype=np.float64)
+    out = []
     for layer in net.layers[:-1]:
-        a = a @ layer.weights.T + layer.bias
-        if layer.activation == "relu":
-            a = np.maximum(a, 0.0)
-    return a
+        z = a @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        out.append((z, a))
+    return out
+
+
+def layer_bounds(net, box):
+    """Per hidden layer, the pre-activation bounds (l, u) that
+    propagate_bounds derives for it on each box of the stack: the lo/hi of
+    the net cut after that layer with its activation made identity, since a
+    layer's bounds depend only on the layers below it."""
+    out = []
+    for j, layer in enumerate(net.layers[:-1]):
+        n = len(layer.bias)
+        cut = dataclasses.replace(net, layers=net.layers[:j] + (
+            Layer(layer.weights, layer.bias, "identity"),
+            Layer(np.zeros((net.n_labels, n)), np.zeros(net.n_labels), "identity")))
+        bounds = propagate_bounds(cut, box)
+        out.append((bounds.lo, bounds.hi))
+    return out
+
+
+def assert_bounds_hold(net, box, bounds, xs):
+    """The bounds of a stack of one box hold, to 1e-9, at the points xs, all
+    in box ∩ ball: every hidden layer's pre-activation interval, every
+    neuron's relaxation lines at its pre-activation, and lo/hi on the final
+    layer's inputs."""
+    layers = hidden_layers(net, xs)
+    for (l, u), (z, _) in zip(layer_bounds(net, box), layers):
+        assert np.all(l[0] <= z + 1e-9) and np.all(z <= u[0] + 1e-9)
+    if layers:
+        z, h = (np.hstack(part) for part in zip(*layers))
+        assert np.all(bounds.lower_slope[0] * z <= h + 1e-9)
+        assert np.all(h <= bounds.upper_slope[0] * z + bounds.upper_shift[0] + 1e-9)
+    h = layers[-1][1] if layers else xs  # what the final layer reads
+    assert np.all(bounds.lo[0] <= h + 1e-9) and np.all(h <= bounds.hi[0] + 1e-9)
 
 
 def sampled_margins(net, scores, true_label, target):
@@ -123,12 +158,22 @@ class TestEnclosingBox:
 
 class TestPropagateBounds:
     def test_identity_network_bounds_are_identity(self):
+        # one layer: the final layer reads the input, so the bounds are the
+        # box and there is no hidden neuron to relax
         net = identity_network()
         box = one_box([0.1, 0.2], [0.6, 0.9])
         bounds = propagate_bounds(net, box)
-        np.testing.assert_allclose(bounds.lower_a[0], np.eye(2))
-        np.testing.assert_allclose(bounds.upper_a[0], np.eye(2))
-        np.testing.assert_allclose(bounds.lower_b[0], np.zeros(2))
+        np.testing.assert_allclose(bounds.lo[0], box.lo[0])
+        np.testing.assert_allclose(bounds.hi[0], box.hi[0])
+        for f in (bounds.lower_slope, bounds.upper_slope, bounds.upper_shift):
+            assert f.shape == (1, 0)
+        # a hidden identity layer is its own relaxation, exact on the box
+        net = make_network([Layer(np.eye(2), np.zeros(2), "identity"),
+                            Layer(np.eye(2), np.zeros(2), "identity")])
+        bounds = propagate_bounds(net, box)
+        np.testing.assert_allclose(bounds.lower_slope[0], np.ones(2))
+        np.testing.assert_allclose(bounds.upper_slope[0], np.ones(2))
+        np.testing.assert_allclose(bounds.upper_shift[0], np.zeros(2))
         np.testing.assert_allclose(bounds.lo[0], box.lo[0])
         np.testing.assert_allclose(bounds.hi[0], box.hi[0])
 
@@ -148,13 +193,7 @@ class TestPropagateBounds:
         box = one_box([-0.5, -0.2], [0.4, 0.9])
         bounds = propagate_bounds(net, box)
         xs = box.lo[0] + rng.random((1000, 2)) * (box.hi[0] - box.lo[0])
-        for x, h in zip(xs, final_inputs(net, xs)):
-            lower = bounds.lower_a[0] @ x + bounds.lower_b[0]
-            upper = bounds.upper_a[0] @ x + bounds.upper_b[0]
-            assert np.all(lower <= h + 1e-9)
-            assert np.all(h <= upper + 1e-9)
-            assert np.all(bounds.lo[0] <= h + 1e-9)
-            assert np.all(h <= bounds.hi[0] + 1e-9)
+        assert_bounds_hold(net, box, bounds, xs)
         scores = np.stack([evaluate(net, x) for x in xs])
         for a, b in label_pairs(net).T:
             margins = sampled_margins(net, scores, a, b)
@@ -405,8 +444,9 @@ class TestBoundSoundnessDuringVerification:
     def test_bounds_sampled_on_live_nodes(self, monkeypatch):
         """Every propagate_bounds call made by the engine stays sound on a
         random sample of the boxes it was asked about (each box of a stacked
-        call counts alone). The task is the golden "deep" region's target 0,
-        budget-bound, so the engine splits well past the root."""
+        call counts alone). The task is target 0 of the golden "deep"
+        centroid at Linf radius 0.2, budget-bound, so the engine splits well
+        past the root."""
         probed = []
         real = verifier_module.propagate_bounds
 
@@ -417,8 +457,8 @@ class TestBoundSoundnessDuringVerification:
 
         monkeypatch.setattr(verifier_module, "propagate_bounds", probe)
         net = capacity_network()
-        c = np.array([0.8789, 0.5736, 0.7127, 0.4258, 0.2569])
-        region = Region("r0", c, 0.035, "Linf", classify(net, c), 1, (0,))
+        c = np.array(GOLDEN_REGIONS[3][1])
+        region = Region("r0", c, 0.2, "Linf", classify(net, c), 1, (0,))
         verdict = verify_targeted(VerificationTask(net, region, 0, max_nodes=300, seed=3))
         assert (verdict.status, verdict.reason, verdict.stats.nodes) == ("Unknown", "budget", 300)
         rng = np.random.default_rng(0)
@@ -428,9 +468,7 @@ class TestBoundSoundnessDuringVerification:
         true_label, target = label_pairs(net)
         for pnet, box, bounds in sample:
             xs = box.lo[0] + rng.random((200, net.input_dim)) * (box.hi[0] - box.lo[0])
-            for x, h in zip(xs, final_inputs(pnet, xs)):
-                assert np.all(bounds.lower_a[0] @ x + bounds.lower_b[0] <= h + 1e-9)
-                assert np.all(h <= bounds.upper_a[0] @ x + bounds.upper_b[0] + 1e-9)
+            assert_bounds_hold(pnet, box, bounds, xs)
             scores = np.stack([evaluate(pnet, x) for x in xs])
             gaps = score_gap_bound(pnet, bounds, box, true_label, target)[0]
             for gap, a, b in zip(gaps, true_label, target):
@@ -439,9 +477,9 @@ class TestBoundSoundnessDuringVerification:
 
 def unstack(box, bounds):
     """(box, bounds) of each box of a stacked propagate_bounds call, each as
-    a stack of one."""
+    a stack of one with the stack's ball."""
     names = [f.name for f in dataclasses.fields(LinearBounds)]
-    return [(Box(box.lo[k:k + 1], box.hi[k:k + 1]),
+    return [(Box(box.lo[k:k + 1], box.hi[k:k + 1], box.ball),
              LinearBounds(**{name: getattr(bounds, name)[k:k + 1] for name in names}))
             for k in range(len(box.lo))]
 
@@ -561,7 +599,7 @@ class TestSharedMarginCache:
     def test_one_bound_propagation_per_distinct_box(self, monkeypatch):
         keys = self._count_bounds(monkeypatch)
         net = capacity_network()
-        region = box_region([0.5] * 5, 0.03, metric="L1", expected=2)
+        region = box_region([0.51, 0.49, 0.67, 0.55, 0.51], 0.3, metric="L1", expected=2)
         lone = lone_verdicts(net, region, max_nodes=24, seed=3)
         assert all(v.reason == "budget" for v in lone.values())
         lone_keys = list(keys)  # one per non-pruned node of each target
@@ -737,11 +775,11 @@ BALL_NETS = {
 }
 
 # bounds_digest of 16 sub-boxes of [0, 1]^d per STACK_NETS net (sub_boxes,
-# seed 4), recorded from bounds over the box alone, before Box had a ball
+# seed 4), recorded from the backward-substitution bounds over the box alone
 BOX_ONLY_DIGESTS = {
-    "capacity": "893f427d80ff311a575c0fd406a5baab4c55b1dfdabc23cab18ef5872efb91ec",
-    "one-layer": "15d716d5283243b1c54dc2d4629648f28c7e61be40cab8e39a82908b6b91150b",
-    "random-min-best": "6cf3f537bfba943b3e913b6551ea2848a6fdf8750352cdf34322830c268a3ef1",
+    "capacity": "7bcd5ae59ee19ab391bc8694c1954f747e6efc6c88a87d0558c07dc563c6a76c",
+    "one-layer": "deac968533aa3e045a99693272ce4226bc371ad350e7d0848c606a7c76f87c83",
+    "random-min-best": "cb04c6f7e13b96481cbbf5543d7a107d8918be77341f78dcb1a93231a5454e29",
 }
 
 
@@ -768,12 +806,9 @@ class TestBallBounds:
             box_only = Box(lo, hi)
             tighter += np.sum(gaps > score_gap_bound(net, propagate_bounds(net, box_only),
                                                      box_only, true_label, target))
-            for k in range(len(lo)):
+            for k, (one, bounds_k) in enumerate(unstack(box, bounds)):
                 xs = ball_box_sample(region, lo[k], hi[k], 4000, rng)
-                h = final_inputs(net, xs)
-                assert np.all(bounds.lo[k] <= h + 1e-9) and np.all(h <= bounds.hi[k] + 1e-9)
-                assert np.all(xs @ bounds.lower_a[k].T + bounds.lower_b[k] <= h + 1e-9)
-                assert np.all(h <= xs @ bounds.upper_a[k].T + bounds.upper_b[k] + 1e-9)
+                assert_bounds_hold(net, one, bounds_k, xs)
                 scores = evaluate_batch(net, xs)
                 for gap, a, b in zip(gaps[k], true_label, target):
                     assert gap <= sampled_margins(net, scores, a, b).min() + 1e-9, (k, a, b)
@@ -806,11 +841,60 @@ class TestBallBounds:
         assert bounds_digest(net, Box(lo, hi, linf)) == BOX_ONLY_DIGESTS[name]
 
 
+def hidden_identity_network():
+    """A random ReLU net whose second hidden layer is identity."""
+    net = random_network(11, dims=(3, 8, 8, 8, 3))
+    relu = net.layers[1]
+    return dataclasses.replace(net, layers=(
+        net.layers[0], Layer(relu.weights, relu.bias, "identity"), *net.layers[2:]))
+
+
+BACKWARD_NETS = dict(BALL_NETS, **{"hidden-identity": hidden_identity_network})
+
+
+class TestBackwardBounds:
+    """Sample soundness of the backward-substitution bounds: at points of
+    box ∩ ball, every hidden layer's pre-activation interval, every
+    relaxation line, lo/hi and every label pair's score_gap_bound hold to
+    1e-9. L1 and L2 boxes straddle the sphere; Linf boxes and boxes with no
+    ball are sampled inside and at their corners."""
+
+    @pytest.mark.parametrize("metric", [None, "Linf", "L1", "L2"])
+    @pytest.mark.parametrize("name", sorted(BACKWARD_NETS))
+    def test_sampled_points_within_every_layer_bound(self, name, metric):
+        net = BACKWARD_NETS[name]()
+        d = net.input_dim
+        rng = np.random.default_rng(list(name.encode()) + [len(str(metric)), d])
+        c = rng.uniform(0.3, 0.7, size=d)
+        region = Region("r0", c, float(rng.uniform(0.05, 0.25)), metric or "Linf",
+                        classify(net, c), 1, (0,))
+        if metric in ("L1", "L2"):
+            lo, hi = straddling_boxes(net, region, 6, rng)
+        else:
+            lo, hi = sub_boxes(enclosing_box(region, net.normalized_domain()), 6, rng)
+        box = Box(lo, hi, region if metric else None)
+        bounds = propagate_bounds(net, box)
+        true_label, target = label_pairs(net)
+        gaps = score_gap_bound(net, bounds, box, true_label, target)
+        corners = np.array(list(itertools.product((False, True), repeat=d)))
+        for k, (one, bounds_k) in enumerate(unstack(box, bounds)):
+            if metric in ("L1", "L2"):
+                xs = ball_box_sample(region, lo[k], hi[k], 4000, rng)
+            else:
+                xs = np.vstack([lo[k] + rng.random((4000, d)) * (hi[k] - lo[k]),
+                                np.where(corners, hi[k], lo[k])])
+            assert_bounds_hold(net, one, bounds_k, xs)
+            scores = evaluate_batch(net, xs)
+            for gap, a, b in zip(gaps[k], true_label, target):
+                assert gap <= sampled_margins(net, scores, a, b).min() + 1e-9, (k, a, b)
+
+
 GOLDEN_REGIONS = (  # (kind, centroid, radius) on capacity_network()
     ("boundary", (0.5246, 0.4834, 0.2602, 0.1517, 0.4784), 0.01),
     ("interior", (0.3, 0.6, 0.4, 0.5, 0.7), 0.003),
     ("budget", (0.8, 0.1, 0.76, 0.74, 0.47), 0.04),
     ("deep", (0.8789, 0.5736, 0.7127, 0.4258, 0.2569), 0.035),
+    ("wide", (0.5, 0.5, 0.5, 0.5, 0.5), 0.2),
 )
 
 
@@ -844,8 +928,11 @@ def test_verdicts_match_parent_golden():
     """Verdicts recorded from the per-target search that preceded the
     lockstep one (GOLDEN_VERDICTS below): Safe, Unsafe at the root and
     fourteen nodes deep, budget and min_box, on L1, L2 and Linf. The L1 and
-    L2 entries were recorded again when bounds came to hold over box ∩ ball;
-    test_decided_golden_verdicts_keep_their_status guards that step."""
+    L2 entries were recorded again when bounds came to hold over box ∩ ball,
+    and the entries that backward substitution decides or decides sooner
+    when it replaced forward propagation; the "wide" region, budget-bound
+    several levels deep, was recorded then too.
+    test_decided_golden_verdicts_keep_their_status guards those steps."""
     got = {name: fingerprint(verify_full(net, region, max_nodes=max_nodes, seed=seed,
                                          epsilon=epsilon).verdicts)
            for name, net, region, max_nodes, seed, epsilon in golden_cases()}
@@ -879,6 +966,45 @@ def test_decided_golden_verdicts_keep_their_status():
             assert verdicts[t].status == status, (name, t)
 
 
+def bench_fixtures():
+    """bench/fixtures.py, the inputs of the benchmark workloads."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "fixtures.py"
+    spec = importlib.util.spec_from_file_location("bench_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (seed, region id, target) of every Unsafe verdict on the verify-capacity
+# regions of seeds 1-3 at budget 16 under forward symbolic bounds; frozen
+CAPACITY_UNSAFE = {
+    (1, "b000-00", 4), (1, "b000-04", 1), (1, "b000-12", 4),
+    (2, "b000-00", 4), (2, "b000-04", 2), (2, "b000-06", 4), (2, "b000-12", 4),
+    (2, "b000-20", 2),
+    (3, "b000-00", 4), (3, "b000-02", 4), (3, "b000-05", 2), (3, "b000-12", 2),
+    (3, "b000-16", 4), (3, "b000-18", 4),
+}
+
+
+def test_capacity_regions_decided_at_the_bench_budget():
+    """The verify-capacity workload's regions (capacity_batch over
+    CAPACITY_MIX twice) for seeds 1-3, verified as the workload does at its
+    16-node budget: at least nine in ten targets are decided (73 of 288
+    under forward symbolic bounds), and every Unsafe found then stays."""
+    fx = bench_fixtures()
+    net = fx.capacity_net()
+    verdicts = {}
+    for seed in (1, 2, 3):
+        regions = fx.capacity_batch(np.random.default_rng(seed), net, 0, fx.CAPACITY_MIX * 2)
+        for region, full in run_parallel_verification(net, regions, workers=1, seed=seed,
+                                                      max_nodes=16):
+            verdicts.update({(seed, region.id, t): v for t, v in full.verdicts.items()})
+    assert len(verdicts) == 288
+    decided = [key for key, v in verdicts.items() if v.status != "Unknown"]
+    assert len(decided) >= 0.9 * len(verdicts)
+    assert CAPACITY_UNSAFE <= {key for key, v in verdicts.items() if v.status == "Unsafe"}
+
+
 @pytest.mark.parametrize("max_nodes", [16, 64])
 def test_lone_search_bounds_no_box_past_its_budget(monkeypatch, max_nodes):
     """A step takes no more boxes than the largest remaining node budget, so
@@ -892,8 +1018,8 @@ def test_lone_search_bounds_no_box_past_its_budget(monkeypatch, max_nodes):
 
     monkeypatch.setattr(verifier_module, "propagate_bounds", counting)
     net = capacity_network()
-    _, centroid, radius = GOLDEN_REGIONS[2]  # "budget"
-    region = box_region(centroid, radius, expected=classify(net, np.array(centroid)))
+    _, centroid, _ = GOLDEN_REGIONS[3]  # "deep", at a radius that keeps target 0 budget-bound
+    region = box_region(centroid, 0.2, expected=classify(net, np.array(centroid)))
     verdict = verify_targeted(VerificationTask(net, region, 0, max_nodes=max_nodes, seed=1))
     assert (verdict.status, verdict.reason, verdict.stats.nodes) == ("Unknown", "budget", max_nodes)
     assert sum(bounded) == max_nodes
@@ -905,8 +1031,8 @@ def test_time_budget_is_one_clock_per_region():
     same step, with elapsed measured from the region's start. One clock per
     target would take at least the budget once per undecided target."""
     net = capacity_network()
-    c = np.array([0.8, 0.1, 0.76, 0.74, 0.47])
-    region = Region("r0", c, 0.06, "Linf", classify(net, c), 1, (0,))
+    c = np.full(5, 0.5)
+    region = Region("r0", c, 0.3, "L1", classify(net, c), 1, (0,))
     budget = 0.5
     start = time.perf_counter()
     result = verify_full(net, region, time_budget=budget)
@@ -961,20 +1087,20 @@ GOLDEN_VERDICTS = {
         (3, "Safe", None, 1, 0),
     ),
     "capacity-boundary-Linf-16": (
-        (0, "Unknown", "budget", 16, 5),
-        (1, "Unknown", "budget", 17, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
         (2, "Unsafe", None, 1, 0,
          "17ac92c372cbe03f3d6e51daa89fde3f219f33dc8a06d03f4b68d1b49aefc33fbbcaaec937a8de3f",
          "54d69d4e68a523c02700d32e0cf037c07b3fc3e81f2141c0a0f618830c8e13c0211f8cf73e0a41c0"),
-        (3, "Unknown", "budget", 16, 6),
+        (3, "Safe", None, 1, 0),
     ),
     "capacity-boundary-Linf-64": (
-        (0, "Unknown", "budget", 65, 10),
-        (1, "Unknown", "budget", 65, 8),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
         (2, "Unsafe", None, 1, 0,
          "17ac92c372cbe03f3d6e51daa89fde3f219f33dc8a06d03f4b68d1b49aefc33fbbcaaec937a8de3f",
          "54d69d4e68a523c02700d32e0cf037c07b3fc3e81f2141c0a0f618830c8e13c0211f8cf73e0a41c0"),
-        (3, "Unknown", "budget", 64, 11),
+        (3, "Safe", None, 1, 0),
     ),
     "capacity-interior-L1-16": (
         (0, "Safe", None, 1, 0),
@@ -1004,93 +1130,143 @@ GOLDEN_VERDICTS = {
         (0, "Safe", None, 1, 0),
         (1, "Safe", None, 1, 0),
         (3, "Safe", None, 1, 0),
-        (4, "Unknown", "budget", 19, 5),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-interior-Linf-64": (
         (0, "Safe", None, 1, 0),
         (1, "Safe", None, 1, 0),
         (3, "Safe", None, 1, 0),
-        (4, "Safe", None, 23, 6),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-budget-L1-16": (
-        (0, "Unknown", "budget", 16, 4),
-        (1, "Unknown", "budget", 16, 4),
-        (3, "Unknown", "budget", 16, 4),
-        (4, "Unknown", "budget", 16, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-budget-L1-64": (
-        (0, "Unknown", "budget", 64, 6),
-        (1, "Unknown", "budget", 64, 6),
-        (3, "Unknown", "budget", 64, 6),
-        (4, "Unknown", "budget", 64, 6),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-budget-L2-16": (
-        (0, "Unknown", "budget", 16, 4),
-        (1, "Unknown", "budget", 16, 4),
-        (3, "Unknown", "budget", 16, 4),
-        (4, "Unknown", "budget", 16, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-budget-L2-64": (
-        (0, "Unknown", "budget", 64, 6),
-        (1, "Unknown", "budget", 64, 6),
-        (3, "Unknown", "budget", 64, 6),
-        (4, "Unknown", "budget", 64, 6),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-budget-Linf-16": (
-        (0, "Unknown", "budget", 16, 4),
-        (1, "Unknown", "budget", 16, 4),
-        (3, "Unknown", "budget", 16, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
         (4, "Unsafe", None, 3, 1,
          "08a9edfecb31ea3f79056e72be96ba3f73d8a3703d0ae73fdde432f5703fe83feaf4016ccad6db3f",
          "d9a869080f2734c0462a7bd8cd1943c05bd9db8891a64bc082ee16c1f3a91140b2d7aa10bdac4bc0"),
     ),
     "capacity-budget-Linf-64": (
-        (0, "Unknown", "budget", 64, 6),
-        (1, "Unknown", "budget", 64, 6),
-        (3, "Unknown", "budget", 64, 6),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
         (4, "Unsafe", None, 3, 1,
          "08a9edfecb31ea3f79056e72be96ba3f73d8a3703d0ae73fdde432f5703fe83feaf4016ccad6db3f",
          "d9a869080f2734c0462a7bd8cd1943c05bd9db8891a64bc082ee16c1f3a91140b2d7aa10bdac4bc0"),
     ),
     "capacity-deep-L1-16": (
-        (0, "Unknown", "budget", 16, 4),
-        (1, "Unknown", "budget", 16, 4),
-        (3, "Unknown", "budget", 16, 4),
-        (4, "Unknown", "budget", 16, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-deep-L1-64": (
-        (0, "Unknown", "budget", 64, 6),
-        (1, "Unknown", "budget", 64, 6),
-        (3, "Unknown", "budget", 64, 6),
-        (4, "Unknown", "budget", 64, 6),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 1, 0),
     ),
     "capacity-deep-L2-16": (
-        (0, "Unknown", "budget", 16, 4),
-        (1, "Unknown", "budget", 16, 4),
-        (3, "Unknown", "budget", 16, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
         (4, "Unknown", "budget", 16, 4),
     ),
     "capacity-deep-L2-64": (
-        (0, "Unknown", "budget", 64, 6),
-        (1, "Unknown", "budget", 64, 6),
-        (3, "Unknown", "budget", 64, 6),
-        (4, "Unknown", "budget", 64, 6),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
+        (4, "Safe", None, 19, 5),
     ),
     "capacity-deep-Linf-16": (
-        (0, "Unknown", "budget", 16, 4),
-        (1, "Unknown", "budget", 16, 4),
-        (3, "Unknown", "budget", 16, 4),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
         (4, "Unsafe", None, 14, 3,
          "d854d6942219ed3fdb278a7fe5f7e23fb8997e6ca6bbe53fa8276ecc5313dd3fece0082e4279cf3f",
          "a3634e5588ff34c0be20daa2bf1545c001f9e4e8b50b4bc0d9fc76c527c014407d51f2f7b9184bc0"),
     ),
     "capacity-deep-Linf-64": (
-        (0, "Unknown", "budget", 64, 6),
-        (1, "Unknown", "budget", 64, 6),
-        (3, "Unknown", "budget", 64, 6),
+        (0, "Safe", None, 1, 0),
+        (1, "Safe", None, 1, 0),
+        (3, "Safe", None, 1, 0),
         (4, "Unsafe", None, 14, 3,
          "d854d6942219ed3fdb278a7fe5f7e23fb8997e6ca6bbe53fa8276ecc5313dd3fece0082e4279cf3f",
          "a3634e5588ff34c0be20daa2bf1545c001f9e4e8b50b4bc0d9fc76c527c014407d51f2f7b9184bc0"),
+    ),
+    "capacity-wide-L1-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unsafe", None, 1, 0,
+         "ccf3a2a0f6e8e23fef9ea1b66e2ae13fa75c7f2c7285df3f21ab7834a4efde3ff55ec480e7e4dc3f",
+         "c6df89139f5305c004121c39ef6737c0421c4020c4394ac05076443c9298e0bf6d647e645f584ac0"),
+    ),
+    "capacity-wide-L1-64": (
+        (0, "Unknown", "budget", 67, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Safe", None, 19, 5),
+        (4, "Unsafe", None, 1, 0,
+         "ccf3a2a0f6e8e23fef9ea1b66e2ae13fa75c7f2c7285df3f21ab7834a4efde3ff55ec480e7e4dc3f",
+         "c6df89139f5305c004121c39ef6737c0421c4020c4394ac05076443c9298e0bf6d647e645f584ac0"),
+    ),
+    "capacity-wide-L2-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unsafe", None, 1, 0,
+         "dad1746a174ae23fb1ff0788b06fe33fd8a7c35abf96de3f9f6c1c212bdddc3fc89df0c44bd8d63f",
+         "baa3b3e6b9501740ed997c056c4831c0b0f205ba72b249c0764858858c69c9bf944829b986ce49c0"),
+    ),
+    "capacity-wide-L2-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unknown", "budget", 64, 6),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unsafe", None, 1, 0,
+         "dad1746a174ae23fb1ff0788b06fe33fd8a7c35abf96de3f9f6c1c212bdddc3fc89df0c44bd8d63f",
+         "baa3b3e6b9501740ed997c056c4831c0b0f205ba72b249c0764858858c69c9bf944829b986ce49c0"),
+    ),
+    "capacity-wide-Linf-16": (
+        (0, "Unknown", "budget", 16, 4),
+        (1, "Unknown", "budget", 16, 4),
+        (3, "Unknown", "budget", 16, 4),
+        (4, "Unsafe", None, 1, 0,
+         "e8a5ef7968a8e23f6cadc8e040fde33f96013eed9c5cde3f88908615f95bdc3f676c18cb225fd53f",
+         "ede2619c6a66194059dc5fdeb14231c036a9b761eb5149c0f775cef13bcdd6bfa35ed9a1ecc349c0"),
+    ),
+    "capacity-wide-Linf-64": (
+        (0, "Unknown", "budget", 64, 6),
+        (1, "Unsafe", None, 24, 4,
+         "666666666666e63f7f5105b72483d33ffaf98889a213d73f2aacba9a31a2da3fecee67a2c055d73f",
+         "4ff4d5393e103bc08d6a034611f745c0a5f43652311044c0a36339f0d9fdf03f3bcfb5edde5245c0"),
+        (3, "Unknown", "budget", 64, 6),
+        (4, "Unsafe", None, 1, 0,
+         "e8a5ef7968a8e23f6cadc8e040fde33f96013eed9c5cde3f88908615f95bdc3f676c18cb225fd53f",
+         "ede2619c6a66194059dc5fdeb14231c036a9b761eb5149c0f775cef13bcdd6bfa35ed9a1ecc349c0"),
     ),
     "sweep-3-L1-0": (
         (1, "Unknown", "budget", 1, 0),
