@@ -27,6 +27,7 @@ at a time.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .regions import Region, dist_many, region_membership
 CE_EFFORT = 8
 MIN_BOX_WIDTH = 1e-4
 FRONTIER_BATCH = 256
+_scratch = threading.local()  # per thread, the buffer _lower_bound works in
 
 
 @dataclass(frozen=True)
@@ -196,19 +198,35 @@ def _lower_bound(layers, relax: tuple[np.ndarray, ...], a: np.ndarray, b: np.nda
     K, M, m, n) and b broadcasts to (K, M, m): one (m, n) product per (box,
     block), so no block's bound depends on another's. The result is
     (K, M, m).
+
+    The coefficient stacks live in a buffer kept per thread from call to
+    call (_scratch): fresh arrays of that size map fresh pages, whose faults
+    cost more than the arithmetic. Each value is bit for bit that of the
+    plain expression max(a, 0) * lower + min(a, 0) * upper, then @ weights.
     """
+    pos, neg = np.maximum(a, 0.0), np.minimum(a, 0.0)  # at a's shape, before broadcasting
     end = sum(len(layer.bias) for layer in layers)
+    if layers:
+        stack = (len(relax[0]),) + a.shape[1:-1]
+        size, widths = math.prod(stack), {a.shape[-1]} | {layer.in_dim for layer in layers}
+        if getattr(_scratch, "buffer", np.empty(0)).size < 3 * (part := size * max(widths)):
+            _scratch.buffer = np.empty(3 * part)
+        views = {n: [_scratch.buffer[k * part:k * part + size * n].reshape(stack + (n,))
+                     for k in range(3)] for n in widths}
+        lower, upper, shift = (f[:, None, None, :] for f in relax)  # (K, 1, 1, N)
     for layer in reversed(layers):
         start = end - len(layer.bias)
-        lower, upper, shift = (f[:, None, start:end] for f in relax)
-        neg = np.minimum(a, 0.0)
-        b = b + _mv(neg, shift)
-        a = np.maximum(a, 0.0) * lower[:, None] + neg * upper[:, None]
-        b = b + _mv(a, layer.bias)
-        a = a @ layer.weights
+        _, p, q = views[end - start]
+        b = b + _mv(neg, shift[..., 0, start:end])
+        relaxed = np.multiply(pos, lower[..., start:end], out=p)
+        relaxed += np.multiply(neg, upper[..., start:end], out=q)
+        b = b + _mv(relaxed, layer.bias)
+        out, p, q = views[layer.in_dim]
+        a = np.matmul(relaxed, layer.weights, out=out)
+        pos, neg = np.maximum(a, 0.0, out=p), np.minimum(a, 0.0, out=q)
         end = start
     lo, hi = box.lo[:, None], box.hi[:, None]
-    box_min = _mv(np.maximum(a, 0.0), lo) + _mv(np.minimum(a, 0.0), hi) + b
+    box_min = _mv(pos, lo) + _mv(neg, hi) + b
     return np.maximum(box_min, _ball_min(a, b, box))
 
 
@@ -226,31 +244,25 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
     hidden = net.layers[:-1]
     width = (len(box.lo), sum(len(layer.bias) for layer in hidden))
     relax = (np.ones(width), np.ones(width), np.zeros(width))
-    clo, chi = box.lo, box.hi
-    start = 0
+    clo, chi, start = box.lo, box.hi, 0
     for i, layer in enumerate(hidden):
         n = len(layer.bias)
         rows = np.concatenate([layer.weights, -layer.weights])[None, None]
         bound = _lower_bound(hidden[:i], relax, rows,
                              np.concatenate([layer.bias, -layer.bias]), box)[:, 0]
-        w_pos = np.maximum(layer.weights, 0.0)
-        w_neg = np.minimum(layer.weights, 0.0)
+        w_pos, w_neg = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
         l = np.maximum(bound[:, :n], _mv(w_pos, clo) + _mv(w_neg, chi) + layer.bias)
         u = np.minimum(-bound[:, n:], _mv(w_pos, chi) + _mv(w_neg, clo) + layer.bias)
         u = np.maximum(u, l)  # float-rounding guard; raising an upper bound is sound
-
         if layer.activation == "identity":
             clo, chi = l, u
         else:
-            lower, upper, shift = (f[:, start:start + n] for f in relax)
             off = u <= 0.0
             mixed = ~(off | (l >= 0.0))
-            s = u[mixed] / (u[mixed] - l[mixed])
-            upper[mixed] = s
-            shift[mixed] = -s * l[mixed]
-            lower[mixed] = (u[mixed] >= -l[mixed]).astype(np.float64)
-            upper[off] = 0.0
-            lower[off] = 0.0
+            s = u / np.where(mixed, u - l, 1.0)  # the chord's slope where mixed
+            relax[0][:, start:start + n] = np.where(mixed, u >= -l, ~off)
+            relax[1][:, start:start + n] = np.where(mixed, s, ~off)
+            relax[2][:, start:start + n] = np.where(mixed, -s * l, 0.0)
             clo, chi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         start += n
     return LinearBounds(clo, chi, *relax)
@@ -270,8 +282,7 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
     bounds come from propagate_bounds on the stack of K boxes, and true_label
     and target are (Q,) arrays of label pairs; the result is (K, Q).
     """
-    true_label = np.asarray(true_label)
-    target = np.asarray(target)
+    true_label, target = np.asarray(true_label), np.asarray(target)
     if true_label.ndim != 1 or true_label.shape != target.shape:
         raise ValueError("labels must be (Q,) arrays of one shape")
     if np.any(true_label == target):
@@ -281,8 +292,8 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
     final = net.layers[-1]
     row = net.oriented(final.weights[true_label] - final.weights[target])[None, :, None, :]
     row_b = net.oriented(final.bias[true_label] - final.bias[target])[:, None]
-    relax = (bounds.lower_slope, bounds.upper_slope, bounds.upper_shift)
-    crown = _lower_bound(net.layers[:-1], relax, row, row_b, box)[..., 0]
+    crown = _lower_bound(net.layers[:-1], (bounds.lower_slope, bounds.upper_slope,
+                                           bounds.upper_shift), row, row_b, box)[..., 0]
     interval = (np.maximum(row, 0.0) @ bounds.lo[:, None, :, None]
                 + np.minimum(row, 0.0) @ bounds.hi[:, None, :, None] + row_b[..., None])
     return _first_max(crown, interval[..., 0, 0])
@@ -324,24 +335,20 @@ def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndar
     d = lo.shape[1]
     others = np.arange(net.n_labels) != targets[:, None]  # (J, L)
 
-    def first_hit(xs: np.ndarray, good: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        # per job, the index of its first validated point, or -1
+    def score(xs: np.ndarray, jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one forward pass over the jobs' points: record each job's first
+        # validated point; the mask of the jobs still searching, and each
+        # point's advantage, how far the target is from winning outright
+        # (positive means it wins)
+        good = net.oriented(evaluate_batch(net, xs))
+        t = targets[jobs]
         inside = dist_many(region.metric, xs, region.centroid) <= region.radius
-        valid = (np.argmax(good, axis=-1) == targets[jobs][:, None]) & inside
-        return np.where(np.any(valid, axis=1), np.argmax(valid, axis=1), -1)
-
-    def advantage(good: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        # how far the target is from winning outright: positive means it wins
-        own = np.take_along_axis(good, targets[jobs][:, None, None], axis=2)[..., 0]
-        rival = np.max(np.where(others[jobs][:, None, :], good, -np.inf), axis=2)
-        return own - rival
-
-    def settle(xs: np.ndarray, good: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        # record the jobs that hit; the mask of those still searching
-        hit = first_hit(xs, good, jobs)
+        valid = (np.argmax(good, axis=-1) == t[:, None]) & inside
+        hit = np.where(np.any(valid, axis=1), np.argmax(valid, axis=1), -1)
         for i in np.flatnonzero(hit >= 0):
             found[boxes[jobs[i]]] = xs[i, hit[i]].copy()
-        return hit < 0
+        rival = np.max(np.where(others[jobs][:, None, :], good, -np.inf), axis=2)
+        return hit < 0, good[np.arange(len(jobs)), :, t] - rival
 
     draws = np.stack([np.random.default_rng(np.random.SeedSequence(
         [seeds[b] & 0x7FFFFFFF, effort])).random((effort, d)) for b in boxes])
@@ -349,12 +356,10 @@ def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndar
     starts = np.concatenate([((lo + hi) / 2.0)[:, None, :],
                              lo[:, None, :] + draws * width[:, None, :]], axis=1)
     starts = _pull_into_region_batch(starts, region)
-    good = net.oriented(evaluate_batch(net, starts))
     jobs = np.arange(len(boxes))
-    going = settle(starts, good, jobs)
+    going, adv = score(starts, jobs)
 
     # coordinate descent from each job's most promising start
-    adv = advantage(good, jobs)
     idx = np.argmax(adv, axis=1)
     x = starts[jobs, idx]
     best = adv[jobs, idx]
@@ -370,9 +375,7 @@ def find_counterexample(net: Network, region: Region, box: Box, targets: np.ndar
         moves[:, 2 * axes, axes] = np.where(hi[jobs] < up, hi[jobs], up)
         moves[:, 2 * axes + 1, axes] = np.where(lo[jobs] > down, lo[jobs], down)
         moves = _pull_into_region_batch(moves, region)
-        mgood = net.oriented(evaluate_batch(net, moves))
-        going = settle(moves, mgood, jobs)
-        madv = advantage(mgood, jobs)
+        going, madv = score(moves, jobs)
         rows = np.arange(len(jobs))
         j = np.argmax(madv, axis=1)
         better = madv[rows, j] > best
@@ -417,9 +420,9 @@ class _RegionSearch:
             raise ValueError("a region search takes distinct targets of one network and region")
         self.t0 = time.perf_counter()
         n_labels = self.net.n_labels
-        # every (rival, target) pair, each target's rivals in label order
-        self.rivals = np.array([r for t in labels for r in range(n_labels) if r != t])
-        self.pair_targets = np.repeat(labels, n_labels - 1)
+        # every (rival, target) pair: per target, a row of its rivals in label order
+        self.rivals = np.array([[r for r in range(n_labels) if r != t] for t in labels])
+        self.pair_targets = np.repeat(labels, n_labels - 1).reshape(self.rivals.shape)
         self.labels = np.array(labels)
         self.epsilons = np.array([t.epsilon for t in self.tasks])
         # no node number reaches int64's maximum, so a larger budget acts as that
@@ -481,14 +484,15 @@ class _RegionSearch:
             taken += int(keep.sum())
         return tuple(np.concatenate(p) for p in zip(*parts))
 
-    def _margins(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """(K, targets) certified discharge bounds of a stack of boxes: per
-        target, the best margin by which any rival beats it (positive means
-        the target never wins)."""
+    def _margins(self, lo: np.ndarray, hi: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """(K, len(slots)) certified discharge bounds of a stack of boxes:
+        per target slot given, the best margin by which any rival beats it
+        (positive means the target never wins)."""
         box = Box(lo, hi, self.region)
         bounds = propagate_bounds(self.net, box)
-        gaps = score_gap_bound(self.net, bounds, box, self.rivals, self.pair_targets)
-        gaps = gaps.reshape(len(lo), len(self.tasks), self.net.n_labels - 1)
+        gaps = score_gap_bound(self.net, bounds, box, self.rivals[slots].ravel(),
+                               self.pair_targets[slots].ravel())
+        gaps = gaps.reshape(len(lo), len(slots), self.net.n_labels - 1)
         return _first_max(*np.moveaxis(gaps, 2, 0))
 
     def _step(self) -> None:
@@ -549,8 +553,9 @@ class _RegionSearch:
             pruned = _box_region_gap(lo, hi, region) > region.radius
         margins = np.zeros(live.shape)
         kept = np.flatnonzero(~pruned)
+        slots = np.flatnonzero(live.any(axis=0))  # a finished target needs no margin
         if len(kept):
-            margins[kept] = self._margins(lo[kept], hi[kept])
+            margins[np.ix_(kept, slots)] = self._margins(lo[kept], hi[kept], slots)
         return live & ~pruned[:, None] & ~(margins > self.epsilons)
 
     def _split(self, lo: np.ndarray, hi: np.ndarray, depth: np.ndarray,

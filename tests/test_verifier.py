@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import itertools
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -678,6 +679,24 @@ class TestStackedCalls:
             for f in dataclasses.fields(LinearBounds):
                 got, want = getattr(bounds, f.name), getattr(alone, f.name)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, f.name)
+
+    def test_work_buffer_kept_per_thread(self):
+        """Backward substitution works in one buffer per thread, kept from
+        call to call so that no call maps fresh pages; a reused buffer, or
+        another thread's, changes no bit."""
+        net = capacity_network()
+        root = one_box(np.zeros(net.input_dim), np.ones(net.input_dim))
+        lo, hi = sub_boxes(root, 8, np.random.default_rng(2))
+        first = propagate_bounds(net, Box(lo, hi))
+        buffer = verifier_module._scratch.buffer
+        again = propagate_bounds(net, Box(lo[:3], hi[:3]))
+        assert verifier_module._scratch.buffer is buffer
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(propagate_bounds, net, Box(lo, hi)).result()
+        for f in dataclasses.fields(LinearBounds):
+            want = getattr(first, f.name)
+            assert getattr(again, f.name).tobytes() == want[:3].tobytes(), f.name
+            assert getattr(other, f.name).tobytes() == want.tobytes(), f.name
 
     @pytest.mark.parametrize("name", sorted(STACK_NETS))
     def test_score_gap_bound_label_arrays(self, name):
