@@ -3,6 +3,11 @@
 Subcommands: discover, verify, emit-contracts, check-system, guard, demo, grid.
 Exit codes: 0 success, 1 property/verification failure outcomes, 2 usage or
 I/O errors.
+
+`cli_main` may be called any number of times in one process, as tests and
+programs that embed the CLI do. The parser is built on the first call and
+shared by the later ones; each call looks up its `cmd_*` function when it
+runs, so a function replaced on this module is the one that is called.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import os
@@ -61,6 +67,20 @@ def _write_report(args, obj: dict, lines: list[str]):
     _write_output("\n".join(lines) + "\n" if args.format == "text" else _dump_json(obj), args.out)
 
 
+def _read_json(path: str, *lists: str) -> dict:
+    """A JSON file whose top level is an object and whose fields named in
+    `lists` are lists of objects; any other shape is an error naming the file."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, "
+                         f"got {type(obj).__name__}")
+    for key in lists:
+        items = obj[key]
+        if not (isinstance(items, list) and all(isinstance(i, dict) for i in items)):
+            raise ValueError(f"{path}: {key!r} must be a list of objects")
+    return obj
+
+
 def _read_net(path: str):
     return parse_network(Path(path).read_text())
 
@@ -103,7 +123,7 @@ def cmd_verify(args) -> int:
     check_budgets(args.node_budget, args.time_budget, args.eps)
     net = _read_net(args.net)
     regions = [region_from_dict(r, net.labels)
-               for r in json.loads(Path(args.regions).read_text())["regions"]]
+               for r in _read_json(args.regions, "regions")["regions"]]
     for r in regions:
         if r.centroid.shape != (net.input_dim,):
             raise ValueError(f"region {r.id!r} has a centroid of width {r.centroid.size}, "
@@ -131,7 +151,7 @@ def cmd_verify(args) -> int:
 
 def cmd_emit_contracts(args) -> int:
     net = _read_net(args.net)
-    report = json.loads(Path(args.report).read_text())
+    report = _read_json(args.report, "regions")
     rebuilt = []
     for entry in report["regions"]:
         region = region_from_dict(entry, net.labels)
@@ -146,12 +166,12 @@ def cmd_emit_contracts(args) -> int:
 
 
 def cmd_check_system(args) -> int:
-    sysobj = json.loads(Path(args.system).read_text())
+    sysobj = _read_json(args.system)
     system, properties = system_from_json(sysobj)
     if "contract" not in sysobj:
         raise ValueError("system model needs a 'contract' block for the checked subsystem")
     c1 = component_contract_from_json(sysobj["contract"])
-    dnn = dnn_contract_from_json(json.loads(Path(args.contracts).read_text()))
+    dnn = dnn_contract_from_json(_read_json(args.contracts, "regions"))
     if args.property:
         prop = parse_property(args.property)
     elif properties:
@@ -198,7 +218,7 @@ def _csv_rows(lines, width: int):
 
 def cmd_guard(args) -> int:
     net = _read_net(args.net)
-    contract = dnn_contract_from_json(json.loads(Path(args.contracts).read_text()))
+    contract = dnn_contract_from_json(_read_json(args.contracts, "regions"))
     guard = build_guard(contract, uncertainty_threshold=args.threshold)
     # both checks run before --out is opened, so a refused run leaves it as it was
     check_network(guard, net)
@@ -225,7 +245,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    layout = json.loads(Path(args.cutpoints).read_text())
+    layout = _read_json(args.cutpoints)
     names = layout["names"]
     cutpoints = layout["cutpoints"]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
@@ -255,7 +275,10 @@ def cmd_grid(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once, on the first call; it binds no command function, so
+    `cli_main` can share it between calls."""
     parser = argparse.ArgumentParser(
         prog="safecomp",
         description="Safe-region discovery, ReLU classifier verification, and "
@@ -271,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-members", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_discover)
 
     sp = sub.add_parser("verify", help="verify regions against a network in parallel")
     sp.add_argument("--net", required=True)
@@ -279,13 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verifier_flags(sp)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("emit-contracts", help="turn a verification report into a contract")
     sp.add_argument("--net", required=True)
     sp.add_argument("--report", required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_emit_contracts)
 
     sp = sub.add_parser("check-system", help="assume-guarantee proof over a system model")
     sp.add_argument("--system", required=True)
@@ -293,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--property", default=None)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_check_system)
 
     sp = sub.add_parser("guard", help="stream guard decisions for CSV input rows")
     sp.add_argument("--net", required=True)
@@ -301,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--threshold", type=float, default=None)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_guard)
 
     sp = sub.add_parser("demo", help="run a built-in end-to-end scenario")
     sp.add_argument("scenario", choices=["ebs"])
@@ -310,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--node-budget", type=int, default=50_000)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_demo)
 
     sp = sub.add_parser("grid", help="cartesian product of per-dimension cut points")
     sp.add_argument("--cutpoints", required=True,
@@ -318,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--label-with", default=None, metavar="NET",
                     help="label each row by running this network")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_grid)
 
     return parser
 
@@ -332,11 +348,15 @@ def cli_main(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if not getattr(args, "command", None):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    # read at call time, so a cmd_* function replaced on this module is called
+    commands = {"discover": cmd_discover, "verify": cmd_verify,
+                "emit-contracts": cmd_emit_contracts, "check-system": cmd_check_system,
+                "guard": cmd_guard, "demo": cmd_demo, "grid": cmd_grid}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 import safecomp
 from conftest import identity_network, make_network, parse_dnn_contract
+from safecomp import cli
 from safecomp.app import (
     build_ebs_demo,
     build_semaphore_classifier,
@@ -647,6 +650,7 @@ class TestGridCli:
         ({"names": ["a"], "cutpoints": "0.5"}, "'cutpoints' must be a list of lists"),
         ({"names": "a", "cutpoints": [[0.5]]}, "'names' must be a list of strings"),
         ({"names": [1], "cutpoints": [[0.5]]}, "'names' must be a list of strings"),
+        ([1], "cuts.json: the top level must be a JSON object"),
     ])
     def test_layout_not_lists_exits_2_without_output(self, tmp_path, capsys, layout, message):
         spec_path = tmp_path / "cuts.json"
@@ -693,3 +697,125 @@ class TestVersion:
         assert config["project"]["dynamic"] == ["version"]
         assert config["tool"]["setuptools"]["dynamic"]["version"] == {
             "attr": "safecomp.__version__"}
+
+
+class TestJsonShape:
+    """A JSON input of the wrong shape is a usage error naming the file or the
+    field, raised before --out is opened."""
+
+    CASES = {
+        "verify-regions-not-a-list": ("verify", {"regions": 5}, "'regions' must be a list"),
+        "verify-region-not-an-object": ("verify", {"regions": [5]},
+                                        "'regions' must be a list of objects"),
+        "verify-top-level-list": ("verify", [1], "the top level must be a JSON object"),
+        "emit-contracts-top-level-list": ("emit-contracts", [1],
+                                          "the top level must be a JSON object"),
+        "emit-contracts-regions-not-a-list": ("emit-contracts",
+                                              {"network": "semaphore", "regions": 3},
+                                              "'regions' must be a list"),
+        "check-system-top-level-list": ("check-system", [1],
+                                        "the top level must be a JSON object"),
+        "guard-top-level-list": ("guard", [1], "the top level must be a JSON object"),
+        "guard-regions-not-a-list": ("guard", {"regions": 3}, "'regions' must be a list"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_wrong_shape_exits_2_and_keeps_out(self, semaphore_files, tmp_path, capsys, case):
+        command, obj, message = self.CASES[case]
+        _, _, net_path, data_path = semaphore_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        _, contract_path = TestCheckSystem()._write_system(tmp_path, 2)
+        argv = {
+            "verify": ["verify", "--net", net_path, "--regions", bad],
+            "emit-contracts": ["emit-contracts", "--net", net_path, "--report", bad],
+            "check-system": ["check-system", "--system", bad, "--contracts", contract_path],
+            "guard": ["guard", "--net", net_path, "--contracts", bad, "--data", data_path],
+        }[command]
+        out = tmp_path / "out.txt"
+        out.write_text("before\n")
+        assert run(argv + ["--out", out]) == 2
+        assert out.read_text() == "before\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert message in err
+
+
+class TestParserReuse:
+    """cli_main builds its parser once and reuses it; every call still parses
+    from the defaults and dispatches to the module's current cmd_* function."""
+
+    @pytest.fixture
+    def regions(self, semaphore_files, tmp_path):
+        _, _, net_path, data_path = semaphore_files
+        regions_path = tmp_path / "regions.json"
+        assert run(["discover", "--net", net_path, "--data", data_path, "--seed", 42,
+                    "--out", regions_path]) == 0
+        return net_path, regions_path
+
+    def test_replaced_command_is_called(self, regions, monkeypatch):
+        net_path, regions_path = regions
+        calls = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args) or 7)
+        assert run(["verify", "--net", net_path, "--regions", regions_path]) == 7
+        assert [(a.net, a.regions) for a in calls] == [(str(net_path), str(regions_path))]
+
+    def test_defaults_do_not_leak_between_calls(self, regions, tmp_path):
+        net_path, regions_path = regions
+        out = tmp_path / "report"
+        assert run(["verify", "--net", net_path, "--regions", regions_path,
+                    "--format", "text", "--out", out]) == 0
+        assert "fully_safe=" in out.read_text()
+        assert run(["verify", "--net", net_path, "--regions", regions_path,
+                    "--out", out]) == 0
+        jsonschema.validate(json.loads(out.read_text()), VERIFY_REPORT_SCHEMA)
+
+    def test_usage_error_between_calls_changes_nothing(self, semaphore_files, tmp_path):
+        _, _, net_path, data_path = semaphore_files
+        argv = ["discover", "--net", net_path, "--data", data_path]
+        outputs = []
+        for name in ("first", "second"):
+            out = tmp_path / f"{name}.json"
+            assert run(argv + ["--out", out]) == 0
+            outputs.append(out.read_bytes())
+            # flags parsed before the bad one must not stick to the parser
+            assert run(argv + ["--metric", "l1", "--seed", 9, "--radius", "tight",
+                               "--nonsense"]) == 2
+        assert outputs[0] == outputs[1]
+
+
+class TestProcess:
+    """The CLI run as its own process, as `safecomp` is installed to run."""
+
+    @staticmethod
+    def run_process(*argv):
+        src = str(Path(safecomp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-m", "safecomp.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_help_exits_0(self):
+        proc = self.run_process("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: safecomp")
+
+    def test_no_arguments_prints_usage_and_exits_2(self):
+        proc = self.run_process()
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: safecomp")
+
+    def test_verify_writes_the_in_process_report(self, semaphore_files, tmp_path):
+        _, _, net_path, data_path = semaphore_files
+        regions_path = tmp_path / "regions.json"
+        assert run(["discover", "--net", net_path, "--data", data_path, "--seed", 42,
+                    "--out", regions_path]) == 0
+        argv = ["verify", "--net", net_path, "--regions", regions_path, "--node-budget", 16]
+        assert run(argv + ["--out", tmp_path / "in_process.json"]) == 0
+        proc = self.run_process(*argv, "--out", tmp_path / "process.json")
+        assert proc.returncode == 0, proc.stderr
+        reports = [mask_timing(json.loads((tmp_path / f"{name}.json").read_text()))
+                   for name in ("in_process", "process")]
+        assert reports[0]["regions"]
+        assert reports[0] == reports[1]
