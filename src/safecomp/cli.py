@@ -166,7 +166,7 @@ def cmd_emit_contracts(args) -> int:
 
 
 def cmd_check_system(args) -> int:
-    sysobj = _read_json(args.system)
+    sysobj = _read_json(args.system, "components")
     system, properties = system_from_json(sysobj)
     if "contract" not in sysobj:
         raise ValueError("system model needs a 'contract' block for the checked subsystem")

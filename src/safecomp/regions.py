@@ -233,12 +233,8 @@ def discover_regions(data: LabeledDataset, metric: str,
     singleton_count = 0
     while queue:
         cluster = queue.pop(0)
-        cluster_labels = data.labels[cluster]
-        if len(np.unique(cluster_labels)) == 1:
+        if len(np.unique(data.labels[cluster])) == 1:
             pure.append(cluster)
-        elif len(cluster) == 1:
-            singleton_count += 1
-            dropped.extend(int(i) for i in cluster)
         else:
             queue.extend(split(cluster, 2))
 

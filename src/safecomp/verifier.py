@@ -4,9 +4,11 @@ The engine is input-splitting branch-and-bound. Each input box gets its
 bounds by backward substitution (CROWN, Zhang et al. 2018; DeepPoly, Singh
 et al. 2019): every hidden layer's pre-activations, and then the score
 margin, are sent back as affine rows through the ReLU relaxations of the
-layers below and concretized over box ∩ ball. A box is discharged when the
-certified margin clears the safety threshold, refuted when a concrete
-in-region counterexample validates, or bisected otherwise. Safe is sound by
+layers below and concretized over box ∩ ball. Each bound is the tighter of
+that and interval arithmetic (IBP, Gowal et al. 2018); one routine,
+_lower_bound, concretizes both. A box is discharged when the certified
+margin clears the safety threshold, refuted when a concrete in-region
+counterexample validates, or bisected otherwise. Safe is sound by
 construction; Unsafe is exact (every counterexample re-validates by forward
 evaluation); Unknown reports which budget ran out.
 
@@ -70,7 +72,8 @@ class LinearBounds:
     that certify them, over box ∩ ball.
 
     lo <= h(x) <= hi for every x in box ∩ ball, h(x) being the activations of
-    the last hidden layer (the input itself when the network has one layer).
+    the last hidden layer (the input itself when the network has one layer),
+    each bound the tighter of backward substitution and interval arithmetic.
     Hidden neuron j with pre-activation z lies between lower_slope[j] * z and
     upper_slope[j] * z + upper_shift[j]; the neurons of every hidden layer
     are concatenated in layer order. Every field has a leading axis of length
@@ -174,15 +177,6 @@ def _ball_min(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray | float:
     return _mv(a, box.ball.centroid) + b - box.ball.radius * norm
 
 
-def _first_max(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Elementwise max(first, *rest) with Python's max semantics: a later
-    value replaces the running one only when it is strictly greater."""
-    best = first
-    for value in rest:
-        best = np.where(value > best, value, best)
-    return best
-
-
 def _lower_bound(layers, relax: tuple[np.ndarray, ...], a: np.ndarray, b: np.ndarray,
                  box: Box) -> np.ndarray:
     """Certified lower bound over each box ∩ ball of a @ h + b, h being the
@@ -191,7 +185,7 @@ def _lower_bound(layers, relax: tuple[np.ndarray, ...], a: np.ndarray, b: np.nda
     its neuron's relaxation, the lower line when it is positive and the
     upper one when negative, then through the layer's weights. The affine
     function of the input that results is concretized over the box by sign
-    split and over the ball.
+    split and over the ball; with no layers, that is interval arithmetic.
 
     relax is (lower slope, upper slope, upper shift), each (K, N) with the
     neurons of the layers in order, as LinearBounds holds them. a is (1 or
@@ -234,12 +228,12 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
     """Bounds on every hidden layer over each box of the stack, up to the
     final layer's inputs (score_gap_bound sends the final layer back).
 
-    Each hidden layer's pre-activation interval [l, u] is the tighter of
-    interval propagation and the rows [W; -W] sent back through the
-    relaxations of the layers below (_lower_bound). A ReLU over [l, u] is
-    then relaxed to: zero when u <= 0, identity when l >= 0, and otherwise
-    the chord u(z-l)/(u-l) above with alpha*z below, alpha = 1 if u >= -l
-    else 0. An identity layer is its own relaxation.
+    Each hidden layer's pre-activation interval [l, u] bounds the rows
+    [W; -W] by the tighter of two _lower_bound calls: backward substitution
+    over box ∩ ball, and interval arithmetic over the layer below's bounds.
+    A ReLU over [l, u] is then relaxed to: zero when u <= 0, identity when
+    l >= 0, and otherwise the chord u(z-l)/(u-l) above with alpha*z below,
+    alpha = 1 if u >= -l else 0. An identity layer is its own relaxation.
     """
     hidden = net.layers[:-1]
     width = (len(box.lo), sum(len(layer.bias) for layer in hidden))
@@ -248,12 +242,11 @@ def propagate_bounds(net: Network, box: Box) -> LinearBounds:
     for i, layer in enumerate(hidden):
         n = len(layer.bias)
         rows = np.concatenate([layer.weights, -layer.weights])[None, None]
-        bound = _lower_bound(hidden[:i], relax, rows,
-                             np.concatenate([layer.bias, -layer.bias]), box)[:, 0]
-        w_pos, w_neg = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
-        l = np.maximum(bound[:, :n], _mv(w_pos, clo) + _mv(w_neg, chi) + layer.bias)
-        u = np.minimum(-bound[:, n:], _mv(w_pos, chi) + _mv(w_neg, clo) + layer.bias)
-        u = np.maximum(u, l)  # float-rounding guard; raising an upper bound is sound
+        shift = np.concatenate([layer.bias, -layer.bias])
+        bound = np.maximum(_lower_bound(hidden[:i], relax, rows, shift, box),
+                           _lower_bound((), relax, rows, shift, Box(clo, chi)))[:, 0]
+        l = bound[:, :n]
+        u = np.maximum(-bound[:, n:], l)  # float-rounding guard; raising an upper bound is sound
         if layer.activation == "identity":
             clo, chi = l, u
         else:
@@ -274,10 +267,10 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
     label loses to the true label (positive means the target never wins).
 
     The margin is one affine row over the final layer's inputs, the final
-    layer's W[true] - W[target] turned by net.oriented. Two sound candidates,
-    the first kept on ties: the row sent back through every hidden layer's
-    relaxation and concretized over box ∩ ball, and the row against the
-    interval bounds.
+    layer's W[true] - W[target] turned by net.oriented, bounded by the
+    tighter of two _lower_bound calls: backward substitution through every
+    hidden layer's relaxation over box ∩ ball, and interval arithmetic over
+    bounds.lo and bounds.hi.
 
     bounds come from propagate_bounds on the stack of K boxes, and true_label
     and target are (Q,) arrays of label pairs; the result is (K, Q).
@@ -292,11 +285,9 @@ def score_gap_bound(net: Network, bounds: LinearBounds, box: Box, true_label: np
     final = net.layers[-1]
     row = net.oriented(final.weights[true_label] - final.weights[target])[None, :, None, :]
     row_b = net.oriented(final.bias[true_label] - final.bias[target])[:, None]
-    crown = _lower_bound(net.layers[:-1], (bounds.lower_slope, bounds.upper_slope,
-                                           bounds.upper_shift), row, row_b, box)[..., 0]
-    interval = (np.maximum(row, 0.0) @ bounds.lo[:, None, :, None]
-                + np.minimum(row, 0.0) @ bounds.hi[:, None, :, None] + row_b[..., None])
-    return _first_max(crown, interval[..., 0, 0])
+    relax = (bounds.lower_slope, bounds.upper_slope, bounds.upper_shift)
+    return np.maximum(_lower_bound(net.layers[:-1], relax, row, row_b, box),
+                      _lower_bound((), relax, row, row_b, Box(bounds.lo, bounds.hi)))[..., 0]
 
 
 def _pull_into_region_batch(xs: np.ndarray, region: Region) -> np.ndarray:
@@ -492,8 +483,7 @@ class _RegionSearch:
         bounds = propagate_bounds(self.net, box)
         gaps = score_gap_bound(self.net, bounds, box, self.rivals[slots].ravel(),
                                self.pair_targets[slots].ravel())
-        gaps = gaps.reshape(len(lo), len(slots), self.net.n_labels - 1)
-        return _first_max(*np.moveaxis(gaps, 2, 0))
+        return gaps.reshape(len(lo), len(slots), self.net.n_labels - 1).max(axis=2)
 
     def _step(self) -> None:
         now = time.perf_counter()

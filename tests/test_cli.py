@@ -453,6 +453,44 @@ class TestCheckSystem:
         assert not out.exists()
         assert "transition from 'nowhere'" in capsys.readouterr().err
 
+    def _report(self, sys_path, contract_path, out, *flags):
+        """Exit code and timing-masked report of one check-system run."""
+        code = run(["check-system", "--system", sys_path, "--contracts", contract_path,
+                    "--out", out, *flags])
+        return code, mask_timing(json.loads(out.read_text()))
+
+    def test_property_taken_from_system_file(self, tmp_path):
+        sys_path, contract_path = self._write_system(tmp_path, 2)
+        prop = "G (x=red => F<=4 (velocity=0))"
+        given = self._report(sys_path, contract_path, tmp_path / "given.json", "--property", prop)
+        sysobj = json.loads(sys_path.read_text())
+        sysobj["properties"] = [prop, "G (x=red => F<=1 (velocity=0))"]
+        sys_path.write_text(json.dumps(sysobj))
+        listed = self._report(sys_path, contract_path, tmp_path / "listed.json")
+        assert given[0] == 0 and listed == given  # the first listed property is checked
+
+    def test_class_domain_inferred_from_environment_ports(self, tmp_path):
+        sys_path, contract_path = self._write_system(tmp_path, 2)
+        flags = ("--property", "G (x=red => F<=4 (velocity=0))")
+        declared = self._report(sys_path, contract_path, tmp_path / "declared.json", *flags)
+        sysobj = json.loads(sys_path.read_text())
+        del sysobj["perception"]["class_domain"]
+        sys_path.write_text(json.dumps(sysobj))
+        inferred = self._report(sys_path, contract_path, tmp_path / "inferred.json", *flags)
+        assert declared[0] == 0 and inferred == declared
+
+    def test_class_domain_not_inferable_exits_2(self, tmp_path, capsys):
+        sys_path, contract_path = self._write_system(tmp_path, 2)
+        sysobj = json.loads(sys_path.read_text())
+        sysobj["perception"] = {"token_port": "x", "class_port": "Light"}
+        sys_path.write_text(json.dumps(sysobj))
+        out = tmp_path / "ag.json"
+        code = run(["check-system", "--system", sys_path, "--contracts", contract_path,
+                    "--property", "G (x=red => F<=4 (velocity=0))", "--out", out])
+        assert code == 2
+        assert not out.exists()
+        assert "cannot infer the domain of 'Light'" in capsys.readouterr().err
+
 
 class TestDemoCli:
     def test_demo_ebs_exit_codes(self, tmp_path):
@@ -715,6 +753,8 @@ class TestJsonShape:
                                               "'regions' must be a list"),
         "check-system-top-level-list": ("check-system", [1],
                                         "the top level must be a JSON object"),
+        "check-system-components-not-a-list": ("check-system", {"components": 3},
+                                               "'components' must be a list"),
         "guard-top-level-list": ("guard", [1], "the top level must be a JSON object"),
         "guard-regions-not-a-list": ("guard", {"regions": 3}, "'regions' must be a list"),
     }

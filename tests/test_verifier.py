@@ -876,7 +876,8 @@ class TestBackwardBounds:
     box ∩ ball, every hidden layer's pre-activation interval, every
     relaxation line, lo/hi and every label pair's score_gap_bound hold to
     1e-9. L1 and L2 boxes straddle the sphere; Linf boxes and boxes with no
-    ball are sampled inside and at their corners."""
+    ball are sampled inside and at their corners. The bounds are also never
+    looser than plain interval arithmetic."""
 
     @pytest.mark.parametrize("metric", [None, "Linf", "L1", "L2"])
     @pytest.mark.parametrize("name", sorted(BACKWARD_NETS))
@@ -906,6 +907,33 @@ class TestBackwardBounds:
             scores = evaluate_batch(net, xs)
             for gap, a, b in zip(gaps[k], true_label, target):
                 assert gap <= sampled_margins(net, scores, a, b).min() + 1e-9, (k, a, b)
+
+    def test_no_looser_than_interval_arithmetic(self):
+        """Every hidden layer's (l, u) and every label pair's score_gap_bound
+        is at least as tight as plain interval arithmetic, layer by layer and
+        then the margin row over the last hidden interval. On this net and
+        these wide boxes interval arithmetic beats backward substitution on
+        some rows, so the bounds must keep the tighter of the two."""
+        net = random_network(7, dims=(3, 6, 4, 4), score_order="min_best")
+        root = one_box(np.zeros(net.input_dim), np.ones(net.input_dim))
+        box = Box(*sub_boxes(root, 64, np.random.default_rng(4)))
+        lo, hi, intervals = box.lo, box.hi, []
+        for layer in net.layers[:-1]:  # the oracle: one interval product per ReLU layer
+            assert layer.activation == "relu"
+            w_pos, w_neg = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
+            l = lo @ w_pos.T + hi @ w_neg.T + layer.bias
+            u = hi @ w_pos.T + lo @ w_neg.T + layer.bias
+            intervals.append((l, u))
+            lo, hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
+        final, sign = net.layers[-1], -1.0 if net.score_order == "min_best" else 1.0
+        true_label, target = label_pairs(net)
+        rows = sign * (final.weights[true_label] - final.weights[target])
+        oracle = (lo @ np.maximum(rows, 0.0).T + hi @ np.minimum(rows, 0.0).T
+                  + sign * (final.bias[true_label] - final.bias[target]))
+        gaps = score_gap_bound(net, propagate_bounds(net, box), box, true_label, target)
+        assert np.all(gaps >= oracle - 1e-12)
+        for (l, u), (ol, ou) in zip(layer_bounds(net, box), intervals):
+            assert np.all(l >= ol - 1e-12) and np.all(u <= ou + 1e-12)
 
 
 GOLDEN_REGIONS = (  # (kind, centroid, radius) on capacity_network()
