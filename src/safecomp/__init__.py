@@ -27,7 +27,6 @@ from .regions import (
 from .verifier import (
     Box,
     FullResult,
-    FullSummary,
     LinearBounds,
     Verdict,
     VerificationTask,
@@ -49,7 +48,6 @@ from .contracts import (
     RegionContract,
     emit_dnn_contract,
     parse_property,
-    render_contract,
     render_property,
 )
 from .compose import (

@@ -115,50 +115,42 @@ def verdict_from_json(obj: dict) -> Verdict:
                    obj.get("reason"))
 
 
+def _kind_counts(results) -> dict[str, int]:
+    """How many (region, FullResult) pairs have each kind, keyed as reports
+    name the kinds."""
+    kinds = [result.kind for _, result in results]
+    return {key: kinds.count(kind) for kind, key in (
+        ("FullySafe", "fully_safe"), ("TargetedSafe", "targeted_safe"),
+        ("NotSafe", "not_safe"), ("Inconclusive", "inconclusive"))}
+
+
 def build_verification_report(net: Network, results, config: dict,
                               elapsed: float = 0.0) -> dict:
     """Report for a verify run: per-region verdicts, contract-style summary
     counts, and counterexamples."""
-    region_entries = []
-    counterexamples = []
-    counts = {"FullySafe": 0, "TargetedSafe": 0, "NotSafe": 0, "Inconclusive": 0}
-    for region, result in sorted(results, key=lambda pair: pair[0].id):
-        counts[result.summary.kind] += 1
-        entry = {
-            "id": region.id,
-            "metric": region.metric,
-            "centroid": [float(v) for v in region.centroid],
-            "radius": float(region.radius),
-            "expected_label": net.labels[region.expected_label],
-            "member_count": region.member_count,
-            "summary": result.summary.kind,
-            "safe_targets": [net.labels[t] for t in result.summary.safe_targets],
-            "verdicts": {net.labels[t]: verdict_to_json(v)
-                         for t, v in sorted(result.verdicts.items())},
-        }
-        region_entries.append(entry)
-        for t, v in sorted(result.verdicts.items()):
-            if v.counterexample is None:
-                continue
-            counterexamples.append({
-                "region": region.id,
-                "target": net.labels[t],
-                "point": [float(c) for c in v.counterexample.point],
-            })
+    region_entries = [{
+        "id": region.id,
+        "metric": region.metric,
+        "centroid": [float(v) for v in region.centroid],
+        "radius": float(region.radius),
+        "expected_label": net.labels[region.expected_label],
+        "member_count": region.member_count,
+        "summary": result.kind,
+        "safe_targets": [net.labels[t] for t in result.safe_targets],
+        "verdicts": {net.labels[t]: verdict_to_json(v)
+                     for t, v in sorted(result.verdicts.items())},
+    } for region, result in sorted(results, key=lambda pair: pair[0].id)]
     return {
         "tool": "safecomp",
         "version": __version__,
         "network": net.name,
         "config": config,
         "regions": region_entries,
-        "summary": {
-            "fully_safe": counts["FullySafe"],
-            "targeted_safe": counts["TargetedSafe"],
-            "not_safe": counts["NotSafe"],
-            "inconclusive": counts["Inconclusive"],
-            "total": len(region_entries),
-        },
-        "counterexamples": counterexamples,
+        "summary": {**_kind_counts(results), "total": len(region_entries)},
+        "counterexamples": [{"region": e["id"], "target": target,
+                             "point": list(v["counterexample"]["point"])}
+                            for e in region_entries for target, v in e["verdicts"].items()
+                            if "counterexample" in v],
         "timing": {"elapsed": elapsed},
     }
 
@@ -413,10 +405,7 @@ def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, max_nodes: int = 50_000
             "dataset_points": len(data),
             "regions_discovered": len(discovery.regions),
             "regions_contracted": len(contract.regions),
-            "fully_safe": sum(1 for _, r in results if r.summary.kind == "FullySafe"),
-            "targeted_safe": sum(1 for _, r in results if r.summary.kind == "TargetedSafe"),
-            "not_safe": sum(1 for _, r in results if r.summary.kind == "NotSafe"),
-            "inconclusive": sum(1 for _, r in results if r.summary.kind == "Inconclusive"),
+            **_kind_counts(results),
             "token_bindings": token_bindings,
         },
         "assume_guarantee": ag_report_to_json(ag),

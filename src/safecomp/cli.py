@@ -30,14 +30,14 @@ from .compose import check_assume_guarantee, system_from_json
 from .contracts import (
     component_contract_from_json,
     dnn_contract_from_json,
+    dnn_contract_to_json,
     emit_dnn_contract,
     parse_property,
-    render_contract,
 )
 from .guard import build_guard, check_network, stream_guard
 from .network import classify_batch, normalize, parse_network
 from .regions import DiscoveryConfig, discover_regions, load_dataset_csv, region_from_dict, region_to_dict
-from .verifier import FullResult, FullSummary, check_budgets
+from .verifier import FullResult, check_budgets
 
 _METRICS = {"l1": "L1", "l2": "L2", "linf": "Linf"}
 
@@ -155,13 +155,26 @@ def cmd_emit_contracts(args) -> int:
     rebuilt = []
     for entry in report["regions"]:
         region = region_from_dict(entry, net.labels)
-        verdicts = {net.labels.index(name): app.verdict_from_json(v)
-                    for name, v in entry["verdicts"].items()}
-        summary = FullSummary(entry["summary"],
-                              tuple(net.labels.index(n) for n in entry["safe_targets"]))
-        rebuilt.append((region, FullResult(verdicts, summary)))
+        where = f"{args.report}: region {region.id!r}"
+        verdicts = entry.get("verdicts")
+        targets = sorted(set(net.labels) - {net.labels[region.expected_label]})
+        if not (isinstance(verdicts, dict) and all(isinstance(v, dict) for v in verdicts.values())):
+            raise ValueError(f"{where}: 'verdicts' must be an object of objects")
+        if sorted(verdicts) != targets:
+            raise ValueError(f"{where}: verdicts name {sorted(verdicts)}, not the targets {targets}")
+        try:
+            result = FullResult({net.labels.index(name): app.verdict_from_json(v)
+                                 for name, v in verdicts.items()})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        safe = [net.labels[t] for t in result.safe_targets]
+        if (entry.get("summary"), entry.get("safe_targets")) != (result.kind, safe):
+            raise ValueError(f"{where}: summary {entry.get('summary')!r} and safe_targets "
+                             f"{entry.get('safe_targets')!r} disagree with its verdicts, "
+                             f"which give {result.kind!r} and {safe!r}")
+        rebuilt.append((region, result))
     contract = emit_dnn_contract(report["network"], net.labels, rebuilt)
-    _write_output(render_contract(contract), args.out)
+    _write_output(_dump_json(dnn_contract_to_json(contract)), args.out)
     return 0
 
 

@@ -299,7 +299,7 @@ class PropertyMonitor:
 
     def __init__(self, prop: Property):
         self.prop = prop
-        self.atoms = (prop.antecedent, _consequent_atom(prop))
+        self.atoms = (prop.antecedent, prop.consequent_atom)
 
     def initial(self):
         return None
@@ -384,12 +384,8 @@ class CheckResult:
             raise ValueError("a failed check needs a counterexample")
 
 
-def _consequent_atom(p: Property) -> Atom:
-    return p.consequent.atom if isinstance(p.consequent, Eventually) else p.consequent
-
-
 def _bind_check(ports: dict[str, tuple[str, ...]], p: Property):
-    for atom in (p.antecedent, _consequent_atom(p)):
+    for atom in (p.antecedent, p.consequent_atom):
         for port, value in atom.literals:
             if port not in ports:
                 raise ValueError(f"property references unknown port {port!r}")
@@ -542,22 +538,16 @@ def _contract_ports(c: ComponentContract) -> dict[str, tuple[str, ...]]:
     return {**c.inputs, **c.outputs}
 
 
-def contract_monitor(c: ComponentContract | Property,
-                     port_domains: dict[str, tuple[str, ...]] | None = None,
-                     name: str = "monitor", ok_port: str = "ok") -> ComponentModel:
-    """Deterministic observer with a boolean `ok` output (named `ok_port`).
+def contract_monitor(c: ComponentContract, port_domains: dict[str, tuple[str, ...]],
+                     name: str) -> ComponentModel:
+    """Deterministic observer `name` with a boolean output `<name>.ok`.
 
-    `ok` stays "true" exactly while the observed prefix satisfies the
-    contract. Being a Moore output, the flag reflects the ticks already
-    consumed: a violation at tick t shows as ok="false" from tick t+1.
+    The domains in port_domains override those c declares. `ok` stays
+    "true" exactly while the observed prefix satisfies the contract. Being a
+    Moore output, the flag reflects the ticks already consumed: a violation
+    at tick t shows as ok="false" from tick t+1.
     """
-    if isinstance(c, Always):
-        if port_domains is None:
-            raise ValueError("port domains are required for a bare property")
-        c = ComponentContract(name, None, c, inputs=dict(port_domains), outputs={})
-    ports = _contract_ports(c)
-    if port_domains:
-        ports = {**ports, **port_domains}
+    ports = {**_contract_ports(c), **port_domains}
     needed = property_ports(c.guarantee) | (property_ports(c.assumption) if c.assumption else set())
     missing = needed - set(ports)
     if missing:
@@ -567,7 +557,7 @@ def contract_monitor(c: ComponentContract | Property,
     cm = ContractMonitor(c)
     # step once per vector of the atoms' truths, all the monitor reads of a valuation
     atoms = [a for q in (c.assumption, c.guarantee) if q
-             for a in (q.antecedent, _consequent_atom(q))]
+             for a in (q.antecedent, q.consequent_atom)]
     classes: dict = {}
     for v in _valuations(ports):
         classes.setdefault(tuple(a.holds(v) for a in atoms), (v, []))[1].append(tuple(v.values()))
@@ -580,6 +570,7 @@ def contract_monitor(c: ComponentContract | Property,
 
     order = _search([cm.initial()], successors)
     state_names = {ms: f"m{i}" for i, ms in enumerate(order)}
+    ok_port = f"{name}.ok"
     return ComponentModel(
         name=name,
         inputs=ports,
@@ -607,7 +598,7 @@ def most_general_environment(c: ComponentContract, name: str | None = None) -> C
         raise ValueError("contract declares no output ports to generate")
 
     def check_realizable(prop: Property):
-        if not _consequent_atom(prop).ports() <= set(c.outputs):
+        if not prop.consequent_atom.ports() <= set(c.outputs):
             raise ValueError("guarantee consequent must constrain output ports only")
         if not isinstance(prop.consequent, Eventually):
             if not prop.antecedent.ports() <= set(c.outputs):
@@ -863,10 +854,10 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
     for port in property_ports(p):
         if port not in ports:
             raise ValueError(f"property port {port!r} is not covered by the contracts")
-    constraints = [contract_monitor(c1, ports, "C1", ok_port="C1.ok"),
+    constraints = [contract_monitor(c1, ports, "C1"),
                    _dnn_constraint(token_map, ports, token_port, class_port)
                    if isinstance(m2, DnnContract) else
-                   contract_monitor(m2, ports, "C2", ok_port="C2.ok")]
+                   contract_monitor(m2, ports, "C2")]
     premise3 = _checked_premise("C1 & C2 => P", "monitored-implication",
                                 f"property {render_property(p)}",
                                 check_implication(constraints, p, ports))

@@ -12,14 +12,13 @@ where atoms is `true` or `port=value [& port=value ...]`.
 
 from __future__ import annotations
 
-import json
 import numbers
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import METRICS, check_ball, dist, dist_many, geometry_from_dict
+from .regions import METRICS, check_ball, dist_many, geometry_from_dict, region_membership
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +55,11 @@ class Eventually:
 class Always:
     antecedent: Atom
     consequent: Atom | Eventually
+
+    @property
+    def consequent_atom(self) -> Atom:
+        """The atom the consequent asks for, at once or within its bound."""
+        return self.consequent.atom if isinstance(self.consequent, Eventually) else self.consequent
 
 
 Property = Always
@@ -166,12 +170,7 @@ def render_property(p: Property) -> str:
 
 
 def property_ports(p: Property) -> set[str]:
-    ports = p.antecedent.ports()
-    if isinstance(p.consequent, Eventually):
-        ports |= p.consequent.atom.ports()
-    else:
-        ports |= p.consequent.ports()
-    return ports
+    return p.antecedent.ports() | p.consequent_atom.ports()
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +214,7 @@ class RegionContract:
     def contains(self, x) -> bool:
         """Membership of one point in this region alone. The guard asks
         DnnContract.first_containing."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.centroid.shape:
-            raise ValueError(f"dimension mismatch: {x.shape} vs {self.centroid.shape}")
-        return dist(self.metric, x, self.centroid) <= self.radius
+        return region_membership(self, x)
 
 
 @dataclass(frozen=True)
@@ -301,20 +297,21 @@ def emit_dnn_contract(network_name: str, labels, results) -> DnnContract:
             raise ValueError(f"duplicate region id {region.id!r}")
         seen.add(region.id)
         expected = labels[region.expected_label]
+        kind = result.kind
         provenance = {
-            "summary": result.summary.kind,
+            "summary": kind,
             "expected_label": expected,
             "member_count": region.member_count,
             "network": network_name,
         }
-        if result.summary.kind == "FullySafe":
+        if kind == "FullySafe":
             guarantee: Guarantee = LabelIs(expected)
-        elif result.summary.kind == "TargetedSafe":
-            guarantee = LabelNotIn(tuple(labels[t] for t in result.summary.safe_targets))
+        elif kind == "TargetedSafe":
+            guarantee = LabelNotIn(tuple(labels[t] for t in result.safe_targets))
         else:
             entry = {
                 "id": region.id,
-                "summary": result.summary.kind,
+                "summary": kind,
                 "expected_label": expected,
                 "verdicts": {labels[t]: v.status for t, v in sorted(result.verdicts.items())},
             }
@@ -411,13 +408,3 @@ def component_contract_from_json(obj: dict) -> ComponentContract:
         outputs={p: tuple(str(v) for v in d) for p, d in obj.get("outputs", {}).items()},
     )
 
-
-def render_contract(c: DnnContract | ComponentContract | Property) -> str:
-    """Canonical text form: JSON for contracts, the grammar above for properties."""
-    if isinstance(c, DnnContract):
-        return json.dumps(dnn_contract_to_json(c), indent=2, sort_keys=True) + "\n"
-    if isinstance(c, ComponentContract):
-        return json.dumps(component_contract_to_json(c), indent=2, sort_keys=True) + "\n"
-    if isinstance(c, Always):
-        return render_property(c)
-    raise TypeError(f"cannot render {type(c).__name__}")

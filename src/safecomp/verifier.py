@@ -32,7 +32,7 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,6 +108,8 @@ class Verdict:
     reason: str | None = None  # Unknown only: "budget" | "min_box"
 
     def __post_init__(self):
+        if self.status not in ("Safe", "Unsafe", "Unknown"):
+            raise ValueError(f"verdict status must be Safe, Unsafe or Unknown, got {self.status!r}")
         if self.status == "Unsafe" and self.counterexample is None:
             raise ValueError("Unsafe verdict requires a counterexample")
         if self.status == "Safe" and self.counterexample is not None:
@@ -595,25 +597,31 @@ def verify_targeted(task: VerificationTask, search: _RegionSearch | None = None)
 
 
 @dataclass(frozen=True)
-class FullSummary:
-    kind: str  # "FullySafe" | "TargetedSafe" | "NotSafe" | "Inconclusive"
-    safe_targets: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class FullResult:
-    verdicts: dict[int, Verdict] = field(default_factory=dict)
-    summary: FullSummary = FullSummary("Inconclusive")
+    """The verdicts of a region's targets, keyed by label, and the summary
+    that only they decide: TargetedSafe with Unsafe and Safe targets, NotSafe
+    with Unsafe ones alone, FullySafe with Safe ones alone, and otherwise
+    (an Unknown, or no verdict at all) Inconclusive."""
+
+    verdicts: dict[int, Verdict]
+
+    @property
+    def kind(self) -> str:
+        statuses = {v.status for v in self.verdicts.values()}
+        if "Unsafe" in statuses:
+            return "TargetedSafe" if "Safe" in statuses else "NotSafe"
+        return "FullySafe" if statuses == {"Safe"} else "Inconclusive"
+
+    @property
+    def safe_targets(self) -> tuple[int, ...]:
+        return tuple(sorted(t for t, v in self.verdicts.items() if v.status == "Safe"))
 
 
 def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
                 time_budget: float | None = None, epsilon: float = 1e-6,
                 seed: int = 0) -> FullResult:
-    """Targeted verification against every label other than the expected one.
-
-    FullySafe: all targets Safe. TargetedSafe: some Safe alongside proven
-    Unsafe targets. NotSafe: Unsafe with no Safe target. Inconclusive: no
-    Unsafe but at least one Unknown (proved-safe targets still listed).
+    """Targeted verification against every label other than the expected one;
+    the result's kind and safe targets follow from the verdicts (FullResult).
 
     The targets run as one lockstep search (see the module docstring), fresh
     per call, so the region's boxes get their bounds once, in batches. The
@@ -626,15 +634,4 @@ def verify_full(net: Network, region: Region, max_nodes: int = 50_000,
                               seed=seed * 131 + target)
              for target in range(net.n_labels) if target != region.expected_label]
     search = _RegionSearch(tasks)
-    verdicts = {task.target_label: verify_targeted(task, search) for task in tasks}
-
-    safe = tuple(sorted(t for t, v in verdicts.items() if v.status == "Safe"))
-    any_unsafe = any(v.status == "Unsafe" for v in verdicts.values())
-    any_unknown = any(v.status == "Unknown" for v in verdicts.values())
-    if any_unsafe:
-        kind = "TargetedSafe" if safe else "NotSafe"
-    elif any_unknown:
-        kind = "Inconclusive"
-    else:
-        kind = "FullySafe"
-    return FullResult(verdicts=verdicts, summary=FullSummary(kind, safe))
+    return FullResult({task.target_label: verify_targeted(task, search) for task in tasks})

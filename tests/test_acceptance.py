@@ -24,9 +24,9 @@ from safecomp.contracts import (
     DnnContract,
     LabelIs,
     RegionContract,
+    dnn_contract_to_json,
     emit_dnn_contract,
     parse_property,
-    render_contract,
     render_property,
 )
 from safecomp.guard import build_guard, guard_eval
@@ -183,7 +183,7 @@ class TestCriterion4:
             id="r000", centroid=centroid, radius=0.28, metric="L1",
             guarantee=LabelIs("COC"),
             provenance={"summary": "FullySafe", "expected_label": "COC"}),))
-        back = parse_dnn_contract(render_contract(contract))
+        back = parse_dnn_contract(json.dumps(dnn_contract_to_json(contract)))
         assert contracts_equal(contract, back)
         back.check_width(len(centroid), "the centroid")
         k = back.first_containing(centroid[None, :])[0]

@@ -24,8 +24,8 @@ from safecomp.contracts import (
     LabelIs,
     RegionContract,
     component_contract_to_json,
+    dnn_contract_to_json,
     emit_dnn_contract,
-    render_contract,
 )
 from safecomp.guard import build_guard, decision_to_json, guard_eval
 from safecomp.network import Layer, render_network
@@ -253,7 +253,7 @@ class TestGuardCli:
         contract = DnnContract("test", (RegionContract("r0", np.array([0.2, 0.1]), 0.3, "Linf",
                                                        LabelIs("a")),))
         contract_path = tmp_path / "contract.json"
-        contract_path.write_text(render_contract(contract))
+        contract_path.write_text(json.dumps(dnn_contract_to_json(contract)))
         return net_path, contract_path
 
     def guard(self, files, tmp_path, csv_text):
@@ -352,7 +352,7 @@ class TestGuardCliStream:
         contract = emit_dnn_contract(net.name, net.labels,
                                      run_parallel_verification(net, regions, seed=42))
         contract_path = tmp_path / "contract.json"
-        contract_path.write_text(render_contract(contract))
+        contract_path.write_text(json.dumps(dnn_contract_to_json(contract)))
         n, d = 100_000, net.input_dim
         lo, hi = net.normalized_domain()
         picked = rng.integers(len(contract.regions), size=n)
@@ -778,6 +778,44 @@ class TestJsonShape:
         assert out.read_text() == "before\n"
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
+        assert message in err
+
+    # edits to region r000 (expected red, FullySafe) of the seed-42 L1 report;
+    # each leaves a report whose summary no longer follows from its verdicts
+    TAMPERED = {
+        "fully-safe-over-unknown": (
+            lambda e: e["verdicts"]["green"].update(status="Unknown", reason="budget"),
+            "disagree with its verdicts"),
+        "missing-target": (lambda e: e["verdicts"].pop("yellow"), "not the targets"),
+        "bogus-status": (lambda e: e["verdicts"]["green"].update(status="Bogus"),
+                         "verdict status must be Safe, Unsafe or Unknown, got 'Bogus'"),
+        "verdicts-a-list": (lambda e: e.update(verdicts=list(e["verdicts"].values())),
+                            "'verdicts' must be an object"),
+        "safe-targets-a-number": (lambda e: e.update(safe_targets=3),
+                                  "disagree with its verdicts"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TAMPERED))
+    def test_tampered_report_exits_2_naming_the_region(self, semaphore_files, tmp_path,
+                                                       capsys, case):
+        _, _, net_path, data_path = semaphore_files
+        regions, report = tmp_path / "regions.json", tmp_path / "report.json"
+        assert run(["discover", "--net", net_path, "--data", data_path, "--metric", "l1",
+                    "--seed", 42, "--out", regions]) == 0
+        assert run(["verify", "--net", net_path, "--regions", regions, "--out", report]) == 0
+        obj = json.loads(report.read_text())
+        entry = next(e for e in obj["regions"] if e["id"] == "r000")
+        assert (entry["expected_label"], entry["summary"]) == ("red", "FullySafe")
+        edit, message = self.TAMPERED[case]
+        edit(entry)
+        report.write_text(json.dumps(obj))
+        out = tmp_path / "contract.json"
+        out.write_text("before\n")
+        capsys.readouterr()
+        assert run(["emit-contracts", "--net", net_path, "--report", report, "--out", out]) == 2
+        assert out.read_text() == "before\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: region 'r000': ")
         assert message in err
 
 

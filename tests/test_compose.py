@@ -435,8 +435,8 @@ class TestPremiseThree:
             pytest.skip("no holding guarantees mined")
         _, c1, _, c2, _, candidates = instance
         ports = {**c1.inputs, **c1.outputs, **c2.inputs, **c2.outputs}
-        monitors = [contract_monitor(c1, ports, "C1", ok_port="C1.ok"),
-                    contract_monitor(c2, ports, "C2", ok_port="C2.ok")]
+        monitors = [contract_monitor(c1, ports, "C1"),
+                    contract_monitor(c2, ports, "C2")]
         for prop in candidates:
             assert check_implication(monitors, prop, ports) == \
                 reference_implication([c1, c2], prop, ports), prop
@@ -449,8 +449,8 @@ class TestPremiseThree:
                                outputs={"b": BIN})
         ports = {"a": BIN, "b": BIN, "c": BIN, "z": BIN}
         prop = parse_property("G (c=1 => b=1)")
-        monitors = [contract_monitor(c1, ports, "C1", ok_port="C1.ok"),
-                    contract_monitor(c2, ports, "C2", ok_port="C2.ok")]
+        monitors = [contract_monitor(c1, ports, "C1"),
+                    contract_monitor(c2, ports, "C2")]
         result = check_implication(monitors, prop, ports)
         assert not result.holds
         assert [st.valuation for st in result.counterexample] == \
@@ -463,7 +463,7 @@ class TestPremiseThree:
         c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"), outputs={"a": BIN})
         ports = {"a": BIN, "b": BIN}
         prop = parse_property("G (b=1 => a=1)")
-        monitor = contract_monitor(c1, ports, "C1", ok_port="C1.ok")
+        monitor = contract_monitor(c1, ports, "C1")
         result = check_implication([monitor], prop, ports)
         assert result == reference_implication([c1], prop, ports) == CheckResult(True, None, 1)
         unconstrained = check_implication([], prop, ports)
@@ -473,7 +473,7 @@ class TestPremiseThree:
     def test_constraints_must_read_declared_domains(self):
         c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"), outputs={"a": BIN})
         with pytest.raises(ValueError, match="declared ports"):
-            check_implication([contract_monitor(c1, {"a": ("0", "1", "2")})],
+            check_implication([contract_monitor(c1, {"a": ("0", "1", "2")}, "C1")],
                               parse_property("G (true => a=1)"), {"a": BIN})
 
 
@@ -598,15 +598,15 @@ class TestMonitors:
         assert results == [False, False, True]
 
     def test_monitor_component_ok_falls_after_violation(self):
-        prop = parse_property("G (a=1 => b=1)")
-        mon = contract_monitor(prop, {"a": BIN, "b": BIN})
+        contract = ComponentContract("m", None, parse_property("G (a=1 => b=1)"))
+        mon = contract_monitor(contract, {"a": BIN, "b": BIN}, "m")
         state = mon.initial[0]
-        assert mon.output_map[state]["ok"] == "true"
+        assert mon.output_map[state]["m.ok"] == "true"
         state = mon.step(state, {"a": "1", "b": "0"})
-        assert mon.output_map[state]["ok"] == "false"
+        assert mon.output_map[state]["m.ok"] == "false"
         # absorbing
         state = mon.step(state, {"a": "0", "b": "0"})
-        assert mon.output_map[state]["ok"] == "false"
+        assert mon.output_map[state]["m.ok"] == "false"
 
     def test_monitor_matches_trace_semantics_exhaustively(self):
         prop = parse_property("G (p=1 => F<=2 (q=1))")
@@ -637,18 +637,18 @@ class TestMonitors:
             parse_property("G (true => b=1)"),
             inputs={"a": BIN}, outputs={"b": BIN},
         )
-        mon = contract_monitor(contract)
+        mon = contract_monitor(contract, {}, "c")
         state = mon.initial[0]
         state = mon.step(state, {"a": "1", "b": "1"})
-        assert mon.output_map[state]["ok"] == "true"
+        assert mon.output_map[state]["c.ok"] == "true"
         # a=0 breaks the assumption exactly when b=0 breaks the guarantee
         state = mon.step(state, {"a": "0", "b": "0"})
-        assert mon.output_map[state]["ok"] == "true"
+        assert mon.output_map[state]["c.ok"] == "true"
 
-        mon2 = contract_monitor(contract)
+        mon2 = contract_monitor(contract, {}, "c")
         state2 = mon2.initial[0]
         state2 = mon2.step(state2, {"a": "1", "b": "0"})  # guarantee alone dies
-        assert mon2.output_map[state2]["ok"] == "false"
+        assert mon2.output_map[state2]["c.ok"] == "false"
 
     def test_random_traces_monitor_equals_trace_evaluation(self, rng):
         props = [
@@ -762,9 +762,9 @@ class TestMostGeneralEnvironment:
             keys = list(model.input_keys())
             return {s: " ".join(model.transitions[(s, k)] for k in keys) for s in model.states}
 
-        mon = contract_monitor(contract)
+        mon = contract_monitor(contract, {}, "resp")
         assert mon.initial == ("m0",)
-        assert [s for s in mon.states if mon.output_map[s]["ok"] == "false"] == ["m3"]
+        assert [s for s in mon.states if mon.output_map[s]["resp.ok"] == "false"] == ["m3"]
         assert table(mon) == {  # inputs (c, v)
             "m0": "m0 m0 m1 m2", "m1": "m3 m0 m4 m5", "m2": "m0 m0 m6 m5",
             "m3": "m3 m3 m3 m3", "m4": "m4 m4 m4 m4", "m5": "m5 m5 m6 m5",

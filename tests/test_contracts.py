@@ -20,18 +20,22 @@ from safecomp.contracts import (
     dnn_contract_to_json,
     emit_dnn_contract,
     parse_property,
-    render_contract,
     render_property,
 )
 from safecomp.regions import Region
-from safecomp.verifier import Counterexample, FullResult, FullSummary, Verdict, VerdictStats
+from safecomp.verifier import Counterexample, FullResult, Verdict, VerdictStats
 
 ADVISORY_LABELS = ("COC", "WeakLeft", "WeakRight", "StrongLeft", "StrongRight")
 COC_CENTROID = np.array([0.19, 0.31, 0.28, 0.33, 0.33])
 
 
-def full_result(kind, safe=(), verdicts=None):
-    return FullResult(verdicts or {}, FullSummary(kind, tuple(safe)))
+def full_result(expected=0, unsafe=(), unknown=()):
+    """A region's verdicts over ADVISORY_LABELS: the targets in unsafe are
+    Unsafe, those in unknown Unknown and the others Safe."""
+    ce = Counterexample(COC_CENTROID, np.zeros(len(ADVISORY_LABELS)))
+    return FullResult({t: Verdict("Unsafe", ce) if t in unsafe else
+                       Verdict("Unknown" if t in unknown else "Safe")
+                       for t in range(len(ADVISORY_LABELS)) if t != expected})
 
 
 def region(rid="r000", expected=0, centroid=COC_CENTROID, radius=0.28, metric="L1"):
@@ -97,7 +101,7 @@ class TestPropertyLanguage:
 class TestEmit:
     def test_fully_safe_region_gets_label_is(self):
         contract = emit_dnn_contract("advisory", ADVISORY_LABELS,
-                                     [(region(), full_result("FullySafe"))])
+                                     [(region(), full_result())])
         assert len(contract.regions) == 1
         rc = contract.regions[0]
         assert rc.guarantee == LabelIs("COC")
@@ -105,7 +109,7 @@ class TestEmit:
         assert rc.provenance["summary"] == "FullySafe"
 
     def test_targeted_safe_maps_to_label_not_in(self):
-        result = full_result("TargetedSafe", safe=(4,))
+        result = full_result(unsafe=(1, 2, 3))
         contract = emit_dnn_contract("advisory", ADVISORY_LABELS, [(region(), result)])
         assert contract.regions[0].guarantee == LabelNotIn(("StrongRight",))
 
@@ -114,7 +118,7 @@ class TestEmit:
         verdicts = {4: Verdict("Unsafe",
                                counterexample=Counterexample(ce_point, np.zeros(5)),
                                stats=VerdictStats(3, 1, 0.0))}
-        result = FullResult(verdicts, FullSummary("NotSafe"))
+        result = FullResult(verdicts)
         contract = emit_dnn_contract("advisory", ADVISORY_LABELS, [(region(), result)])
         assert contract.regions == ()
         assert len(contract.annex) == 1
@@ -128,16 +132,16 @@ class TestEmit:
         assert obj == {"network": "advisory", "regions": [], "annex": []}
 
     def test_duplicate_region_ids_rejected(self):
-        results = [(region("dup"), full_result("FullySafe")),
-                   (region("dup", expected=1), full_result("FullySafe"))]
+        results = [(region("dup"), full_result()),
+                   (region("dup", expected=1), full_result(expected=1))]
         with pytest.raises(ValueError, match="duplicate"):
             emit_dnn_contract("advisory", ADVISORY_LABELS, results)
 
     def test_audit_every_contract_region_traces_to_proof(self):
         results = [
-            (region("r000"), full_result("FullySafe")),
-            (region("r001", expected=1), full_result("TargetedSafe", safe=(0,))),
-            (region("r002", expected=2), full_result("Inconclusive", safe=(0,))),
+            (region("r000"), full_result()),
+            (region("r001", expected=1), full_result(expected=1, unsafe=(2, 3, 4))),
+            (region("r002", expected=2), full_result(expected=2, unknown=(1, 3, 4))),
         ]
         contract = emit_dnn_contract("advisory", ADVISORY_LABELS, results)
         assert {rc.id for rc in contract.regions} == {"r000", "r001"}
@@ -158,7 +162,7 @@ class TestRegionContractInvariants:
             RegionContract("r0", COC_CENTROID, bad, "L1", LabelIs("COC"))
         rc = RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
                             provenance={"summary": "FullySafe", "expected_label": "COC"})
-        obj = json.loads(render_contract(DnnContract("advisory", (rc,))))
+        obj = dnn_contract_to_json(DnnContract("advisory", (rc,)))
         obj["regions"][0]["radius"] = bad
         with pytest.raises(ValueError, match="region 'r0' radius must be finite and positive"):
             dnn_contract_from_json(obj)
@@ -179,7 +183,7 @@ class TestRegionContractInvariants:
     def test_non_number_geometry_rejected_from_json(self, key, bad, message):
         rc = RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
                             provenance={"summary": "FullySafe", "expected_label": "COC"})
-        obj = json.loads(render_contract(DnnContract("advisory", (rc,))))
+        obj = dnn_contract_to_json(DnnContract("advisory", (rc,)))
         obj["regions"][0][key] = bad
         with pytest.raises(ValueError, match=message):
             dnn_contract_from_json(obj)
@@ -196,7 +200,7 @@ class TestRegionContractInvariants:
             RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"), uncertainty_max=bad)
         rc = RegionContract("r0", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
                             provenance={"summary": "FullySafe", "expected_label": "COC"})
-        obj = json.loads(render_contract(DnnContract("advisory", (rc,))))
+        obj = dnn_contract_to_json(DnnContract("advisory", (rc,)))
         obj["regions"][0]["uncertainty_max"] = bad
         with pytest.raises(ValueError, match=match):
             dnn_contract_from_json(obj)
@@ -211,7 +215,7 @@ class TestSerialization:
 
     def test_coc_contract_renders_and_reparses(self):
         contract = self.make_coc_contract()
-        text = render_contract(contract)
+        text = json.dumps(dnn_contract_to_json(contract))
         obj = json.loads(text)
         assert obj["regions"][0]["radius"] == 0.28
         assert obj["regions"][0]["metric"] == "L1"
@@ -242,7 +246,7 @@ class TestSerialization:
                 uncertainty_max=float(rng.uniform(0.1, 1.0)) if rng.random() < 0.3 else None,
             ))
         contract = DnnContract("net", tuple(regions))
-        assert contracts_equal(contract, parse_dnn_contract(render_contract(contract)))
+        assert contracts_equal(contract, parse_dnn_contract(json.dumps(dnn_contract_to_json(contract))))
 
     def test_component_contract_round_trip(self):
         c = ComponentContract(
@@ -254,11 +258,11 @@ class TestSerialization:
         )
         back = component_contract_from_json(component_contract_to_json(c))
         assert back == c
-        assert json.loads(render_contract(c))["assume"] == "true"
+        assert component_contract_to_json(c)["assume"] == "true"
 
-    def test_property_render_via_render_contract(self):
+    def test_property_renders_in_the_grammar(self):
         p = parse_property("G (x=red => F<=3 (velocity=0))")
-        assert render_contract(p) == "G (x=red => F<=3 (velocity=0))"
+        assert render_property(p) == "G (x=red => F<=3 (velocity=0))"
 
 
 class TestCheckPoint:

@@ -17,7 +17,10 @@ from safecomp.regions import METRICS, Region, dist_many, region_membership
 from safecomp.verifier import (
     CE_EFFORT,
     Box,
+    Counterexample,
+    FullResult,
     LinearBounds,
+    Verdict,
     VerificationTask,
     enclosing_box,
     find_counterexample,
@@ -408,7 +411,7 @@ class TestVerifyFull:
         net = identity_network(3, score_order="max_best", labels=("a", "b", "c"))
         region = box_region([0.8, 0.2, 0.2], 0.05)
         result = verify_full(net, region)
-        assert result.summary.kind == "FullySafe"
+        assert result.kind == "FullySafe"
         assert set(result.verdicts) == {1, 2}
         # grid oracle: no point in the region classifies as any other label
         _, labels = grid_labels_in_region(net, region, step=5e-3)
@@ -421,8 +424,8 @@ class TestVerifyFull:
         result = verify_full(net, region, max_nodes=1)
         assert result.verdicts[1].status == "Safe"
         assert result.verdicts[2].status == "Unknown"
-        assert result.summary.kind == "Inconclusive"
-        assert result.summary.safe_targets == (1,)
+        assert result.kind == "Inconclusive"
+        assert result.safe_targets == (1,)
 
     def test_safe_plus_unsafe_is_targeted_safe(self):
         net = identity_network(3, score_order="max_best", labels=("a", "b", "c"))
@@ -430,15 +433,43 @@ class TestVerifyFull:
         result = verify_full(net, region)
         assert result.verdicts[1].status == "Unsafe"
         assert result.verdicts[2].status == "Safe"
-        assert result.summary.kind == "TargetedSafe"
-        assert result.summary.safe_targets == (2,)
+        assert result.kind == "TargetedSafe"
+        assert result.safe_targets == (2,)
 
     def test_unsafe_only_is_not_safe(self):
         net = identity_network(score_order="max_best")
         region = box_region([0.5, 0.5], 0.2)
         result = verify_full(net, region)
-        assert result.summary.kind == "NotSafe"
-        assert result.summary.safe_targets == ()
+        assert result.kind == "NotSafe"
+        assert result.safe_targets == ()
+
+
+class TestFullResult:
+    """A region's kind and safe targets are read off its verdicts alone."""
+
+    CE = Counterexample(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("statuses, kind, safe", [
+        ({}, "Inconclusive", ()),
+        ({1: "Safe"}, "FullySafe", (1,)),
+        ({3: "Safe", 1: "Safe"}, "FullySafe", (1, 3)),
+        ({1: "Unknown"}, "Inconclusive", ()),
+        ({2: "Unknown", 1: "Safe"}, "Inconclusive", (1,)),
+        ({1: "Unsafe"}, "NotSafe", ()),
+        ({1: "Unsafe", 2: "Unknown"}, "NotSafe", ()),
+        ({1: "Safe", 2: "Unsafe"}, "TargetedSafe", (1,)),
+        ({1: "Unsafe", 2: "Safe", 3: "Unknown"}, "TargetedSafe", (2,)),
+    ], ids=["empty", "safe", "safe-unordered", "unknown", "safe-unknown", "unsafe",
+            "unsafe-unknown", "safe-unsafe", "all-three"])
+    def test_kind_and_safe_targets_follow_the_verdicts(self, statuses, kind, safe):
+        result = FullResult({t: Verdict(s, self.CE if s == "Unsafe" else None)
+                             for t, s in statuses.items()})
+        assert (result.kind, result.safe_targets) == (kind, safe)
+
+    @pytest.mark.parametrize("status", ["Bogus", "safe", ""])
+    def test_verdict_status_must_be_known(self, status):
+        with pytest.raises(ValueError, match="verdict status must be Safe, Unsafe or Unknown"):
+            Verdict(status)
 
 
 class TestBoundSoundnessDuringVerification:
