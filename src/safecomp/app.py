@@ -104,11 +104,16 @@ def verdict_to_json(v: Verdict) -> dict:
 
 
 def verdict_from_json(obj: dict) -> Verdict:
-    ce = None
-    if "counterexample" in obj:
-        ce = Counterexample(np.array(obj["counterexample"]["point"]),
-                            np.array(obj["counterexample"]["scores"]))
-    stats = obj.get("stats", {})
+    """The Verdict of a verdict_to_json object; a field of the wrong shape is a ValueError."""
+    stats, ce = obj.get("stats", {}), obj.get("counterexample")
+    if "status" not in obj:
+        raise ValueError("verdict has no 'status'")
+    if not isinstance(stats, dict):
+        raise ValueError(f"verdict 'stats' must be an object, got {stats!r}")
+    if ce is not None:
+        if not (isinstance(ce, dict) and {"point", "scores"} <= ce.keys()):
+            raise ValueError("verdict 'counterexample' must be an object with 'point' and 'scores'")
+        ce = Counterexample(np.array(ce["point"]), np.array(ce["scores"]))
     return Verdict(obj["status"], ce,
                    VerdictStats(stats.get("nodes", 0), stats.get("deepest_split", 0),
                                 stats.get("elapsed", 0.0)),
@@ -318,15 +323,13 @@ def build_ebs_demo(braking_ticks: int = 2, velocity_domain=("0", "1", "2")) -> E
             metric="Linf",
             guarantee=LabelIs(label),
             provenance={"summary": "FullySafe", "expected_label": label,
-                        "network": "semaphore-stub", "note": "illustrative fixture"},
+                        "note": "illustrative fixture"},
         )
         for i, label in enumerate(SEMAPHORE_LABELS)
     )
     dnn_stub = DnnContract("semaphore-stub", stub_regions)
     nn = cm.abstract_dnn_component(
-        dnn_stub, SEMAPHORE_LABELS, token_port="x", class_port="Class",
-        token_map={label: LabelIs(label) for label in SEMAPHORE_LABELS}, name="NN",
-    )
+        dnn_stub, SEMAPHORE_LABELS, token_map={label: LabelIs(label) for label in SEMAPHORE_LABELS})
     return EbsDemo(m1=m1, c1=c1, dnn_contract=dnn_stub, p=p, full_system=cm.wire_by_name(m1, nn))
 
 
@@ -378,21 +381,14 @@ def run_ebs_demo(braking_ticks: int = 2, seed: int = 42, max_nodes: int = 50_000
     token_map: dict[str, LabelIs | None] = {}
     token_bindings: dict[str, str | None] = {}
     for label in net.labels:
-        best = None
-        for rc in contract.regions:
-            if isinstance(rc.guarantee, LabelIs) and rc.guarantee.label == label:
-                if best is None or rc.provenance.get("member_count", 0) > \
-                        best.provenance.get("member_count", 0):
-                    best = rc
+        proved = [rc for rc in contract.regions if rc.guarantee == LabelIs(label)]
+        best = max(proved, key=lambda rc: rc.provenance["member_count"], default=None)
         token_map[label] = LabelIs(label) if best is not None else None
         token_bindings[label] = best.id if best is not None else None
 
     demo = build_ebs_demo(braking_ticks)
-    ag = cm.check_assume_guarantee(
-        demo.m1, demo.c1, contract, demo.p,
-        token_port="x", class_port="Class", class_domain=net.labels,
-        token_map=token_map,
-    )
+    ag = cm.check_assume_guarantee(demo.m1, demo.c1, contract, demo.p, class_domain=net.labels,
+                                   token_map=token_map)
     elapsed = time.perf_counter() - t0
     report = {
         "tool": "safecomp",

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, app
-from .compose import check_assume_guarantee, system_from_json
+from .compose import CLASS_PORT, TOKEN_PORT, check_assume_guarantee, system_from_json
 from .contracts import (
     component_contract_from_json,
     dnn_contract_from_json,
@@ -81,6 +81,14 @@ def _read_json(path: str, *lists: str) -> dict:
     return obj
 
 
+def _region(path: str, obj: dict, labels):
+    """The region record obj of the file at path; an error names the file."""
+    try:
+        return region_from_dict(obj, labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_net(path: str):
     return parse_network(Path(path).read_text())
 
@@ -122,7 +130,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     check_budgets(args.node_budget, args.time_budget, args.eps)
     net = _read_net(args.net)
-    regions = [region_from_dict(r, net.labels)
+    regions = [_region(args.regions, r, net.labels)
                for r in _read_json(args.regions, "regions")["regions"]]
     for r in regions:
         if r.centroid.shape != (net.input_dim,):
@@ -154,7 +162,7 @@ def cmd_emit_contracts(args) -> int:
     report = _read_json(args.report, "regions")
     rebuilt = []
     for entry in report["regions"]:
-        region = region_from_dict(entry, net.labels)
+        region = _region(args.report, entry, net.labels)
         where = f"{args.report}: region {region.id!r}"
         verdicts = entry.get("verdicts")
         targets = sorted(set(net.labels) - {net.labels[region.expected_label]})
@@ -181,8 +189,8 @@ def cmd_emit_contracts(args) -> int:
 def cmd_check_system(args) -> int:
     sysobj = _read_json(args.system, "components")
     system, properties = system_from_json(sysobj)
-    if "contract" not in sysobj:
-        raise ValueError("system model needs a 'contract' block for the checked subsystem")
+    if not isinstance(sysobj.get("contract"), dict):
+        raise ValueError(f"{args.system}: 'contract' must be an object, the subsystem's C1")
     c1 = component_contract_from_json(sysobj["contract"])
     dnn = dnn_contract_from_json(_read_json(args.contracts, "regions"))
     if args.property:
@@ -192,8 +200,8 @@ def cmd_check_system(args) -> int:
     else:
         raise ValueError("no property given (use --property or a 'properties' list)")
     perception = sysobj.get("perception", {})
-    token_port = perception.get("token_port", "x")
-    class_port = perception.get("class_port", "Class")
+    token_port = perception.get("token_port", TOKEN_PORT)
+    class_port = perception.get("class_port", CLASS_PORT)
     class_domain = perception.get("class_domain")
     if class_domain is None:
         class_domain = system.env_ports.get(class_port)

@@ -658,6 +658,9 @@ def most_general_environment(c: ComponentContract, name: str | None = None) -> C
     )
 
 
+TOKEN_PORT, CLASS_PORT = "x", "Class"  # abstract_dnn_component's ports; the rule's defaults
+
+
 def _perception_tokens(contract: DnnContract, token_map: dict | None):
     """The token map (by default one token per contract region, in id order)
     and the perception-token alphabet: its tokens plus "outside"."""
@@ -677,10 +680,8 @@ def _allowed_labels(guarantee: LabelIs | LabelNotIn | None, class_domain) -> tup
 
 
 def abstract_dnn_component(contract: DnnContract, class_domain,
-                           token_port: str = "x", class_port: str = "Class",
-                           token_map: dict[str, LabelIs | LabelNotIn | None] | None = None,
-                           name: str = "NN") -> ComponentModel:
-    """Abstract the network to a Moore classifier over perception tokens.
+                           token_map: dict | None = None) -> ComponentModel:
+    """Abstract the network to a Moore classifier "NN" over perception tokens.
 
     The input domain has one token per contract region plus "outside"; the
     class output answers one tick later (Moore latch): a label_is region pins
@@ -696,21 +697,21 @@ def abstract_dnn_component(contract: DnnContract, class_domain,
             raise ValueError(f"token {token!r} admits no class label")
 
     names = {(t, cls): f"{t}|{cls}" for t in tokens for cls in allowed[t]}
-    pick = f"{class_port}_pick"
-    input_names = sorted([token_port, pick])
+    pick = f"{CLASS_PORT}_pick"
+    input_names = sorted([TOKEN_PORT, pick])
     transitions = {}
     for t2 in tokens:
         for p2 in class_domain:
             nxt = names[(t2, p2 if p2 in allowed[t2] else allowed[t2][0])]
-            key = tuple({token_port: t2, pick: p2}[p] for p in input_names)
+            key = tuple({TOKEN_PORT: t2, pick: p2}[p] for p in input_names)
             transitions.update(((st, key), nxt) for st in names.values())
     return ComponentModel(
-        name=name,
-        inputs={token_port: tokens, pick: class_domain},
-        outputs={class_port: class_domain},
+        name="NN",
+        inputs={TOKEN_PORT: tokens, pick: class_domain},
+        outputs={CLASS_PORT: class_domain},
         states=tuple(names.values()),
         initial=tuple(names[("outside", cls)] for cls in allowed["outside"]),
-        output_map={n: {class_port: cls} for (_t, cls), n in names.items()},
+        output_map={n: {CLASS_PORT: cls} for (_t, cls), n in names.items()},
         transitions=transitions,
     )
 
@@ -798,8 +799,10 @@ def _checked_premise(name: str, method: str, detail: str, result: CheckResult) -
                          result.states_explored)
 
 
-def audit_dnn_contract(contract: DnnContract) -> tuple[bool, str]:
-    """Premise 2 for a DNN: every region contract must trace to a proved verdict."""
+def audit_dnn_contract(contract: DnnContract, token_map: dict | None) -> tuple[bool, str]:
+    """Premise 2 for a DNN: every region contract must trace to a proved verdict,
+    and each guarantee of token_map (None: the regions' own) must be carried by a
+    region, with the same label or the same set of excluded labels."""
     for rc in contract.regions:
         summary = rc.provenance.get("summary")
         if summary not in ("FullySafe", "TargetedSafe"):
@@ -808,6 +811,14 @@ def audit_dnn_contract(contract: DnnContract) -> tuple[bool, str]:
             return False, f"region {rc.id}: label_is guarantee needs a FullySafe verdict"
         if isinstance(rc.guarantee, LabelNotIn) and not rc.guarantee.labels:
             return False, f"region {rc.id}: empty exclusion set"
+
+    def carried(g):
+        return g if isinstance(g, LabelIs) else frozenset(g.labels)
+
+    backed = {carried(rc.guarantee) for rc in contract.regions}
+    for token, g in (token_map or {}).items():
+        if g is not None and carried(g) not in backed:
+            return False, f"token {token}: no region of the contract carries {g}"
     n = len(contract.regions)
     return True, f"{n} region contract(s) backed by verifier verdicts"
 
@@ -815,7 +826,7 @@ def audit_dnn_contract(contract: DnnContract) -> tuple[bool, str]:
 def check_assume_guarantee(m1: System, c1: ComponentContract,
                            m2: DnnContract | ComponentContract, p: Property,
                            m2_model: System | ComponentModel | None = None,
-                           token_port: str = "x", class_port: str = "Class",
+                           token_port: str = TOKEN_PORT, class_port: str = CLASS_PORT,
                            class_domain=None,
                            token_map: dict | None = None) -> AGReport:
     """The compositional proof rule: three premises checked independently.
@@ -823,8 +834,8 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
     1. m1 under the most general environment of c1's assumption satisfies
        c1's guarantee.
     2. The second component satisfies its contract: a DNN contract is
-       discharged by auditing its verifier provenance; a component contract
-       is model checked against m2_model.
+       discharged by auditing its verifier provenance and its token map; a
+       component contract is model checked against m2_model.
     3. Every joint behavior allowed by both contracts satisfies p (exact for
        this safety fragment): check_implication over compiled observers of
        c1 and of the second contract. A DNN contract is read as the abstract
@@ -836,7 +847,7 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
 
     ports: dict[str, tuple[str, ...]] = dict(_contract_ports(c1))
     if isinstance(m2, DnnContract):
-        ok, detail = audit_dnn_contract(m2)
+        ok, detail = audit_dnn_contract(m2, token_map)
         premise2 = PremiseReport(name="M2 |= C2", holds=ok, method="provenance-audit",
                                  detail=detail)
         if class_domain is None:

@@ -221,7 +221,6 @@ class RegionContract:
 class DnnContract:
     network: str
     regions: tuple[RegionContract, ...]
-    annex: tuple[dict, ...] = ()
     # built once: the regions in id order, the width their centroids share
     # (None when they have none or several), their uncertainty caps (inf
     # where unset) and, for one shared width, per metric the (columns,
@@ -285,12 +284,12 @@ def emit_dnn_contract(network_name: str, labels, results) -> DnnContract:
     """Build the DNN contract from (Region, FullResult) verification outcomes.
 
     FullySafe regions guarantee label_is(expected); TargetedSafe regions
-    guarantee label_not_in(proved-safe targets); NotSafe and Inconclusive
-    regions are kept as annex evidence only.
+    guarantee label_not_in(proved-safe targets). NotSafe and Inconclusive
+    regions are left out: their verdicts and counterexamples stay in the
+    verification report.
     """
     labels = list(labels)
     region_contracts: list[RegionContract] = []
-    annex: list[dict] = []
     seen: set[str] = set()
     for region, result in results:
         if region.id in seen:
@@ -298,31 +297,11 @@ def emit_dnn_contract(network_name: str, labels, results) -> DnnContract:
         seen.add(region.id)
         expected = labels[region.expected_label]
         kind = result.kind
-        provenance = {
-            "summary": kind,
-            "expected_label": expected,
-            "member_count": region.member_count,
-            "network": network_name,
-        }
         if kind == "FullySafe":
             guarantee: Guarantee = LabelIs(expected)
         elif kind == "TargetedSafe":
             guarantee = LabelNotIn(tuple(labels[t] for t in result.safe_targets))
         else:
-            entry = {
-                "id": region.id,
-                "summary": kind,
-                "expected_label": expected,
-                "verdicts": {labels[t]: v.status for t, v in sorted(result.verdicts.items())},
-            }
-            counterexamples = {
-                labels[t]: [float(c) for c in v.counterexample.point]
-                for t, v in sorted(result.verdicts.items())
-                if v.counterexample is not None
-            }
-            if counterexamples:
-                entry["counterexamples"] = counterexamples
-            annex.append(entry)
             continue
         region_contracts.append(RegionContract(
             id=region.id,
@@ -330,9 +309,10 @@ def emit_dnn_contract(network_name: str, labels, results) -> DnnContract:
             radius=float(region.radius),
             metric=region.metric,
             guarantee=guarantee,
-            provenance=provenance,
+            provenance={"summary": kind, "expected_label": expected,
+                        "member_count": region.member_count},
         ))
-    return DnnContract(network_name, tuple(region_contracts), tuple(annex))
+    return DnnContract(network_name, tuple(region_contracts))
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +348,11 @@ def dnn_contract_to_json(c: DnnContract) -> dict:
             }
             for rc in c.regions
         ],
-        "annex": list(c.annex),
     }
 
 
 def dnn_contract_from_json(obj: dict) -> DnnContract:
+    """The contract of a dnn_contract_to_json object; other keys are ignored."""
     regions = tuple(
         RegionContract(
             r["id"],
@@ -384,7 +364,7 @@ def dnn_contract_from_json(obj: dict) -> DnnContract:
         )
         for r in obj["regions"]
     )
-    return DnnContract(obj["network"], regions, tuple(obj.get("annex", ())))
+    return DnnContract(obj["network"], regions)
 
 
 def component_contract_to_json(c: ComponentContract) -> dict:

@@ -351,15 +351,19 @@ def geometry_from_dict(obj: dict) -> tuple[np.ndarray, float]:
 
 def region_from_dict(obj: dict, label_names) -> Region:
     label_names = list(label_names)
-    member_indices = tuple(obj.get("member_indices", ()))
-    member_count = int(obj.get("member_count", len(member_indices)))
+    rid, member_indices = obj["id"], obj.get("member_indices", [])
+    if not isinstance(member_indices, list):
+        raise ValueError(f"region {rid!r} member_indices must be a list, got {member_indices!r}")
+    member_count = obj.get("member_count", len(member_indices))
+    if isinstance(member_count, bool) or not isinstance(member_count, numbers.Integral):
+        raise ValueError(f"region {rid!r} member_count must be an integer, got {member_count!r}")
     centroid, radius = geometry_from_dict(obj)
     return Region(
-        id=obj["id"],
+        id=rid,
         centroid=centroid,
         radius=radius,
         metric=obj["metric"],
         expected_label=label_names.index(obj["expected_label"]),
-        member_count=member_count,
-        member_indices=member_indices,
+        member_count=int(member_count),
+        member_indices=tuple(member_indices),
     )

@@ -89,7 +89,7 @@ def parse_dnn_contract(text: str) -> DnnContract:
 
 def contracts_equal(a: DnnContract, b: DnnContract) -> bool:
     """Field-by-field equality with bit-exact centroids (round-trip checks)."""
-    if a.network != b.network or len(a.regions) != len(b.regions) or a.annex != b.annex:
+    if a.network != b.network or len(a.regions) != len(b.regions):
         return False
     for ra, rb in zip(a.regions, b.regions):
         if (ra.id, ra.metric, ra.radius, ra.guarantee, ra.provenance, ra.uncertainty_max) != (

@@ -233,6 +233,32 @@ class TestPipeline:
         assert reports[0]["counterexamples"]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("annex", [[], [{"id": "r009", "summary": "NotSafe",
+                                             "counterexamples": {"green": [0.5] * 8}}], 3],
+                             ids=["empty", "entries", "number"])
+    def test_contract_with_annex_decides_as_without(self, semaphore_files, tmp_path, annex):
+        # emit-contracts wrote "annex" once; such a file still loads, and the
+        # key changes neither the guard's decisions nor the AG report
+        _, data, net_path, _ = semaphore_files
+        sys_path, plain = TestCheckSystem()._write_system(tmp_path, 2)
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({**json.loads(plain.read_text()), "annex": annex}))
+        rows_path = tmp_path / "rows.csv"
+        rows = np.vstack([data.points[::30], 0.5 + np.linspace(-0.12, 0.12, 8)[:, None] *
+                          np.ones(8)])
+        rows_path.write_text("".join(",".join(map(repr, r.tolist())) + "\n" for r in rows))
+        outputs = []
+        for contract_path in (plain, legacy):
+            decisions, ag = tmp_path / "decisions.jsonl", tmp_path / "ag.json"
+            assert run(["guard", "--net", net_path, "--contracts", contract_path,
+                        "--data", rows_path, "--out", decisions]) == 0
+            assert run(["check-system", "--system", sys_path, "--contracts", contract_path,
+                        "--property", "G (x=red => F<=4 (velocity=0))", "--out", ag]) == 0
+            outputs.append((decisions.read_text(), mask_timing(json.loads(ag.read_text()))))
+        assert {json.loads(line)["kind"] for line in outputs[0][0].splitlines()} == \
+            {"Covered", "FailSafe"}
+        assert outputs[0] == outputs[1]
+
     def test_verify_text_format(self, semaphore_files, tmp_path):
         net, _, net_path, data_path = semaphore_files
         regions_path = tmp_path / "regions.json"
@@ -401,7 +427,6 @@ class TestCheckSystem:
                  "provenance": {"summary": "FullySafe", "expected_label": label}}
                 for label in ("red", "green", "yellow")
             ],
-            "annex": [],
         }
         contract_path = tmp_path / "dnn.json"
         contract_path.write_text(json.dumps(contract))
@@ -755,6 +780,15 @@ class TestJsonShape:
                                         "the top level must be a JSON object"),
         "check-system-components-not-a-list": ("check-system", {"components": 3},
                                                "'components' must be a list"),
+        "check-system-contract-a-list": ("check-system", {"components": [], "contract": []},
+                                         "'contract' must be an object"),
+        "verify-member-indices-a-number": (
+            "verify", {"regions": [{"id": "r000", "member_indices": 5}]},
+            "region 'r000' member_indices must be a list, got 5"),
+        "emit-contracts-member-count-a-string": (
+            "emit-contracts", {"network": "semaphore",
+                               "regions": [{"id": "r000", "member_count": "x"}]},
+            "region 'r000' member_count must be an integer, got 'x'"),
         "guard-top-level-list": ("guard", [1], "the top level must be a JSON object"),
         "guard-regions-not-a-list": ("guard", {"regions": 3}, "'regions' must be a list"),
     }
@@ -793,6 +827,13 @@ class TestJsonShape:
                             "'verdicts' must be an object"),
         "safe-targets-a-number": (lambda e: e.update(safe_targets=3),
                                   "disagree with its verdicts"),
+        "stats-a-list": (lambda e: e["verdicts"]["green"].update(stats=[3, 1, 0.0]),
+                         "verdict 'stats' must be an object, got [3, 1, 0.0]"),
+        "no-status": (lambda e: e["verdicts"]["green"].pop("status"), "verdict has no 'status'"),
+        "counterexample-without-scores": (
+            lambda e: e["verdicts"]["green"].update(status="Unsafe",
+                                                    counterexample={"point": [0.5] * 8}),
+            "verdict 'counterexample' must be an object with 'point' and 'scores'"),
     }
 
     @pytest.mark.parametrize("case", sorted(TAMPERED))

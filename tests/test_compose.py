@@ -493,16 +493,20 @@ TOKEN_MAPS = (
 class TestDnnPathOracle:
     """An AG conclusion over a DNN contract must hold on the composition of
     M1 with abstract_dnn_component, whose class answers the token one tick
-    later."""
+    later. The composition reads the token map as given, so the oracle
+    concludes from premises 1 and 3: premise 2 also fails a token map that
+    the contract's regions do not carry, which several maps here are not."""
 
     @staticmethod
     def conclusions(m1, c1, dnn, props, token_map):
-        """(property, concluded, holds on M1 || abstract classifier) per property."""
+        """(property, premises 1 and 3 hold, holds on M1 || abstract
+        classifier) per property."""
         full = wire_by_name(m1, abstract_dnn_component(dnn, LABELS, token_map=token_map))
         for prop in props:
             report = check_assume_guarantee(m1, c1, dnn, prop, class_domain=LABELS,
                                             token_map=token_map)
-            yield prop, report.conclusion, check_property(full, prop).holds
+            concluded = all(report.premise(name).holds for name in ("M1 |= C1", "C1 & C2 => P"))
+            yield prop, concluded, check_property(full, prop).holds
 
     @pytest.mark.parametrize("bt", [1, 2, 3, 4])
     @pytest.mark.parametrize("token_map", range(len(TOKEN_MAPS)))
@@ -943,6 +947,39 @@ class TestAssumeGuarantee:
             token_map={l: LabelIs(l) for l in ("red", "green", "yellow")},
         )
         assert not report.premise("M2 |= C2").holds
+
+    def test_token_map_unbacked_by_the_contract_fails_premise_two(self):
+        # every token claims its label, but the contract proves no region
+        demo = build_ebs_demo(braking_ticks=2)
+        report = check_assume_guarantee(
+            demo.m1, demo.c1, DnnContract("semaphore-stub", ()), demo.p,
+            class_domain=("red", "green", "yellow"),
+            token_map={l: LabelIs(l) for l in ("red", "green", "yellow")},
+        )
+        premise2 = report.premise("M2 |= C2")
+        assert not premise2.holds
+        assert premise2.detail.startswith("token red: no region of the contract carries")
+        assert report.premise("C1 & C2 => P").holds
+        assert not report.conclusion
+
+    def test_token_guarantee_must_be_carried_by_a_region(self):
+        """Carried: the same label, or the same excluded labels in any order."""
+        demo = build_ebs_demo(braking_ticks=2)
+        dnn = DnnContract("sem", demo.dnn_contract.regions + (RegionContract(
+            "R1", np.zeros(8), 0.1, "Linf", LabelNotIn(("green", "yellow")),
+            provenance={"summary": "TargetedSafe"}),))
+
+        def premise_two(token_map):
+            return check_assume_guarantee(demo.m1, demo.c1, dnn, demo.p,
+                                          class_domain=("red", "green", "yellow"),
+                                          token_map=token_map).premise("M2 |= C2")
+
+        held = premise_two({"red": LabelIs("red"), "amber": LabelNotIn(("yellow", "green")),
+                            "green": None})
+        assert held.holds
+        assert held.detail == "4 region contract(s) backed by verifier verdicts"
+        for unbacked in (LabelNotIn(("green",)), LabelNotIn(("green", "red")), LabelIs("blue")):
+            assert not premise_two({"red": LabelIs("red"), "other": unbacked}).holds
 
     @pytest.mark.parametrize("seed", range(12))
     def test_rule_soundness_on_random_systems(self, seed):

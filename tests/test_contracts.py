@@ -113,7 +113,7 @@ class TestEmit:
         contract = emit_dnn_contract("advisory", ADVISORY_LABELS, [(region(), result)])
         assert contract.regions[0].guarantee == LabelNotIn(("StrongRight",))
 
-    def test_not_safe_regions_go_to_annex_with_counterexamples(self):
+    def test_not_safe_region_is_not_contracted(self):
         ce_point = np.array([0.2, 0.3, 0.3, 0.3, 0.3])
         verdicts = {4: Verdict("Unsafe",
                                counterexample=Counterexample(ce_point, np.zeros(5)),
@@ -121,15 +121,12 @@ class TestEmit:
         result = FullResult(verdicts)
         contract = emit_dnn_contract("advisory", ADVISORY_LABELS, [(region(), result)])
         assert contract.regions == ()
-        assert len(contract.annex) == 1
-        assert contract.annex[0]["id"] == "r000"
-        assert contract.annex[0]["counterexamples"]["StrongRight"] == list(ce_point)
 
     def test_empty_results_give_empty_contract(self):
         contract = emit_dnn_contract("advisory", ADVISORY_LABELS, [])
         assert contract.regions == ()
         obj = dnn_contract_to_json(contract)
-        assert obj == {"network": "advisory", "regions": [], "annex": []}
+        assert obj == {"network": "advisory", "regions": []}
 
     def test_duplicate_region_ids_rejected(self):
         results = [(region("dup"), full_result()),
@@ -210,7 +207,7 @@ class TestSerialization:
     def make_coc_contract(self):
         rc = RegionContract("r000", COC_CENTROID, 0.28, "L1", LabelIs("COC"),
                             provenance={"summary": "FullySafe", "expected_label": "COC",
-                                        "member_count": 5, "network": "advisory"})
+                                        "member_count": 5})
         return DnnContract("advisory", (rc,))
 
     def test_coc_contract_renders_and_reparses(self):
