@@ -81,10 +81,11 @@ def _read_json(path: str, *lists: str) -> dict:
     return obj
 
 
-def _region(path: str, obj: dict, labels):
-    """The region record obj of the file at path; an error names the file."""
+def _decoded(path: str, decode, *args):
+    """decode(*args), which decodes what was read from the file at path; an
+    error names the file."""
     try:
-        return region_from_dict(obj, labels)
+        return decode(*args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -130,7 +131,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     check_budgets(args.node_budget, args.time_budget, args.eps)
     net = _read_net(args.net)
-    regions = [_region(args.regions, r, net.labels)
+    regions = [_decoded(args.regions, region_from_dict, r, net.labels)
                for r in _read_json(args.regions, "regions")["regions"]]
     for r in regions:
         if r.centroid.shape != (net.input_dim,):
@@ -162,7 +163,7 @@ def cmd_emit_contracts(args) -> int:
     report = _read_json(args.report, "regions")
     rebuilt = []
     for entry in report["regions"]:
-        region = _region(args.report, entry, net.labels)
+        region = _decoded(args.report, region_from_dict, entry, net.labels)
         where = f"{args.report}: region {region.id!r}"
         verdicts = entry.get("verdicts")
         targets = sorted(set(net.labels) - {net.labels[region.expected_label]})
@@ -192,7 +193,7 @@ def cmd_check_system(args) -> int:
     if not isinstance(sysobj.get("contract"), dict):
         raise ValueError(f"{args.system}: 'contract' must be an object, the subsystem's C1")
     c1 = component_contract_from_json(sysobj["contract"])
-    dnn = dnn_contract_from_json(_read_json(args.contracts, "regions"))
+    dnn = _decoded(args.contracts, dnn_contract_from_json, _read_json(args.contracts, "regions"))
     if args.property:
         prop = parse_property(args.property)
     elif properties:
@@ -239,7 +240,8 @@ def _csv_rows(lines, width: int):
 
 def cmd_guard(args) -> int:
     net = _read_net(args.net)
-    contract = dnn_contract_from_json(_read_json(args.contracts, "regions"))
+    contract = _decoded(args.contracts, dnn_contract_from_json,
+                        _read_json(args.contracts, "regions"))
     guard = build_guard(contract, uncertainty_threshold=args.threshold)
     # both checks run before --out is opened, so a refused run leaves it as it was
     check_network(guard, net)

@@ -9,7 +9,10 @@ component may declare several initial states; the product branches over
 their cross product at tick zero. One breadth-first search, a whole level at
 a time over integer numpy tables, checks a property on a system and, over
 compiled contract observers, premise 3 of the assume-guarantee rule; traces
-replay on the name-keyed steps, kept as their oracles.
+replay on the name-keyed steps, kept as their oracles. A level's step moves
+each component that reads no environment port of more than one value once
+per product state, as every environment valuation moves it alike, and only
+the others once per (state, valuation) edge.
 """
 
 from __future__ import annotations
@@ -173,7 +176,9 @@ class System:
 class Product:
     """Synchronous product, compiled for the search: a product state is a tuple
     of component state indices, an environment valuation an index into `envs`.
-    The name-keyed `step` and `valuation` are the oracles that replay traces."""
+    The search holds the indices in row order: first the S components, whose
+    next state no env port moves, then the D others. The name-keyed `step`
+    and `valuation` are the oracles that replay traces."""
 
     def __init__(self, system: System):
         self.comps = system.components
@@ -186,27 +191,40 @@ class Product:
         self._n_env = math.prod(dims)
         digits = np.indices(dims).reshape(len(dims), self._n_env)
         self._digits = dict(zip(self._env_ports, digits))
-        # component i's next state lies in the tables end to end at offset[i] +
-        # state * radix[i] + env_key[i, e] + each wired input's key, read off
+        # row order: first the S components, which read no env port of more
+        # than one value and so step alike under every env index, then the D;
+        # _order holds each row's component, _row each component's row
+        reads = [any(len(d) > 1 and (i, port) not in self._wired for port, d in c.inputs.items())
+                 for i, c in enumerate(self.comps)]
+        self._order = sorted(range(len(self.comps)), key=reads.__getitem__)
+        self._row = sorted(range(len(self.comps)), key=self._order.__getitem__)
+        self._n_static = reads.count(False)
+        # row r's next state lies in the tables end to end at offset[r] +
+        # state * radix[r] + env_key[r, e] + each wired input's key, read off
         # the producer's state by a (producer, consumer, key per state) wire
         radix, env_weight, self._wires = [], np.zeros((len(self.comps), len(dims)), np.intp), []
-        for i, c in enumerate(self.comps):
+        for r, i in enumerate(self._order):
+            c = self.comps[i]
             radix.append(1)
             for port in reversed(c.input_ports()):  # the last port varies fastest in input_keys
                 src = self._wired.get((i, port))
                 if src is None:
-                    env_weight[i, list(self._env_ports).index(port)] = radix[i]
+                    env_weight[r, list(self._env_ports).index(port)] = radix[r]
                 else:
                     outs = map(self.comps[src[0]].output_map.get, self.comps[src[0]].states)
-                    self._wires.append((src[0], i, np.array(
-                        [c.inputs[port].index(o[src[1]]) * radix[i] for o in outs], np.intp)))
-                radix[i] *= len(c.inputs[port])
-        self._env_key = env_weight @ digits
-        self._table = np.concatenate([np.zeros(0, np.intp), *(c._next for c in self.comps)])
+                    self._wires.append((self._row[src[0]], r, np.array(
+                        [c.inputs[port].index(o[src[1]]) * radix[r] for o in outs], np.intp)))
+                radix[r] *= len(c.inputs[port])
+        self._env_key = (env_weight[self._n_static:] @ digits)[:, None, :]
+        tables = [self.comps[i]._next for i in self._order]
+        self._table = np.concatenate([np.zeros(0, np.intp), *tables])
         self._radix = np.array(radix, np.intp)[:, None]
-        self._offset = np.cumsum([0, *(len(c._next) for c in self.comps)])[:-1, None]
-        # the first index of each component's states in per-state tables
-        self._states_at = np.cumsum([0, *(len(c.states) for c in self.comps)])[:-1, None]
+        self._offset = np.array([*itertools.accumulate(map(len, tables), initial=0)][:-1],
+                                np.intp)[:, None]
+        # the first index of each row's states in per-state tables, which run
+        # end to end in component order
+        at = [0, *itertools.accumulate(len(c.states) for c in self.comps)]
+        self._states_at = np.array([at[i] for i in self._order], np.intp)[:, None]
 
     @functools.cached_property
     def envs(self) -> list[dict[str, str]]:
@@ -234,18 +252,27 @@ class Product:
             nxt.append(c.step(s, inputs))
         return tuple(nxt)
 
-    def _initial(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*([c._index[s] for s in c.initial] for c in self.comps)))
+    def _initial(self) -> np.ndarray:
+        """The initial product states as (C, R) columns in row order, in
+        initial-state product order."""
+        roots = list(itertools.product(*([c._index[s] for s in c.initial] for c in self.comps)))
+        return np.array(roots, np.intp).reshape(len(roots), len(self.comps))[:, self._order].T
 
     def _names(self, s: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(c.states[i] for c, i in zip(self.comps, s))
+        """The state names of a product state given in row order."""
+        return tuple(c.states[s[r]] for c, r in zip(self.comps, self._row))
 
-    def _step(self, nodes: np.ndarray) -> np.ndarray:
-        """The (C, F, E) next states of F product states, given as (C, F)."""
+    def _step(self, nodes: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The next states of F product states, given as (C, F) in row order:
+        (S, F) for the S components, which every env index moves alike, and
+        (D, F, E) for the D others, one per (state, env) edge. The S side is
+        None when S is empty, the D side when D is empty and S is not."""
         index = nodes * self._radix + self._offset
         for producer, consumer, keys in self._wires:
             index[consumer] += keys[nodes[producer]]
-        return self._table[index[:, :, None] + self._env_key[:, None, :]]
+        s = self._n_static
+        return (self._table[index[:s]] if s else None,
+                None if 0 < s == len(index) else self._table[index[s:, :, None] + self._env_key])
 
     def _atom(self, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
         """Whether an atom's literals on a component's outputs hold, per state
@@ -408,7 +435,13 @@ def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | N
     search finds it. `accept` flags each state of every component: an edge
     into a false one is dropped, with any violation on it. Returns the levels
     as (states, memories, edge from the previous level), the nodes expanded,
-    and the shortest (state, env index) path to a violation, or None."""
+    and the shortest (state, env index) path to a violation, or None; states
+    are in Product's row order.
+
+    Product._step moves the S components once per node and the D ones once
+    per edge. So an edge's key and accept flag are the sum and the AND of a
+    part per node and a part per edge, and an edge's whole next state is put
+    together only once the edge is kept as new."""
     mon = PropertyMonitor(p)
     mems, table = [mon.initial()], []
     for mem in mems:  # grows to the memories reachable from the initial one
@@ -424,14 +457,16 @@ def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | N
     codes, env_code = 2 * a_states + c_states, 2 * a_env + c_env | ~3
     # a node's key: its state in mixed radix, then its memory, in Python ints
     # past int64; a dropped edge's key is -1, seen from the start
-    sizes = [len(c.states) for c in prod.comps]
+    sizes = [len(prod.comps[c].states) for c in prod._order]
     dtype = np.int64 if len(mems) * math.prod(sizes) < 2 ** 63 else object
     strides = np.array([math.prod(sizes[i + 1:]) * len(mems) for i in range(len(sizes))], dtype)
+    # strides and state offsets of the S rows, then of the D rows
+    s, at = prod._n_static, prod._states_at
+    s_strides, s_at, d_strides, d_at = strides[:s], at[:s], strides[s:], at[s:]
     roots = prod._initial()
-    level = (np.array(roots, np.intp).reshape(len(roots), len(sizes)).T,
-             *np.zeros((2, len(roots)), np.intp))
-    seen = {-1, *(strides @ level[0]).tolist()}
-    levels, explored, n_env, at = [], 0, prod._n_env, prod._states_at
+    level = (roots, *np.zeros((2, roots.shape[1]), np.intp))
+    seen = {-1, *(strides @ roots).tolist()}
+    levels, explored, n_env = [], 0, prod._n_env
     batch = max(1, LEVEL_EDGES // n_env)
     while len(level[1]):
         levels.append(level)
@@ -440,8 +475,21 @@ def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | N
             nodes = level[0][:, lo:lo + batch]
             cell = ((4 * level[1][lo:lo + batch] + np.bitwise_and.reduce(
                 codes[nodes + at], axis=0, initial=3))[:, None] & env_code).ravel()
-            nxt = prod._step(nodes).reshape(len(sizes), len(cell))
-            ok = None if accept is None else np.logical_and.reduce(accept[nxt + at], axis=0)
+            # an edge's key and accept flag: the D rows' part per edge, and the
+            # S rows' part per node, spread over its edges (one, with no D row)
+            now, later = prod._step(nodes)
+            mem, ok = step[cell], None
+            if later is not None:
+                later = later.reshape(len(sizes) - s, len(cell))
+                key = d_strides @ later + mem
+                if accept is not None:
+                    ok = np.logical_and.reduce(accept[later + d_at], axis=0)
+            if now is not None:
+                part = s_strides @ now
+                key = part + mem if later is None else key + part.repeat(n_env)
+                if accept is not None:
+                    part = np.logical_and.reduce(accept[now + s_at], axis=0)
+                    ok = part if later is None else ok & part.repeat(n_env)
             bad = viol[cell] if ok is None else viol[cell] & ok
             if bad[i := int(bad.argmax())]:
                 (f, e), path = divmod(lo * n_env + i, n_env), []
@@ -449,8 +497,6 @@ def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | N
                     path.append((tuple(nodes[:, f].tolist()), e))
                     f, e = divmod(int(edge[f]), n_env)
                 return levels, explored + lo + i // n_env + 1, path[::-1]
-            mem = step[cell]
-            key = strides @ nxt + mem
             if ok is not None:
                 key[~ok] = -1
             # on a large step, first find each key's first edge by sorting
@@ -458,7 +504,13 @@ def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | N
             new = [i for i, k in enumerate((key if pos is None else key[pos]).tolist())
                    if k not in seen and not seen.add(k)]  # add returns None
             edge = np.array(new, np.intp) if pos is None else pos[new]
-            found.append((nxt[:, edge], mem[edge], lo * n_env + edge))
+            if now is None:
+                nxt = later[:, edge]
+            elif later is None:
+                nxt = now[:, edge]
+            else:
+                nxt = np.concatenate((now[:, edge // n_env], later[:, edge]))
+            found.append((nxt, mem[edge], lo * n_env + edge))
         explored += len(level[1])
         level = found[0] if len(found) == 1 else \
             tuple(np.concatenate(part, axis=-1) for part in zip(*found))

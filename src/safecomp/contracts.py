@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import METRICS, check_ball, dist_many, geometry_from_dict, region_membership
+from .regions import (
+    METRICS,
+    check_ball,
+    dist_many,
+    geometry_from_dict,
+    record_id,
+    region_membership,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +332,31 @@ def _guarantee_to_json(g: Guarantee) -> dict:
     return {"label_not_in": list(g.labels)}
 
 
-def _guarantee_from_json(obj: dict) -> Guarantee:
+def _guarantee_from_json(obj, rid) -> Guarantee:
+    """Region rid's guarantee record; a wrong shape is an error naming the field."""
+    where = f"region {rid!r} guarantee"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {obj!r}")
     if "label_is" in obj:
+        if not isinstance(obj["label_is"], str):
+            raise ValueError(f"{where} 'label_is' must be a label string, got {obj['label_is']!r}")
         return LabelIs(obj["label_is"])
     if "label_not_in" in obj:
-        return LabelNotIn(tuple(obj["label_not_in"]))
-    raise ValueError(f"bad guarantee {obj!r}")
+        labels = obj["label_not_in"]
+        if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+            raise ValueError(f"{where} 'label_not_in' must be a list of label strings, "
+                             f"got {labels!r}")
+        return LabelNotIn(tuple(labels))
+    raise ValueError(f"{where} needs 'label_is' or 'label_not_in', got {obj!r}")
+
+
+def _region_from_json(r: dict) -> RegionContract:
+    rid, provenance = record_id(r), r.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError(f"region {rid!r} provenance must be an object, got {provenance!r}")
+    return RegionContract(rid, *geometry_from_dict(r), metric=r["metric"],
+                          guarantee=_guarantee_from_json(r["guarantee"], rid),
+                          provenance=dict(provenance), uncertainty_max=r.get("uncertainty_max"))
 
 
 def dnn_contract_to_json(c: DnnContract) -> dict:
@@ -353,18 +379,7 @@ def dnn_contract_to_json(c: DnnContract) -> dict:
 
 def dnn_contract_from_json(obj: dict) -> DnnContract:
     """The contract of a dnn_contract_to_json object; other keys are ignored."""
-    regions = tuple(
-        RegionContract(
-            r["id"],
-            *geometry_from_dict(r),
-            metric=r["metric"],
-            guarantee=_guarantee_from_json(r["guarantee"]),
-            provenance=dict(r.get("provenance", {})),
-            uncertainty_max=r.get("uncertainty_max"),
-        )
-        for r in obj["regions"]
-    )
-    return DnnContract(obj["network"], regions)
+    return DnnContract(obj["network"], tuple(map(_region_from_json, obj["regions"])))
 
 
 def component_contract_to_json(c: ComponentContract) -> dict:

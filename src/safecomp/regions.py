@@ -338,10 +338,17 @@ def _real(value, what: str) -> float:
         raise ValueError(f"{what} {value!r} lies beyond float range") from None
 
 
+def record_id(obj: dict):
+    """The id of a JSON region record; a record with none is an error naming the field."""
+    if "id" not in obj:
+        raise ValueError("a region record has no 'id'")
+    return obj["id"]
+
+
 def geometry_from_dict(obj: dict) -> tuple[np.ndarray, float]:
     """Centroid and radius of a JSON region record. Each must be a real
     number, not a bool and not a numeric string; the error names the region."""
-    rid, centroid = obj["id"], obj["centroid"]
+    rid, centroid = record_id(obj), obj["centroid"]
     if not isinstance(centroid, list):
         raise ValueError(f"region {rid!r} centroid must be a list of numbers, got {centroid!r}")
     return (np.array([_real(v, f"region {rid!r} centroid entry") for v in centroid],
@@ -351,7 +358,7 @@ def geometry_from_dict(obj: dict) -> tuple[np.ndarray, float]:
 
 def region_from_dict(obj: dict, label_names) -> Region:
     label_names = list(label_names)
-    rid, member_indices = obj["id"], obj.get("member_indices", [])
+    rid, member_indices = record_id(obj), obj.get("member_indices", [])
     if not isinstance(member_indices, list):
         raise ValueError(f"region {rid!r} member_indices must be a list, got {member_indices!r}")
     member_count = obj.get("member_count", len(member_indices))

@@ -762,6 +762,29 @@ class TestVersion:
             "attr": "safecomp.__version__"}
 
 
+# edits that give one field of a contract region the wrong type, and the
+# message that names the region and the field
+CONTRACT_EDITS = {
+    "guarantee-a-number": ({"guarantee": 3}, "region 'r0' guarantee must be an object, got 3"),
+    "label-not-in-a-number": ({"guarantee": {"label_not_in": 3}},
+                              "region 'r0' guarantee 'label_not_in' must be a list of "
+                              "label strings, got 3"),
+    "label-is-a-number": ({"guarantee": {"label_is": 3}},
+                          "region 'r0' guarantee 'label_is' must be a label string, got 3"),
+    "provenance-a-number": ({"provenance": 3}, "region 'r0' provenance must be an object, got 3"),
+    "provenance-a-list": ({"provenance": [3]},
+                          "region 'r0' provenance must be an object, got [3]"),
+}
+
+
+def semaphore_contract(edit):
+    """A one-region contract of the semaphore net, with the fields in edit replaced."""
+    region = {"id": "r0", "metric": "Linf", "centroid": [0.5] * 8, "radius": 0.1,
+              "guarantee": {"label_is": "red"},
+              "provenance": {"summary": "FullySafe", "expected_label": "red"}}
+    return {"network": "semaphore", "regions": [{**region, **edit}]}
+
+
 class TestJsonShape:
     """A JSON input of the wrong shape is a usage error naming the file or the
     field, raised before --out is opened."""
@@ -791,6 +814,16 @@ class TestJsonShape:
             "region 'r000' member_count must be an integer, got 'x'"),
         "guard-top-level-list": ("guard", [1], "the top level must be a JSON object"),
         "guard-regions-not-a-list": ("guard", {"regions": 3}, "'regions' must be a list"),
+        "verify-region-without-id": ("verify", {"regions": [{"centroid": [0.5] * 8}]},
+                                     "a region record has no 'id'"),
+        "emit-contracts-region-without-id": ("emit-contracts",
+                                             {"network": "semaphore", "regions": [{}]},
+                                             "a region record has no 'id'"),
+        "guard-contract-region-without-id": ("guard", {"network": "semaphore", "regions": [{}]},
+                                             "a region record has no 'id'"),
+        **{f"{command}-contract-{name}": (command, semaphore_contract(edit), message)
+           for name, (edit, message) in CONTRACT_EDITS.items()
+           for command in ("guard", "check-system-contracts")},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -799,11 +832,13 @@ class TestJsonShape:
         _, _, net_path, data_path = semaphore_files
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        _, contract_path = TestCheckSystem()._write_system(tmp_path, 2)
+        system_path, contract_path = TestCheckSystem()._write_system(tmp_path, 2)
         argv = {
             "verify": ["verify", "--net", net_path, "--regions", bad],
             "emit-contracts": ["emit-contracts", "--net", net_path, "--report", bad],
             "check-system": ["check-system", "--system", bad, "--contracts", contract_path],
+            "check-system-contracts": ["check-system", "--system", system_path,
+                                       "--contracts", bad],
             "guard": ["guard", "--net", net_path, "--contracts", bad, "--data", data_path],
         }[command]
         out = tmp_path / "out.txt"

@@ -477,6 +477,114 @@ class TestPremiseThree:
                               parse_property("G (true => a=1)"), {"a": BIN})
 
 
+class TestSplitStep:
+    """The level search steps the components that read no env port of more
+    than one value (S) once per product state and the others (D) once per
+    (state, env) edge. Each mix of the two must match the name-keyed
+    references, searching whole levels and one node a step with every step's
+    repeated keys sorted out first."""
+
+    @pytest.fixture(params=["whole-levels", "small-steps"], autouse=True)
+    def steps(self, request, monkeypatch):
+        if request.param == "small-steps":
+            import safecomp.compose as compose_module
+            monkeypatch.setattr(compose_module, "LEVEL_EDGES", 1)
+            monkeypatch.setattr(compose_module, "SORT_EDGES", 0)
+
+    @staticmethod
+    def ring(seed, reads_env, extra=()):
+        """Components K0..Kn-1 wired in a ring, Ki reading env port e when
+        reads_env[i], plus the unwired components in extra."""
+        rng = np.random.default_rng(700 + seed)
+        k = len(reads_env)
+        comps = tuple(random_component(f"K{i}", rng, [f"o{(i - 1) % k}"] + ["e"] * reads_env[i],
+                                       [f"o{i}"], n_initial=2) for i in range(k))
+        return System(comps + tuple(extra), tuple(Wire(f"K{i}", f"o{i}", f"K{(i + 1) % k}", f"o{i}")
+                                                  for i in range(k)))
+
+    @staticmethod
+    def assert_split_matches_reference(system, n_static, seed):
+        assert Product(system)._n_static == n_static
+        rng = np.random.default_rng(seed)
+        ports = system.ports()
+        TestCompiledAgainstReference.assert_matches_reference(
+            system, [random_property(rng, ports) for _ in range(6)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_system(self, seed):
+        # D is empty: no env port, one env index
+        system = self.ring(seed, [False] * 5)
+        self.assert_split_matches_reference(system, 5, seed)
+
+    def test_stateless_closed_system(self):
+        system = System((const_component(), const_component("zero", port="w", value="0")))
+        self.assert_split_matches_reference(system, 2, 0)
+        assert Product(system).explore() == [("s", "s")]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_valued_env_port(self, seed):
+        # U reads env port u, which has one value, so D is still empty
+        rng = np.random.default_rng(seed)
+        u = random_component("U", rng, ["u"], ["w"], in_domain=("1",), n_initial=2)
+        system = self.ring(seed, [False] * 4, extra=(u,))
+        assert system.env_ports == {"u": ("1",)}
+        self.assert_split_matches_reference(system, 5, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_component_reads_env(self, seed):
+        # S is empty
+        self.assert_split_matches_reference(self.ring(seed, [True] * 5), 0, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_ring(self, seed):
+        self.assert_split_matches_reference(self.ring(seed, [True, False, False, True, False]),
+                                            3, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_fleet(self, n):
+        # of the fleet's 2n + 1 components only the perception stub reads env
+        # ports, x and its Class
+        m1, _c1, stopped = braking_fleet(n, 2)
+        dnn = build_ebs_demo(2).dnn_contract
+        full = wire_by_name(m1, abstract_dnn_component(dnn, LABELS, token_map=TOKEN_MAPS[0]))
+        assert Product(full)._n_static == 2 * n
+        TestCompiledAgainstReference.assert_matches_reference(
+            full, [parse_property(f"G (x=red => F<={k} ({stopped}))") for k in (3, 4)])
+
+    # an observer of a's one value steps alike on every edge (S), and goes bad
+    # at tick 2; one of no port is S and never goes bad; one of b and c is D
+    IMPLICATION = (
+        ComponentContract("CA", None, parse_property("G (a=1 => F<=2 (a=0))"),
+                          outputs={"a": ("1",)}),
+        ComponentContract("CN", None, parse_property("G (true => true)")),
+        ComponentContract("CB", None, parse_property("G (b=1 => F<=1 (c=1))"),
+                          outputs={"b": BIN, "c": BIN}),
+    )
+
+    @pytest.mark.parametrize("chosen", [(0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    def test_implication_with_each_side(self, chosen):
+        ports = {"a": ("1",), "b": BIN, "c": BIN}
+        contracts = [self.IMPLICATION[i] for i in chosen]
+        monitors = [contract_monitor(c, ports, c.name) for c in contracts]
+        for text in ("G (c=0 => F<=3 (b=1))", "G (true => b=0)", "G (b=1 => c=1)",
+                     "G (a=1 => F<=2 (b=1 & c=0))"):
+            prop = parse_property(text)
+            assert check_implication(monitors, prop, ports) == \
+                reference_implication(contracts, prop, ports), text
+
+    @pytest.mark.parametrize("chosen", [(0,), (1,), (0, 1)])
+    def test_implication_with_no_edge_side(self, chosen):
+        # every port has one value: D is empty, and CA's accept flags prune
+        ports = {"a": ("1",)}
+        contracts = [self.IMPLICATION[i] for i in chosen]
+        monitors = [contract_monitor(c, ports, c.name) for c in contracts]
+        assert Product(System(tuple(monitors)))._n_static == len(monitors)
+        for text in ("G (a=1 => F<=3 (a=1))", "G (true => true)"):
+            prop = parse_property(text)
+            assert check_implication(monitors, prop, ports) == \
+                reference_implication(contracts, prop, ports), text
+
+
 LABELS = ("red", "green", "yellow")
 # perception token maps for the EBS demo's contract: label_is everywhere;
 # label_is, label_not_in and unconstrained mixed; label_not_in with an
