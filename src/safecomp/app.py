@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import compose as cm
+from .codec import json_field
 from .contracts import (
     ComponentContract,
     DnnContract,
@@ -103,21 +104,18 @@ def verdict_to_json(v: Verdict) -> dict:
     return obj
 
 
-def verdict_from_json(obj: dict) -> Verdict:
-    """The Verdict of a verdict_to_json object; a field of the wrong shape is a ValueError."""
-    stats, ce = obj.get("stats", {}), obj.get("counterexample")
-    if "status" not in obj:
-        raise ValueError("verdict has no 'status'")
-    if not isinstance(stats, dict):
-        raise ValueError(f"verdict 'stats' must be an object, got {stats!r}")
+def verdict_from_json(obj: dict, where: str = "verdict") -> Verdict:
+    """The Verdict of a verdict_to_json object; `where` names it in errors."""
+    stats, stats_where = json_field(obj, "stats", dict, where, default={}), f"{where} stats"
+    ce = json_field(obj, "counterexample", dict, where, default=None)
     if ce is not None:
-        if not (isinstance(ce, dict) and {"point", "scores"} <= ce.keys()):
-            raise ValueError("verdict 'counterexample' must be an object with 'point' and 'scores'")
-        ce = Counterexample(np.array(ce["point"]), np.array(ce["scores"]))
-    return Verdict(obj["status"], ce,
-                   VerdictStats(stats.get("nodes", 0), stats.get("deepest_split", 0),
-                                stats.get("elapsed", 0.0)),
-                   obj.get("reason"))
+        ce = Counterexample(*(np.array(json_field(ce, k, list, f"{where} counterexample",
+                                                  items=float)) for k in ("point", "scores")))
+    return Verdict(json_field(obj, "status", str, where), ce,
+                   VerdictStats(json_field(stats, "nodes", int, stats_where, default=0),
+                                json_field(stats, "deepest_split", int, stats_where, default=0),
+                                json_field(stats, "elapsed", float, stats_where, default=0.0)),
+                   json_field(obj, "reason", str, where, default=None))
 
 
 def _kind_counts(results) -> dict[str, int]:

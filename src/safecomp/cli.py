@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, app
+from .codec import NAME, json_field
 from .compose import CLASS_PORT, TOKEN_PORT, check_assume_guarantee, system_from_json
 from .contracts import (
     component_contract_from_json,
@@ -67,27 +68,21 @@ def _write_report(args, obj: dict, lines: list[str]):
     _write_output("\n".join(lines) + "\n" if args.format == "text" else _dump_json(obj), args.out)
 
 
-def _read_json(path: str, *lists: str) -> dict:
-    """A JSON file whose top level is an object and whose fields named in
-    `lists` are lists of objects; any other shape is an error naming the file."""
+def _read_json(path: str) -> dict:
+    """A JSON file whose top level is an object."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: the top level must be a JSON object, "
-                         f"got {type(obj).__name__}")
-    for key in lists:
-        items = obj[key]
-        if not (isinstance(items, list) and all(isinstance(i, dict) for i in items)):
-            raise ValueError(f"{path}: {key!r} must be a list of objects")
+        raise ValueError(f"the top level must be a JSON object, got {type(obj).__name__}")
     return obj
 
 
-def _decoded(path: str, decode, *args):
-    """decode(*args), which decodes what was read from the file at path; an
-    error names the file."""
+@contextlib.contextmanager
+def _naming(what: str):
+    """A ValueError raised inside names what, a file or a record, in front."""
     try:
-        return decode(*args)
+        yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _read_net(path: str):
@@ -131,8 +126,9 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     check_budgets(args.node_budget, args.time_budget, args.eps)
     net = _read_net(args.net)
-    regions = [_decoded(args.regions, region_from_dict, r, net.labels)
-               for r in _read_json(args.regions, "regions")["regions"]]
+    with _naming(args.regions):
+        regions = [region_from_dict(r, net.labels) for r in
+                   json_field(_read_json(args.regions), "regions", list, "", items=dict)]
     for r in regions:
         if r.centroid.shape != (net.input_dim,):
             raise ValueError(f"region {r.id!r} has a centroid of width {r.centroid.size}, "
@@ -158,54 +154,54 @@ def cmd_verify(args) -> int:
     return 1 if any_unsafe else 0
 
 
-def cmd_emit_contracts(args) -> int:
-    net = _read_net(args.net)
-    report = _read_json(args.report, "regions")
-    rebuilt = []
-    for entry in report["regions"]:
-        region = _decoded(args.report, region_from_dict, entry, net.labels)
-        where = f"{args.report}: region {region.id!r}"
-        verdicts = entry.get("verdicts")
-        targets = sorted(set(net.labels) - {net.labels[region.expected_label]})
-        if not (isinstance(verdicts, dict) and all(isinstance(v, dict) for v in verdicts.values())):
-            raise ValueError(f"{where}: 'verdicts' must be an object of objects")
+def _region_result(entry: dict, labels) -> tuple:
+    """The (Region, FullResult) of a report entry, its summary checked against its verdicts."""
+    region = region_from_dict(entry, labels)
+    with _naming(f"region {region.id!r}"):
+        verdicts = json_field(entry, "verdicts", dict, "", items=dict)
+        targets = sorted(set(labels) - {labels[region.expected_label]})
         if sorted(verdicts) != targets:
-            raise ValueError(f"{where}: verdicts name {sorted(verdicts)}, not the targets {targets}")
-        try:
-            result = FullResult({net.labels.index(name): app.verdict_from_json(v)
-                                 for name, v in verdicts.items()})
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        safe = [net.labels[t] for t in result.safe_targets]
+            raise ValueError(f"verdicts name {sorted(verdicts)}, not the targets {targets}")
+        result = FullResult({labels.index(name): app.verdict_from_json(v, f"verdict {name!r}")
+                             for name, v in verdicts.items()})
+        safe = [labels[t] for t in result.safe_targets]
         if (entry.get("summary"), entry.get("safe_targets")) != (result.kind, safe):
-            raise ValueError(f"{where}: summary {entry.get('summary')!r} and safe_targets "
+            raise ValueError(f"summary {entry.get('summary')!r} and safe_targets "
                              f"{entry.get('safe_targets')!r} disagree with its verdicts, "
                              f"which give {result.kind!r} and {safe!r}")
-        rebuilt.append((region, result))
-    contract = emit_dnn_contract(report["network"], net.labels, rebuilt)
+    return region, result
+
+
+def cmd_emit_contracts(args) -> int:
+    net = _read_net(args.net)
+    with _naming(args.report):
+        report = _read_json(args.report)
+        rebuilt = [_region_result(entry, net.labels)
+                   for entry in json_field(report, "regions", list, "", items=dict)]
+        network = json_field(report, "network", str, "")
+    contract = emit_dnn_contract(network, net.labels, rebuilt)
     _write_output(_dump_json(dnn_contract_to_json(contract)), args.out)
     return 0
 
 
 def cmd_check_system(args) -> int:
-    sysobj = _read_json(args.system, "components")
-    system, properties = system_from_json(sysobj)
-    if not isinstance(sysobj.get("contract"), dict):
-        raise ValueError(f"{args.system}: 'contract' must be an object, the subsystem's C1")
-    c1 = component_contract_from_json(sysobj["contract"])
-    dnn = _decoded(args.contracts, dnn_contract_from_json, _read_json(args.contracts, "regions"))
+    with _naming(args.system):
+        sysobj = _read_json(args.system)
+        system, properties = system_from_json(sysobj)
+        c1 = component_contract_from_json(json_field(sysobj, "contract", dict, ""))
+        perception = json_field(sysobj, "perception", dict, "", default={})
+        token_port = json_field(perception, "token_port", str, "perception", default=TOKEN_PORT)
+        class_port = json_field(perception, "class_port", str, "perception", default=CLASS_PORT)
+        class_domain = json_field(perception, "class_domain", list, "perception", items=NAME,
+                                  default=system.env_ports.get(class_port))
+    with _naming(args.contracts):
+        dnn = dnn_contract_from_json(_read_json(args.contracts))
     if args.property:
         prop = parse_property(args.property)
     elif properties:
         prop = properties[0]
     else:
         raise ValueError("no property given (use --property or a 'properties' list)")
-    perception = sysobj.get("perception", {})
-    token_port = perception.get("token_port", TOKEN_PORT)
-    class_port = perception.get("class_port", CLASS_PORT)
-    class_domain = perception.get("class_domain")
-    if class_domain is None:
-        class_domain = system.env_ports.get(class_port)
     if class_domain is None:
         raise ValueError(f"cannot infer the domain of {class_port!r}; "
                          "declare perception.class_domain")
@@ -240,8 +236,8 @@ def _csv_rows(lines, width: int):
 
 def cmd_guard(args) -> int:
     net = _read_net(args.net)
-    contract = _decoded(args.contracts, dnn_contract_from_json,
-                        _read_json(args.contracts, "regions"))
+    with _naming(args.contracts):
+        contract = dnn_contract_from_json(_read_json(args.contracts))
     guard = build_guard(contract, uncertainty_threshold=args.threshold)
     # both checks run before --out is opened, so a refused run leaves it as it was
     check_network(guard, net)
@@ -268,16 +264,13 @@ def cmd_demo(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    layout = _read_json(args.cutpoints)
-    names = layout["names"]
-    cutpoints = layout["cutpoints"]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise ValueError(f"'names' must be a list of strings, got {names!r}")
-    if not (isinstance(cutpoints, list) and all(isinstance(c, list) for c in cutpoints)):
-        raise ValueError(f"'cutpoints' must be a list of lists of numbers, got {cutpoints!r}")
-    if len(names) != len(cutpoints):
-        raise ValueError("names and cutpoints must align")
-    points = app.iter_grid(cutpoints)  # checks the cut points before --out is opened
+    with _naming(args.cutpoints):
+        layout = _read_json(args.cutpoints)
+        names = json_field(layout, "names", list, "", items=str)
+        cutpoints = json_field(layout, "cutpoints", list, "", items=list)
+        if len(names) != len(cutpoints):
+            raise ValueError("names and cutpoints must align")
+        points = app.iter_grid(cutpoints)  # checks the cut points before --out is opened
     net = _read_net(args.label_with) if args.label_with else None
     if net is not None and net.input_dim != len(cutpoints):
         raise ValueError(f"grid has {len(cutpoints)} dimensions, network {net.name!r} "

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import NAME, json_field
 from .contracts import (
     Always,
     Atom,
@@ -34,6 +35,7 @@ from .contracts import (
     LabelIs,
     LabelNotIn,
     Property,
+    domains_from_json,
     parse_property,
     property_ports,
     render_property,
@@ -836,6 +838,10 @@ def _model_check_premise(name: str, system: System, c: ComponentContract) -> Pre
     environment of c's assumption when c has one."""
     if c.assumption is not None:
         port_domains = {**system.ports(), **_contract_ports(c)}
+        undeclared = property_ports(c.assumption) - port_domains.keys()
+        if undeclared:
+            raise ValueError(f"contract {c.name!r} assumes port {min(undeclared)!r}, which "
+                             "neither it nor the system declares")
         gen_ports = {p: port_domains[p] for p in sorted(property_ports(c.assumption))}
         env = most_general_environment(
             ComponentContract("assumption", None, c.assumption, inputs={}, outputs=gen_ports),
@@ -940,26 +946,21 @@ def component_from_json(obj: dict) -> ComponentModel:
     omitted ports count as wildcards. Rows that cover the same (state, input
     valuation) pair twice are rejected.
     """
-    inputs = {p: tuple(str(v) for v in d) for p, d in obj.get("inputs", {}).items()}
-    outputs = {p: tuple(str(v) for v in d) for p, d in obj.get("outputs", {}).items()}
-    states = tuple(str(s) for s in obj["states"])
-    init = obj["init"]
-    initial = tuple(str(s) for s in (init if isinstance(init, list) else [init]))
-    output_map = {str(s): {p: str(v) for p, v in out.items()}
-                  for s, out in obj.get("outputs_map", {}).items()}
+    name = str(json_field(obj, "name", NAME, "a component"))
+    where = f"component {name!r}"
+    inputs = domains_from_json(obj, "inputs", where)
     port_names = sorted(inputs)
     transitions: dict[tuple[str, tuple[str, ...]], str] = {}
-    for row_num, row in enumerate(obj.get("transitions", []), start=1):
-        src = str(row["from"])
-        dst = str(row["to"])
-        when = {p: str(v) for p, v in row.get("when", {}).items()}
+    rows = json_field(obj, "transitions", list, where, items=dict, default=[])
+    for row_num, row in enumerate(rows, start=1):
+        row_where = f"{where} transition row {row_num}"
+        src = str(json_field(row, "from", NAME, row_where))
+        dst = str(json_field(row, "to", NAME, row_where))
+        when = json_field(row, "when", dict, row_where, items=NAME, default={})
         for port in when:
             if port not in inputs:
                 raise ValueError(f"transition row {row_num}: unknown port {port!r}")
-        choices = []
-        for port in port_names:
-            v = when.get(port, "*")
-            choices.append(inputs[port] if v == "*" else (v,))
+        choices = [inputs[p] if when.get(p, "*") == "*" else (str(when[p]),) for p in port_names]
         for combo in itertools.product(*choices):
             key = (src, combo)
             if key in transitions:
@@ -967,12 +968,13 @@ def component_from_json(obj: dict) -> ComponentModel:
                                  f"at state {src!r}, inputs {combo}")
             transitions[key] = dst
     return ComponentModel(
-        name=str(obj["name"]),
+        name=name,
         inputs=inputs,
-        outputs=outputs,
-        states=states,
-        initial=initial,
-        output_map=output_map,
+        outputs=domains_from_json(obj, "outputs", where),
+        states=tuple(map(str, json_field(obj, "states", list, where, items=NAME))),
+        initial=tuple(map(str, json_field(obj, "init", list, where, items=NAME, single=True))),
+        output_map={str(s): {p: str(v) for p, v in out.items()} for s, out in json_field(
+            obj, "outputs_map", dict, where, items=dict, default={}).items()},
         transitions=transitions,
     )
 
@@ -1004,12 +1006,12 @@ def system_to_json(system: System, properties=()) -> dict:
 
 
 def system_from_json(obj: dict) -> tuple[System, list[Property]]:
-    components = tuple(component_from_json(c) for c in obj["components"])
+    components = json_field(obj, "components", list, "", items=dict)
     wires = []
-    for w in obj.get("wiring", []):
-        src_comp, src_port = w["from"].split(".", 1)
-        dst_comp, dst_port = w["to"].split(".", 1)
-        wires.append(Wire(src_comp, src_port, dst_comp, dst_port))
-    system = System(components, tuple(wires))
-    properties = [parse_property(t) for t in obj.get("properties", [])]
-    return system, properties
+    for k, w in enumerate(json_field(obj, "wiring", list, "", items=dict, default=[]), start=1):
+        ends = [json_field(w, end, str, f"wire {k}").partition(".") for end in ("from", "to")]
+        if not all(dot for _, dot, _ in ends):
+            raise ValueError(f"wire {k} must join two ports named 'component.port', got {w!r}")
+        wires.append(Wire(ends[0][0], ends[0][2], ends[1][0], ends[1][2]))
+    return System(tuple(map(component_from_json, components)), tuple(wires)), [
+        parse_property(t) for t in json_field(obj, "properties", list, "", items=str, default=[])]

@@ -18,14 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import (
-    METRICS,
-    check_ball,
-    dist_many,
-    geometry_from_dict,
-    record_id,
-    region_membership,
-)
+from .codec import NAME, json_field
+from .regions import METRICS, check_ball, dist_many, geometry_from_dict, region_membership
 
 
 # ---------------------------------------------------------------------------
@@ -332,31 +326,15 @@ def _guarantee_to_json(g: Guarantee) -> dict:
     return {"label_not_in": list(g.labels)}
 
 
-def _guarantee_from_json(obj, rid) -> Guarantee:
-    """Region rid's guarantee record; a wrong shape is an error naming the field."""
-    where = f"region {rid!r} guarantee"
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object, got {obj!r}")
-    if "label_is" in obj:
-        if not isinstance(obj["label_is"], str):
-            raise ValueError(f"{where} 'label_is' must be a label string, got {obj['label_is']!r}")
-        return LabelIs(obj["label_is"])
-    if "label_not_in" in obj:
-        labels = obj["label_not_in"]
-        if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
-            raise ValueError(f"{where} 'label_not_in' must be a list of label strings, "
-                             f"got {labels!r}")
-        return LabelNotIn(tuple(labels))
-    raise ValueError(f"{where} needs 'label_is' or 'label_not_in', got {obj!r}")
-
-
 def _region_from_json(r: dict) -> RegionContract:
-    rid, provenance = record_id(r), r.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise ValueError(f"region {rid!r} provenance must be an object, got {provenance!r}")
-    return RegionContract(rid, *geometry_from_dict(r), metric=r["metric"],
-                          guarantee=_guarantee_from_json(r["guarantee"], rid),
-                          provenance=dict(provenance), uncertainty_max=r.get("uncertainty_max"))
+    rid = json_field(r, "id", str, "a region record")
+    where = f"region {rid!r}"
+    g, g_where = json_field(r, "guarantee", dict, where), f"{where} guarantee"
+    guarantee = (LabelIs(json_field(g, "label_is", str, g_where)) if "label_is" in g else
+                 LabelNotIn(tuple(json_field(g, "label_not_in", list, g_where, items=str))))
+    return RegionContract(rid, *geometry_from_dict(r, where), guarantee,
+                          dict(json_field(r, "provenance", dict, where, default={})),
+                          json_field(r, "uncertainty_max", float, where, default=None))
 
 
 def dnn_contract_to_json(c: DnnContract) -> dict:
@@ -379,7 +357,8 @@ def dnn_contract_to_json(c: DnnContract) -> dict:
 
 def dnn_contract_from_json(obj: dict) -> DnnContract:
     """The contract of a dnn_contract_to_json object; other keys are ignored."""
-    return DnnContract(obj["network"], tuple(map(_region_from_json, obj["regions"])))
+    regions = tuple(map(_region_from_json, json_field(obj, "regions", list, "", items=dict)))
+    return DnnContract(json_field(obj, "network", str, ""), regions)
 
 
 def component_contract_to_json(c: ComponentContract) -> dict:
@@ -392,14 +371,20 @@ def component_contract_to_json(c: ComponentContract) -> dict:
     }
 
 
-def component_contract_from_json(obj: dict) -> ComponentContract:
-    assume_text = obj.get("assume", "true")
-    assumption = None if assume_text.strip() == "true" else parse_property(assume_text)
-    return ComponentContract(
-        name=obj["name"],
-        assumption=assumption,
-        guarantee=parse_property(obj["guarantee"]),
-        inputs={p: tuple(str(v) for v in d) for p, d in obj.get("inputs", {}).items()},
-        outputs={p: tuple(str(v) for v in d) for p, d in obj.get("outputs", {}).items()},
-    )
+def domains_from_json(obj: dict, key: str, where: str) -> dict[str, tuple[str, ...]]:
+    """The port domains in obj[key] (none if absent), each value as a string."""
+    return {p: tuple(map(str, domain)) for p, domain in
+            json_field(obj, key, dict, where, items=list, default={}).items()}
 
+
+def component_contract_from_json(obj: dict) -> ComponentContract:
+    name = str(json_field(obj, "name", NAME, "a contract"))
+    where = f"contract {name!r}"
+    assume_text = json_field(obj, "assume", str, where, default="true")
+    return ComponentContract(
+        name=name,
+        assumption=None if assume_text.strip() == "true" else parse_property(assume_text),
+        guarantee=parse_property(json_field(obj, "guarantee", str, where)),
+        inputs=domains_from_json(obj, "inputs", where),
+        outputs=domains_from_json(obj, "outputs", where),
+    )

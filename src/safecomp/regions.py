@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .codec import json_field
 
 METRICS = ("L1", "L2", "Linf")
 KMEANS_MAX_ITER = 100  # Lloyd iterations before k-means stops short of a fixed point
@@ -329,48 +330,18 @@ def region_to_dict(region: Region, label_names) -> dict:
     }
 
 
-def _real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} {value!r} lies beyond float range") from None
-
-
-def record_id(obj: dict):
-    """The id of a JSON region record; a record with none is an error naming the field."""
-    if "id" not in obj:
-        raise ValueError("a region record has no 'id'")
-    return obj["id"]
-
-
-def geometry_from_dict(obj: dict) -> tuple[np.ndarray, float]:
-    """Centroid and radius of a JSON region record. Each must be a real
-    number, not a bool and not a numeric string; the error names the region."""
-    rid, centroid = record_id(obj), obj["centroid"]
-    if not isinstance(centroid, list):
-        raise ValueError(f"region {rid!r} centroid must be a list of numbers, got {centroid!r}")
-    return (np.array([_real(v, f"region {rid!r} centroid entry") for v in centroid],
-                     dtype=np.float64),
-            _real(obj["radius"], f"region {rid!r} radius"))
+def geometry_from_dict(obj: dict, where: str) -> tuple[np.ndarray, float, str]:
+    """Centroid, radius and metric of a JSON region record."""
+    return (np.array(json_field(obj, "centroid", list, where, items=float), dtype=np.float64),
+            float(json_field(obj, "radius", float, where)), json_field(obj, "metric", str, where))
 
 
 def region_from_dict(obj: dict, label_names) -> Region:
-    label_names = list(label_names)
-    rid, member_indices = record_id(obj), obj.get("member_indices", [])
-    if not isinstance(member_indices, list):
-        raise ValueError(f"region {rid!r} member_indices must be a list, got {member_indices!r}")
-    member_count = obj.get("member_count", len(member_indices))
-    if isinstance(member_count, bool) or not isinstance(member_count, numbers.Integral):
-        raise ValueError(f"region {rid!r} member_count must be an integer, got {member_count!r}")
-    centroid, radius = geometry_from_dict(obj)
-    return Region(
-        id=rid,
-        centroid=centroid,
-        radius=radius,
-        metric=obj["metric"],
-        expected_label=label_names.index(obj["expected_label"]),
-        member_count=int(member_count),
-        member_indices=tuple(member_indices),
-    )
+    rid = json_field(obj, "id", str, "a region record")
+    where = f"region {rid!r}"
+    member_indices = json_field(obj, "member_indices", list, where, items=int, default=[])
+    member_count = json_field(obj, "member_count", int, where, default=len(member_indices))
+    geometry, label = geometry_from_dict(obj, where), json_field(obj, "expected_label", str, where)
+    if label not in label_names:
+        raise ValueError(f"{where} expected_label {label!r} is not one of {list(label_names)}")
+    return Region(rid, *geometry, label_names.index(label), member_count, tuple(member_indices))

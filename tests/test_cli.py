@@ -709,10 +709,10 @@ class TestGridCli:
         assert f"cut point {bad!r} is not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("layout, message", [
-        ({"names": ["a"], "cutpoints": [0.5]}, "'cutpoints' must be a list of lists"),
-        ({"names": ["a"], "cutpoints": "0.5"}, "'cutpoints' must be a list of lists"),
-        ({"names": "a", "cutpoints": [[0.5]]}, "'names' must be a list of strings"),
-        ({"names": [1], "cutpoints": [[0.5]]}, "'names' must be a list of strings"),
+        ({"names": ["a"], "cutpoints": [0.5]}, "cutpoints must be a list of lists, got [0.5]"),
+        ({"names": ["a"], "cutpoints": "0.5"}, "cutpoints must be a list of lists, got '0.5'"),
+        ({"names": "a", "cutpoints": [[0.5]]}, "names must be a list of strings, got 'a'"),
+        ({"names": [1], "cutpoints": [[0.5]]}, "names must be a list of strings, got [1]"),
         ([1], "cuts.json: the top level must be a JSON object"),
     ])
     def test_layout_not_lists_exits_2_without_output(self, tmp_path, capsys, layout, message):
@@ -767,10 +767,10 @@ class TestVersion:
 CONTRACT_EDITS = {
     "guarantee-a-number": ({"guarantee": 3}, "region 'r0' guarantee must be an object, got 3"),
     "label-not-in-a-number": ({"guarantee": {"label_not_in": 3}},
-                              "region 'r0' guarantee 'label_not_in' must be a list of "
-                              "label strings, got 3"),
+                              "region 'r0' guarantee label_not_in must be a list of "
+                              "strings, got 3"),
     "label-is-a-number": ({"guarantee": {"label_is": 3}},
-                          "region 'r0' guarantee 'label_is' must be a label string, got 3"),
+                          "region 'r0' guarantee label_is must be a string, got 3"),
     "provenance-a-number": ({"provenance": 3}, "region 'r0' provenance must be an object, got 3"),
     "provenance-a-list": ({"provenance": [3]},
                           "region 'r0' provenance must be an object, got [3]"),
@@ -790,30 +790,32 @@ class TestJsonShape:
     field, raised before --out is opened."""
 
     CASES = {
-        "verify-regions-not-a-list": ("verify", {"regions": 5}, "'regions' must be a list"),
+        "verify-regions-not-a-list": ("verify", {"regions": 5},
+                                      "regions must be a list of objects, got 5"),
         "verify-region-not-an-object": ("verify", {"regions": [5]},
-                                        "'regions' must be a list of objects"),
+                                        "regions must be a list of objects, got [5]"),
         "verify-top-level-list": ("verify", [1], "the top level must be a JSON object"),
         "emit-contracts-top-level-list": ("emit-contracts", [1],
                                           "the top level must be a JSON object"),
         "emit-contracts-regions-not-a-list": ("emit-contracts",
                                               {"network": "semaphore", "regions": 3},
-                                              "'regions' must be a list"),
+                                              "regions must be a list of objects, got 3"),
         "check-system-top-level-list": ("check-system", [1],
                                         "the top level must be a JSON object"),
         "check-system-components-not-a-list": ("check-system", {"components": 3},
-                                               "'components' must be a list"),
+                                               "components must be a list of objects, got 3"),
         "check-system-contract-a-list": ("check-system", {"components": [], "contract": []},
-                                         "'contract' must be an object"),
+                                         "contract must be an object, got []"),
         "verify-member-indices-a-number": (
             "verify", {"regions": [{"id": "r000", "member_indices": 5}]},
-            "region 'r000' member_indices must be a list, got 5"),
+            "region 'r000' member_indices must be a list of integers, got 5"),
         "emit-contracts-member-count-a-string": (
             "emit-contracts", {"network": "semaphore",
                                "regions": [{"id": "r000", "member_count": "x"}]},
             "region 'r000' member_count must be an integer, got 'x'"),
         "guard-top-level-list": ("guard", [1], "the top level must be a JSON object"),
-        "guard-regions-not-a-list": ("guard", {"regions": 3}, "'regions' must be a list"),
+        "guard-regions-not-a-list": ("guard", {"regions": 3},
+                                     "regions must be a list of objects, got 3"),
         "verify-region-without-id": ("verify", {"regions": [{"centroid": [0.5] * 8}]},
                                      "a region record has no 'id'"),
         "emit-contracts-region-without-id": ("emit-contracts",
@@ -859,16 +861,16 @@ class TestJsonShape:
         "bogus-status": (lambda e: e["verdicts"]["green"].update(status="Bogus"),
                          "verdict status must be Safe, Unsafe or Unknown, got 'Bogus'"),
         "verdicts-a-list": (lambda e: e.update(verdicts=list(e["verdicts"].values())),
-                            "'verdicts' must be an object"),
+                            "verdicts must be an object of objects"),
         "safe-targets-a-number": (lambda e: e.update(safe_targets=3),
                                   "disagree with its verdicts"),
         "stats-a-list": (lambda e: e["verdicts"]["green"].update(stats=[3, 1, 0.0]),
-                         "verdict 'stats' must be an object, got [3, 1, 0.0]"),
-        "no-status": (lambda e: e["verdicts"]["green"].pop("status"), "verdict has no 'status'"),
+                         "verdict 'green' stats must be an object, got [3, 1, 0.0]"),
+        "no-status": (lambda e: e["verdicts"]["green"].pop("status"), "verdict 'green' has no 'status'"),
         "counterexample-without-scores": (
             lambda e: e["verdicts"]["green"].update(status="Unsafe",
                                                     counterexample={"point": [0.5] * 8}),
-            "verdict 'counterexample' must be an object with 'point' and 'scores'"),
+            "verdict 'green' counterexample has no 'scores'"),
     }
 
     @pytest.mark.parametrize("case", sorted(TAMPERED))
@@ -893,6 +895,214 @@ class TestJsonShape:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {report}: region 'r000': ")
         assert message in err
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """A valid file of each kind the CLI reads, from the seed-42 L1 pipeline:
+    the regions, the verify report, the contract, the EBS system with its C1
+    and perception block, and a grid layout; with the net and dataset they
+    were made from, and a --property that check-system decides over the
+    contract."""
+    tmp_path = tmp_path_factory.mktemp("pipeline")
+    net, data = build_semaphore_classifier(42)
+    paths = {"net": tmp_path / "semaphore.net", "data": tmp_path / "train.csv",
+             **{k: tmp_path / f"{k}.json" for k in ("regions", "report", "contract", "layout")}}
+    paths["net"].write_text(render_network(net))
+    paths["data"].write_text(render_dataset_csv(data, net.labels))
+    paths["layout"].write_text(json.dumps({"names": [f"x{i}" for i in range(8)],
+                                           "cutpoints": [[0.25, 0.75]] * 8}))
+    assert run(["discover", "--net", paths["net"], "--data", paths["data"], "--metric", "l1",
+                "--seed", 42, "--out", paths["regions"]]) == 0
+    assert run(["verify", "--net", paths["net"], "--regions", paths["regions"],
+                "--node-budget", 64, "--out", paths["report"]]) == 0
+    assert run(["emit-contracts", "--net", paths["net"], "--report", paths["report"],
+                "--out", paths["contract"]]) == 0
+    paths["system"] = write_ebs_system(tmp_path, 2)
+    red = next(r["id"] for r in json.loads(paths["contract"].read_text())["regions"]
+               if r["guarantee"].get("label_is") == "red")
+    return paths, f"G (x={red} => F<=4 (velocity=0))"
+
+
+def stage_argvs(paths, prop, kind, bad):
+    """The argv of each stage that reads the file of kind, reading bad in its place."""
+    files = dict(paths, **{kind: bad})
+    check_system = ["check-system", "--system", files["system"],
+                    "--contracts", files["contract"], "--property", prop]
+    return {
+        "regions": [["verify", "--net", files["net"], "--regions", bad, "--node-budget", 64]],
+        "report": [["emit-contracts", "--net", files["net"], "--report", bad]],
+        "contract": [check_system, ["guard", "--net", files["net"], "--contracts", bad,
+                                    "--data", files["data"]]],
+        "system": [check_system],
+        "layout": [["grid", "--cutpoints", bad, "--label-with", files["net"]]],
+    }[kind]
+
+
+_DELETE = object()
+# a value of another JSON type for a value of each type
+_OTHER_TYPE = {str: 3, int: "3", float: "3", bool: "true", list: 3, dict: [1], type(None): 3}
+
+
+def _edited(node, path, value):
+    """A copy of node with the item at path set to value, or deleted."""
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    head, rest = path[0], path[1:]
+    if rest:
+        copy[head] = _edited(node[head], rest, value)
+    elif value is _DELETE:
+        del copy[head]
+    else:
+        copy[head] = value
+    return copy
+
+
+def malformed_copies(obj, path=(), root=None):
+    """(name, copy) of obj for every object key in it and in the first element
+    of every list: a copy without the key and one with its value replaced by
+    a value of another JSON type; the first element of a list is replaced too."""
+    root = obj if root is None else root
+    items = obj.items() if isinstance(obj, dict) else \
+        [(0, obj[0])] if isinstance(obj, list) and obj else []
+    for key, value in items:
+        where = path + (key,)
+        if isinstance(obj, dict):
+            yield f"{where} deleted", _edited(root, where, _DELETE)
+        yield f"{where} as {_OTHER_TYPE[type(value)]!r}", \
+            _edited(root, where, _OTHER_TYPE[type(value)])
+        yield from malformed_copies(value, where, root)
+
+
+class TestMalformedInput:
+    """Every JSON input the CLI reads goes through one field reader: a missing
+    field or a field of the wrong type exits 2 before --out is opened, with one
+    error line naming the file, the record and the field."""
+
+    def test_no_malformed_copy_raises_out_of_cli_main(self, pipeline_files, tmp_path, capsys):
+        paths, prop = pipeline_files
+        bad, out = tmp_path / "bad.json", tmp_path / "out.txt"
+        runs = 0
+        for kind in ("regions", "report", "contract", "system", "layout"):
+            for name, copy in malformed_copies(json.loads(paths[kind].read_text())):
+                bad.write_text(json.dumps(copy))
+                for argv in stage_argvs(paths, prop, kind, bad):
+                    out.write_text("before\n")
+                    capsys.readouterr()
+                    code = run(argv + ["--out", out])
+                    err = capsys.readouterr().err
+                    case = f"{kind} {name}: {argv[0]} exited {code}: {err}"
+                    assert code in (0, 1, 2), case
+                    if code == 2:
+                        assert out.read_text() == "before\n", case
+                        assert err.startswith("error: ") and err.count("\n") == 1, case
+                    runs += 1
+        assert runs > 200  # the sweep reached every file
+
+    # (file kind, edit of its parsed JSON, the field as the message names it)
+    CASES = {
+        "component-states-a-number": (
+            "system", lambda o: o["components"][0].update(states=3),
+            "component 'BreakingSystem' states must be a list of strings or numbers, got 3"),
+        "component-inputs-a-list": (
+            "system", lambda o: o["components"][0].update(inputs=[1]),
+            "component 'BreakingSystem' inputs must be an object of lists, got [1]"),
+        "component-domain-a-number": (
+            "system", lambda o: o["components"][0].update(inputs={"brake": 3}),
+            "component 'BreakingSystem' inputs must be an object of lists, got {'brake': 3}"),
+        "component-outputs-map-a-list": (
+            "system", lambda o: o["components"][0].update(outputs_map=[1]),
+            "component 'BreakingSystem' outputs_map must be an object of objects, got [1]"),
+        "transition-row-a-number": (
+            "system", lambda o: o["components"][0].update(transitions=[3]),
+            "component 'BreakingSystem' transitions must be a list of objects, got [3]"),
+        "transition-when-a-list": (
+            "system", lambda o: o["components"][0]["transitions"][0].update(when=[1]),
+            "component 'BreakingSystem' transition row 1 when must be an object of strings or "
+            "numbers, got [1]"),
+        "wiring-a-number": ("system", lambda o: o.update(wiring=3),
+                            "wiring must be a list of objects, got 3"),
+        "wire-from-a-number": ("system", lambda o: o["wiring"][0].update({"from": 3}),
+                               "wire 1 from must be a string, got 3"),
+        "wire-from-without-a-dot": (
+            "system", lambda o: o["wiring"][0].update({"from": "abc"}),
+            "wire 1 must join two ports named 'component.port', got "
+            "{'from': 'abc', 'to': 'BreakingSystem.velocity'}"),
+        "properties-a-number": ("system", lambda o: o.update(properties=3),
+                                "properties must be a list of strings, got 3"),
+        "property-a-number": ("system", lambda o: o.update(properties=[3]),
+                              "properties must be a list of strings, got [3]"),
+        "c1-assume-a-number": ("system", lambda o: o["contract"].update(assume=3),
+                               "contract 'C1' assume must be a string, got 3"),
+        "c1-guarantee-a-number": ("system", lambda o: o["contract"].update(guarantee=3),
+                                  "contract 'C1' guarantee must be a string, got 3"),
+        "c1-inputs-a-list": ("system", lambda o: o["contract"].update(inputs=[1]),
+                             "contract 'C1' inputs must be an object of lists, got [1]"),
+        "perception-a-list": ("system", lambda o: o.update(perception=[1]),
+                              "perception must be an object, got [1]"),
+        "class-domain-a-number": (
+            "system", lambda o: o["perception"].update(class_domain=3),
+            "perception class_domain must be a list of strings or numbers, got 3"),
+        "component-without-states": ("system", lambda o: o["components"][0].pop("states"),
+                                     "component 'BreakingSystem' has no 'states'"),
+        "component-without-name": ("system", lambda o: o["components"][0].pop("name"),
+                                   "a component has no 'name'"),
+        "row-without-from": (
+            "system", lambda o: o["components"][0]["transitions"][0].pop("from"),
+            "component 'BreakingSystem' transition row 1 has no 'from'"),
+        "c1-without-guarantee": ("system", lambda o: o["contract"].pop("guarantee"),
+                                 "contract 'C1' has no 'guarantee'"),
+        "c1-without-name": ("system", lambda o: o["contract"].pop("name"),
+                            "a contract has no 'name'"),
+        **{f"contract-without-{key}": (
+            "contract", lambda o, key=key: o["regions"][0].pop(key), f"region 'r000' has no {key!r}")
+           for key in ("metric", "centroid", "radius", "guarantee")},
+        "contract-without-network": ("contract", lambda o: o.pop("network"),
+                                     "the top level has no 'network'"),
+        "contract-id-a-list": ("contract", lambda o: o["regions"][0].update(id=[3]),
+                               "a region record id must be a string, got [3]"),
+        "contract-id-a-number": ("contract", lambda o: o["regions"][0].update(id=3),
+                                 "a region record id must be a string, got 3"),
+        "regions-id-a-number": ("regions", lambda o: o["regions"][0].update(id=3),
+                                "a region record id must be a string, got 3"),
+        **{f"regions-without-{key}": (
+            "regions", lambda o, key=key: o["regions"][0].pop(key), f"region 'r000' has no {key!r}")
+           for key in ("metric", "radius", "expected_label")},
+        "regions-unknown-expected-label": (
+            "regions", lambda o: o["regions"][0].update(expected_label="blue"),
+            "region 'r000' expected_label 'blue' is not one of ['red', 'green', 'yellow']"),
+        "report-without-network": ("report", lambda o: o.pop("network"),
+                                   "the top level has no 'network'"),
+        "report-network-a-number": ("report", lambda o: o.update(network=3),
+                                    "network must be a string, got 3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case_exits_2_naming_the_file_and_the_field(self, pipeline_files, tmp_path,
+                                                        capsys, case):
+        paths, prop = pipeline_files
+        kind, edit, message = self.CASES[case]
+        obj = json.loads(paths[kind].read_text())
+        edit(obj)
+        bad, out = tmp_path / "bad.json", tmp_path / "out.txt"
+        bad.write_text(json.dumps(obj))
+        for argv in stage_argvs(paths, prop, kind, bad):
+            out.write_text("before\n")
+            capsys.readouterr()
+            assert run(argv + ["--out", out]) == 2
+            assert out.read_text() == "before\n"
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_assumption_over_an_undeclared_port_exits_2_naming_it(self, pipeline_files,
+                                                                   tmp_path, capsys):
+        paths, prop = pipeline_files
+        obj = json.loads(paths["system"].read_text())
+        obj["contract"]["assume"] = "G (foo=1 => F<=2 (bar=2))"
+        bad, out = tmp_path / "bad.json", tmp_path / "out.txt"
+        bad.write_text(json.dumps(obj))
+        assert run(stage_argvs(paths, prop, "system", bad)[0] + ["--out", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "contract 'C1'" in err and "port 'bar'" in err
 
 
 class TestParserReuse:

@@ -280,9 +280,9 @@ class TestCsvAndJson:
         ("radius", True, "region 'r7' radius must be a number, got True"),
         ("radius", "0.5", "region 'r7' radius must be a number, got '0.5'"),
         ("radius", 10**400, "region 'r7' radius 1000.* lies beyond float range"),
-        ("centroid", [False, 0.2], "region 'r7' centroid entry must be a number, got False"),
-        ("centroid", ["0.1", 0.2], "region 'r7' centroid entry must be a number, got '0.1'"),
-        ("centroid", [[0.1], 0.2], "region 'r7' centroid entry must be a number"),
+        ("centroid", [False, 0.2], r"region 'r7' centroid must be a list of numbers, got \[False, 0.2\]"),
+        ("centroid", ["0.1", 0.2], r"region 'r7' centroid must be a list of numbers, got \['0.1', 0.2\]"),
+        ("centroid", [[0.1], 0.2], "region 'r7' centroid must be a list of numbers"),
         ("centroid", {"x": 0.1}, "region 'r7' centroid must be a list of numbers"),
     ], ids=["bool", "string", "huge-int", "bool-entry", "string-entry", "list-entry",
             "not-a-list"])
