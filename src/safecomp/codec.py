@@ -16,12 +16,13 @@ _KINDS = {str: ({str}, "a string", "strings"), int: ({int}, "an integer", "integ
 _REQUIRED = object()
 
 
-def json_field(obj: dict, key: str, kind, where: str, *, items=None, default=_REQUIRED,
-               single: bool = False):
+def json_field(obj: dict, key: str, kind, where: str, *, items=None, each=None,
+               default=_REQUIRED, single: bool = False):
     """obj[key], checked to be of kind and, for a list or an object, each of its
-    items (an object's values) of kind items. A missing or null field reads as
-    default if one is given; with single, one item stands for a list of it.
-    `where` names the record in an error, "" the top level of the file."""
+    items (an object's values) of kind items, and each of theirs of kind each.
+    A missing or null field reads as default if one is given; with single, one
+    item stands for a list of it. `where` names the record in an error, "" the
+    top level of the file."""
     value = obj.get(key)
     if value is None and default is not _REQUIRED:
         return default
@@ -29,13 +30,17 @@ def json_field(obj: dict, key: str, kind, where: str, *, items=None, default=_RE
         raise ValueError(f"{where or 'the top level'} has no {key!r}")
     if single and type(value) in _KINDS[items][0]:
         value = [value]
-    types = {type(value)}
+    types, deeper = {type(value)}, None
     ok = types <= _KINDS[kind][0]
     if ok and items is not None:
-        types = set(map(type, value.values() if kind is dict else value))  # one pass
+        inner = value.values() if kind is dict else value
+        types = set(map(type, inner))  # one pass
         ok = types <= _KINDS[items][0]
+        if ok and each is not None:  # and one over the items' own items
+            types = {type(v) for c in inner for v in (c.values() if items is dict else c)}
+            ok, deeper = types <= _KINDS[each][0], each
     if not ok:
-        noun = _KINDS[kind][1] + (f" of {_KINDS[items][2]}" if items else "")
+        noun = " of ".join([_KINDS[kind][1], *(_KINDS[k][2] for k in (items, deeper) if k)])
         raise ValueError(f"{where} {key} must be {noun}, got {value!r}".lstrip())
     if int in types and float in (kind, items):
         for v in (value,) if kind is float else value:

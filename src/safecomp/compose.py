@@ -7,9 +7,10 @@ inputs branch nondeterministically over their domains, and all components
 step simultaneously. Moore outputs make cyclic wiring well-defined. A
 component may declare several initial states; the product branches over
 their cross product at tick zero. One breadth-first search, a whole level at
-a time over integer numpy tables, checks a property on a system and, over
-compiled contract observers, premise 3 of the assume-guarantee rule; traces
-replay on the name-keyed steps, kept as their oracles. A level's step moves
+a time over integer numpy tables, checks a property on a system and premise
+3 of the assume-guarantee rule, whose contracts are compiled monitor tables
+that the search steps beside the components; traces replay on the
+name-keyed steps, kept as their oracles. A level's step moves
 each component that reads no environment port of more than one value once
 per product state, as every environment valuation moves it alike, and only
 the others once per (state, valuation) edge.
@@ -180,11 +181,12 @@ class Product:
     of component state indices, an environment valuation an index into `envs`.
     The search holds the indices in row order: first the S components, whose
     next state no env port moves, then the D others. The name-keyed `step`
-    and `valuation` are the oracles that replay traces."""
+    and `valuation` are the oracles that replay traces. The environment's
+    ports are the system's unbound inputs unless env_ports, sorted, is given."""
 
-    def __init__(self, system: System):
+    def __init__(self, system: System, env_ports: dict[str, tuple[str, ...]] | None = None):
         self.comps = system.components
-        self._env_ports = system.env_ports
+        self._env_ports = system.env_ports if env_ports is None else env_ports
         index = {c.name: i for i, c in enumerate(self.comps)}
         self._wired = {(index[w.dst_comp], w.dst_port): (index[w.src_comp], w.src_port)
                        for w in system.wiring}
@@ -278,13 +280,17 @@ class Product:
 
     def _atom(self, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
         """Whether an atom's literals on a component's outputs hold, per state
-        of every component end to end, and those on env ports, per env index."""
+        of every component end to end, and those on env ports, per env index;
+        a value outside its env port's domain never holds."""
         states = np.array([all(c.output_map[st].get(q, v) == v for q, v in atom.literals)
                            for c in self.comps for st in c.states], dtype=np.intp)
         env = np.ones(self._n_env, np.intp)
         for q, v in atom.literals:
             if q in self._digits:
-                env &= self._digits[q] == self._env_ports[q].index(v)
+                domain = self._env_ports[q]
+                env &= self._digits[q] == (domain.index(v) if v in domain else -1)
+            elif not any(q in c.outputs for c in self.comps):
+                raise ValueError(f"no component output or environment port is named {q!r}")
         return states, env
 
     def explore(self) -> list[tuple[str, ...]]:
@@ -303,7 +309,7 @@ def _valuations(ports: dict[str, tuple[str, ...]]):
 
 def _search(roots, successors) -> list:
     """The nodes reachable from the roots, in breadth-first discovery order,
-    where `successors(node)` yields a node's next nodes; compiles observers."""
+    where `successors(node)` yields a node's next nodes; builds generators."""
     order = list(dict.fromkeys(roots))
     seen = set(order)
     for node in order:  # the list grows while the loop reads it
@@ -334,8 +340,7 @@ class PropertyMonitor:
         return None
 
     def step(self, mem, valuation: dict[str, str]):
-        antecedent, consequent = self.atoms
-        return self.advance(mem, antecedent.holds(valuation), consequent.holds(valuation))
+        return self.advance(mem, *(atom.holds(valuation) for atom in self.atoms))
 
     def advance(self, mem, antecedent: bool, consequent: bool):
         """One tick, given whether the antecedent and the consequent's atom hold."""
@@ -366,27 +371,45 @@ class ContractMonitor:
         self.contract = contract
         self._a = PropertyMonitor(contract.assumption) if contract.assumption else None
         self._g = PropertyMonitor(contract.guarantee)
+        self.atoms = (self._a.atoms if self._a else ()) + self._g.atoms
 
     def initial(self):
         a0 = self._a.initial() if self._a else None
         return (False, a0, False, self._g.initial(), False)
 
     def step(self, state, valuation: dict[str, str]):
+        return self.advance(state, *(atom.holds(valuation) for atom in self.atoms))[1]
+
+    def advance(self, state, *truths: bool):
+        """One tick, given whether each of `atoms` holds (the assumption's two,
+        if any, then the guarantee's): whether the prefix is bad, and the state."""
         a_dead, a_mem, g_dead, g_mem, bad = state
         if bad:
-            return state
+            return True, state
         if self._a is not None and not a_dead:
-            a_viol, a_mem = self._a.step(a_mem, valuation)
-            a_dead = a_dead or a_viol
-        g_viol = False
-        if not g_dead:
-            g_viol, g_mem = self._g.step(g_mem, valuation)
-            g_dead = g_dead or g_viol
-        return (a_dead, a_mem, g_dead, g_mem, g_viol and not a_dead)
+            a_dead, a_mem = self._a.advance(a_mem, *truths[:2])
+        g_viol, g_mem = (False, g_mem) if g_dead else self._g.advance(g_mem, *truths[-2:])
+        bad = g_viol and not a_dead
+        return bad, (a_dead, a_mem, g_dead or g_viol, g_mem, bad)
 
     @staticmethod
     def is_bad(state) -> bool:
         return state[4]
+
+
+def _compile(initial, advance, k: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The memories reachable from `initial` by advance(memory, *truths), which
+    returns (flag, next memory), over the 2^k cells of k atoms' truths, in
+    discovery order, and per (memory, cell) the flag and the next memory's
+    index, as (M, 2^k) tables; a cell's first atom is its highest bit."""
+    mems, index, table = [initial], {initial: 0}, []
+    cells = list(itertools.product((False, True), repeat=k))
+    for mem in mems:  # grows to the memories reachable from the initial one
+        for truths in cells:
+            flag, nxt = advance(mem, *truths)
+            mems += [nxt] * (nxt not in index)
+            table += [flag, index.setdefault(nxt, len(index))]
+    return mems, *np.array(table, np.intp).reshape(len(mems), 2 ** k, 2).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,44 +451,43 @@ LEVEL_EDGES = 1 << 13
 SORT_EDGES = 512
 
 
-def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | None]:
-    """Breadth-first search over product x PropertyMonitor states, a level
-    at a time, for check_property, check_implication and Product.explore.
+def _check(prod: Product, p: Property, constraints=()) -> tuple[list, int, list | None]:
+    """Breadth-first search over product x constraint memories x
+    PropertyMonitor memory, a level at a time, for check_property,
+    check_implication and Product.explore.
 
     The first violating edge in (node, env) order ends it; else each new
-    (state, memory) is kept at its first edge in that order, as a FIFO
-    search finds it. `accept` flags each state of every component: an edge
-    into a false one is dropped, with any violation on it. Returns the levels
-    as (states, memories, edge from the previous level), the nodes expanded,
-    and the shortest (state, env index) path to a violation, or None; states
-    are in Product's row order.
+    (state, memories) is kept at its first edge in that order, as a FIFO
+    search finds it. A constraint (contract_monitor, _dnn_constraint) gives,
+    over prod's env indices, its next memory per (memory, env index) and an
+    ok flag per memory; its memory is one more D row of a node, and an edge
+    into a memory that is not ok is dropped, with any violation on it.
+    Returns the levels as (states, memories, edge from the previous level),
+    the nodes expanded, and the shortest (state, env index) path to a
+    violation, or None; states are in Product's row order, then the
+    constraints' memories.
 
     Product._step moves the S components once per node and the D ones once
-    per edge. So an edge's key and accept flag are the sum and the AND of a
-    part per node and a part per edge, and an edge's whole next state is put
-    together only once the edge is kept as new."""
+    per edge. So an edge's key is the sum of a part per node and a part per
+    edge, and an edge's whole next state is put together only once the edge
+    is kept as new."""
     mon = PropertyMonitor(p)
-    mems, table = [mon.initial()], []
-    for mem in mems:  # grows to the memories reachable from the initial one
-        for a, c in itertools.product((False, True), repeat=2):
-            violated, nxt = mon.advance(mem, a, c)
-            mems += [nxt] * (nxt not in mems)
-            table += [violated, mems.index(nxt)]
-    viol, step = np.array(table, np.intp).reshape(-1, 2).T
+    mems, viol, step = _compile(mon.initial(), mon.advance, 2)
+    viol, step = viol.ravel(), step.ravel()
     # an edge's cell is 4 * memory + 2 * antecedent + consequent: the AND of
     # its node's states' codes (the atoms on their outputs) and its env
     # index's code (on env ports, with every higher bit set)
     (a_states, a_env), (c_states, c_env) = (prod._atom(atom) for atom in mon.atoms)
     codes, env_code = 2 * a_states + c_states, 2 * a_env + c_env | ~3
+    tables = [constraint(prod) for constraint in constraints]
     # a node's key: its state in mixed radix, then its memory, in Python ints
     # past int64; a dropped edge's key is -1, seen from the start
-    sizes = [len(prod.comps[c].states) for c in prod._order]
+    n_comps, s, at = len(prod.comps), prod._n_static, prod._states_at
+    sizes = [len(prod.comps[c].states) for c in prod._order] + [len(ok) for _, ok in tables]
     dtype = np.int64 if len(mems) * math.prod(sizes) < 2 ** 63 else object
     strides = np.array([math.prod(sizes[i + 1:]) * len(mems) for i in range(len(sizes))], dtype)
-    # strides and state offsets of the S rows, then of the D rows
-    s, at = prod._n_static, prod._states_at
-    s_strides, s_at, d_strides, d_at = strides[:s], at[:s], strides[s:], at[s:]
-    roots = prod._initial()
+    roots = prod._initial()  # then each constraint's initial memory, 0
+    roots = np.concatenate((roots, np.zeros((len(tables), roots.shape[1]), np.intp)))
     level = (roots, *np.zeros((2, roots.shape[1]), np.intp))
     seen = {-1, *(strides @ roots).tolist()}
     levels, explored, n_env = [], 0, prod._n_env
@@ -476,22 +498,21 @@ def _check(prod: Product, p: Property, accept=None) -> tuple[list, int, list | N
         for lo in range(0, len(level[1]), batch):
             nodes = level[0][:, lo:lo + batch]
             cell = ((4 * level[1][lo:lo + batch] + np.bitwise_and.reduce(
-                codes[nodes + at], axis=0, initial=3))[:, None] & env_code).ravel()
-            # an edge's key and accept flag: the D rows' part per edge, and the
-            # S rows' part per node, spread over its edges (one, with no D row)
-            now, later = prod._step(nodes)
+                codes[nodes[:n_comps] + at], axis=0, initial=3))[:, None] & env_code).ravel()
+            # an edge's key: the D rows' part per edge, and the S rows' part
+            # per node, spread over its edges (one, with no D row)
+            now, later = prod._step(nodes[:n_comps])
             mem, ok = step[cell], None
+            if tables:
+                moved = np.stack([table[m] for (table, _), m in zip(tables, nodes[n_comps:])])
+                later = moved if later is None else np.concatenate((later, moved))
+                ok = np.all([flags[m] for (_, flags), m in zip(tables, moved)], axis=0).ravel()
             if later is not None:
                 later = later.reshape(len(sizes) - s, len(cell))
-                key = d_strides @ later + mem
-                if accept is not None:
-                    ok = np.logical_and.reduce(accept[later + d_at], axis=0)
+                key = strides[s:] @ later + mem
             if now is not None:
-                part = s_strides @ now
+                part = strides[:s] @ now
                 key = part + mem if later is None else key + part.repeat(n_env)
-                if accept is not None:
-                    part = np.logical_and.reduce(accept[now + s_at], axis=0)
-                    ok = part if later is None else ok & part.repeat(n_env)
             bad = viol[cell] if ok is None else viol[cell] & ok
             if bad[i := int(bad.argmax())]:
                 (f, e), path = divmod(lo * n_env + i, n_env), []
@@ -553,89 +574,47 @@ def replay_violation(system: System, p: Property, trace) -> bool:
     return True
 
 
-def check_implication(constraints: list[ComponentModel], p: Property,
-                      ports: dict[str, tuple[str, ...]]) -> CheckResult:
+def check_implication(constraints, p: Property, ports: dict[str, tuple[str, ...]]) -> CheckResult:
     """Do all valuation sequences over `ports` that every constraint accepts
     satisfy p? Exact for safety languages.
 
-    A constraint is a Moore observer of ports (contract_monitor) whose outputs
-    read "true" until the prefix it consumed leaves its language. The search
-    is check_property's, over the constraints and a stateless reader of the
-    ports none reads, accepting the states whose outputs are all "true": a
-    constraint breaking at the tick of a violation absolves the trace."""
+    A constraint is contract_monitor's or _dnn_constraint's table of next
+    memories per (memory, env index) with an ok flag per memory, which stays
+    set while the prefix read is inside its language. The search is
+    check_property's over a product of no components whose environment is
+    `ports`: an edge into a memory that is not ok is dropped, so a constraint
+    breaking at the tick of a violation absolves the trace."""
     ports = {q: tuple(d) for q, d in sorted(ports.items())}
     _bind_check(ports, p)
-    read = {q for c in constraints for q in c.inputs}
-    free = {q: d for q, d in ports.items() if q not in read}
-    components = tuple(constraints)
-    if free:
-        keys = itertools.product(*free.values())
-        components += (ComponentModel("free ports", free, {}, ("s",), ("s",), {"s": {}},
-                                      {("s", key): "s" for key in keys}),)
-    system = System(components)
-    if system.env_ports != ports:
-        raise ValueError("constraints must read the declared ports with their domains")
-    prod = Product(system)
-    _, explored, path = _check(prod, p, np.array([all(v == "true" for v in c.output_map[s].values())
-                                                   for c in prod.comps for s in c.states]))
-    if path is None:
-        return CheckResult(True, None, explored)
-    return CheckResult(False, tuple(TraceStep((), prod.envs[e], prod.envs[e])
-                                    for _s, e in path), explored)
+    prod = Product(System(()), ports)
+    _, explored, path = _check(prod, p, constraints)
+    trace = None if path is None else tuple(TraceStep((), prod.envs[e], prod.envs[e])
+                                            for _s, e in path)
+    return CheckResult(path is None, trace, explored)
 
 
 # ---------------------------------------------------------------------------
-# Contract observers and generators
+# Contract monitors and generators
 
 
 def _contract_ports(c: ComponentContract) -> dict[str, tuple[str, ...]]:
     return {**c.inputs, **c.outputs}
 
 
-def contract_monitor(c: ComponentContract, port_domains: dict[str, tuple[str, ...]],
-                     name: str) -> ComponentModel:
-    """Deterministic observer `name` with a boolean output `<name>.ok`.
-
-    The domains in port_domains override those c declares. `ok` stays
-    "true" exactly while the observed prefix satisfies the contract. Being a
-    Moore output, the flag reflects the ticks already consumed: a violation
-    at tick t shows as ok="false" from tick t+1.
-    """
-    ports = {**_contract_ports(c), **port_domains}
-    needed = property_ports(c.guarantee) | (property_ports(c.assumption) if c.assumption else set())
-    missing = needed - set(ports)
-    if missing:
-        raise ValueError(f"no domain declared for ports {sorted(missing)}")
-    ports = {p: tuple(ports[p]) for p in sorted(needed)}
-
+def contract_monitor(c: ComponentContract):
+    """Premise 3's reading of a contract: given a product whose environment
+    holds every port c's properties read (Product._atom raises on any other),
+    ContractMonitor compiled to its next memory per (memory, env index), and
+    per memory whether the prefix read so far is still in c's language."""
     cm = ContractMonitor(c)
-    # step once per vector of the atoms' truths, all the monitor reads of a valuation
-    atoms = [a for q in (c.assumption, c.guarantee) if q
-             for a in (q.antecedent, q.consequent_atom)]
-    classes: dict = {}
-    for v in _valuations(ports):
-        classes.setdefault(tuple(a.holds(v) for a in atoms), (v, []))[1].append(tuple(v.values()))
-    edges = []
+    mems, _, table = _compile(cm.initial(), cm.advance, len(cm.atoms))
+    ok = np.array([not cm.is_bad(m) for m in mems])
 
-    def successors(mstate):
-        for v, keys in classes.values():
-            edges.append((mstate, keys, cm.step(mstate, v)))
-            yield edges[-1][2]
+    def over(prod: Product) -> tuple[np.ndarray, np.ndarray]:
+        cell = functools.reduce(lambda code, atom: 2 * code + prod._atom(atom)[1], cm.atoms, 0)
+        return table[:, cell], ok
 
-    order = _search([cm.initial()], successors)
-    state_names = {ms: f"m{i}" for i, ms in enumerate(order)}
-    ok_port = f"{name}.ok"
-    return ComponentModel(
-        name=name,
-        inputs=ports,
-        outputs={ok_port: ("true", "false")},
-        states=tuple(state_names.values()),
-        initial=(state_names[cm.initial()],),
-        output_map={sn: {ok_port: "false" if ContractMonitor.is_bad(ms) else "true"}
-                    for ms, sn in state_names.items()},
-        transitions={(state_names[src], key): state_names[dst]
-                     for src, keys, dst in edges for key in keys},
-    )
+    return over
 
 
 def most_general_environment(c: ComponentContract, name: str | None = None) -> ComponentModel:
@@ -770,27 +749,23 @@ def abstract_dnn_component(contract: DnnContract, class_domain,
     )
 
 
-def _dnn_constraint(token_map: dict, ports: dict[str, tuple[str, ...]],
-                    token_port: str, class_port: str) -> ComponentModel:
+def _dnn_constraint(token_map: dict, token_port: str, class_port: str):
     """Premise 3's reading of a DNN contract: abstract_dnn_component projected
-    on (token, class). The state is the previous token, "outside" at tick
-    zero, and the class must be a label that token allows; any other class
-    moves to the rejecting state, whose `C2.ok` output is "false"."""
-    inputs = {token_port: tuple(ports[token_port]), class_port: tuple(ports[class_port])}
-    order = sorted(inputs)
-    allowed = {t: _allowed_labels(token_map.get(t), inputs[class_port])
-               for t in dict.fromkeys(("outside", *inputs[token_port]))}
-    transitions = {}
-    for key in itertools.product(*(inputs[q] for q in order)):
-        v = dict(zip(order, key))
-        for t, labels in allowed.items():
-            transitions[(f"after {t}", key)] = (f"after {v[token_port]}"
-                                                if v[class_port] in labels else "rejected")
-        transitions[("rejected", key)] = "rejected"
-    states = (*(f"after {t}" for t in allowed), "rejected")
-    return ComponentModel("C2", inputs, {"C2.ok": ("true", "false")}, states, ("after outside",),
-                          {s: {"C2.ok": "false" if s == "rejected" else "true"} for s in states},
-                          transitions)
+    on (token, class), as contract_monitor's tables. The memory is the
+    previous token, "outside" at tick zero, and the class must be a label
+    that token allows; any other class moves to the rejecting memory, the
+    last, which is not ok."""
+    def over(prod: Product) -> tuple[np.ndarray, np.ndarray]:
+        tokens, classes = prod._env_ports[token_port], prod._env_ports[class_port]
+        after = list(dict.fromkeys(("outside", *tokens)))
+        allowed = np.array([np.isin(classes, _allowed_labels(token_map.get(t), classes))
+                            for t in after] + [np.zeros(len(classes), bool)])
+        # per env index: the memory after its token, kept where its class is allowed
+        token = np.array([after.index(t) for t in tokens])[prod._digits[token_port]]
+        table = np.where(allowed[:, prod._digits[class_port]], token, len(after))
+        return table, np.arange(len(after) + 1) < len(after)
+
+    return over
 
 
 # ---------------------------------------------------------------------------
@@ -895,9 +870,10 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
        discharged by auditing its verifier provenance and its token map; a
        component contract is model checked against m2_model.
     3. Every joint behavior allowed by both contracts satisfies p (exact for
-       this safety fragment): check_implication over compiled observers of
-       c1 and of the second contract. A DNN contract is read as the abstract
-       classifier reads it, its class answering the previous tick's token.
+       this safety fragment): check_implication over the compiled monitor
+       tables of c1 and of the second contract. A DNN contract is read as the
+       abstract classifier reads it, its class answering the previous tick's
+       token.
 
     The conclusion m1 || m2 |= p is asserted only when all premises hold.
     """
@@ -923,10 +899,8 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
     for port in property_ports(p):
         if port not in ports:
             raise ValueError(f"property port {port!r} is not covered by the contracts")
-    constraints = [contract_monitor(c1, ports, "C1"),
-                   _dnn_constraint(token_map, ports, token_port, class_port)
-                   if isinstance(m2, DnnContract) else
-                   contract_monitor(m2, ports, "C2")]
+    constraints = [contract_monitor(c1), _dnn_constraint(token_map, token_port, class_port)
+                   if isinstance(m2, DnnContract) else contract_monitor(m2)]
     premise3 = _checked_premise("C1 & C2 => P", "monitored-implication",
                                 f"property {render_property(p)}",
                                 check_implication(constraints, p, ports))
@@ -974,7 +948,7 @@ def component_from_json(obj: dict) -> ComponentModel:
         states=tuple(map(str, json_field(obj, "states", list, where, items=NAME))),
         initial=tuple(map(str, json_field(obj, "init", list, where, items=NAME, single=True))),
         output_map={str(s): {p: str(v) for p, v in out.items()} for s, out in json_field(
-            obj, "outputs_map", dict, where, items=dict, default={}).items()},
+            obj, "outputs_map", dict, where, items=dict, each=NAME, default={}).items()},
         transitions=transitions,
     )
 

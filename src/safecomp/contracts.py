@@ -374,7 +374,7 @@ def component_contract_to_json(c: ComponentContract) -> dict:
 def domains_from_json(obj: dict, key: str, where: str) -> dict[str, tuple[str, ...]]:
     """The port domains in obj[key] (none if absent), each value as a string."""
     return {p: tuple(map(str, domain)) for p, domain in
-            json_field(obj, key, dict, where, items=list, default={}).items()}
+            json_field(obj, key, dict, where, items=list, each=NAME, default={}).items()}
 
 
 def component_contract_from_json(obj: dict) -> ComponentContract:

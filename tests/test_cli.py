@@ -1037,6 +1037,15 @@ class TestMalformedInput:
                                   "contract 'C1' guarantee must be a string, got 3"),
         "c1-inputs-a-list": ("system", lambda o: o["contract"].update(inputs=[1]),
                              "contract 'C1' inputs must be an object of lists, got [1]"),
+        # a list where a port value belongs, which str() once made the value "['red']"
+        "c1-domain-value-a-list": (
+            "system", lambda o: o["contract"].update(inputs={"Class": [["red"], "green", "yellow"]}),
+            "contract 'C1' inputs must be an object of lists of strings or numbers, got "
+            "{'Class': [['red'], 'green', 'yellow']}"),
+        "component-outputs-map-value-a-list": (
+            "system", lambda o: o["components"][0].update(outputs_map={"s": {"brake": ["1"]}}),
+            "component 'BreakingSystem' outputs_map must be an object of objects of strings or "
+            "numbers, got {'s': {'brake': ['1']}}"),
         "perception-a-list": ("system", lambda o: o.update(perception=[1]),
                               "perception must be an object, got [1]"),
         "class-domain-a-number": (

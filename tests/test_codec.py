@@ -44,6 +44,16 @@ class TestJsonField:
             json_field({"f": value}, "f", kind, "region 'r0'", items=items)
         assert str(exc.value) == f"region 'r0' f must be {noun}, got {value!r}"
 
+    def test_items_of_items_checked_in_one_pass(self):
+        value = {"p": ["a", 1], "q": [2.5, ["b"]]}
+        with pytest.raises(ValueError) as exc:
+            json_field({"f": value}, "f", dict, "r", items=list, each=NAME)
+        assert str(exc.value) == f"r f must be an object of lists of strings or numbers, got {value!r}"
+        with pytest.raises(ValueError, match="^r f must be an object of objects, got"):
+            json_field({"f": {"s": 1}}, "f", dict, "r", items=dict, each=NAME)
+        assert json_field({"f": {"s": {"p": 1}}}, "f", dict, "r", items=dict, each=NAME) == \
+            {"s": {"p": 1}}
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="^region 'r0' has no 'f'$"):
             json_field({}, "f", str, "region 'r0'")

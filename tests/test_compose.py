@@ -7,6 +7,7 @@ import pytest
 
 from ag_fixtures import (
     BIN,
+    TRI,
     braking_fleet,
     const_component,
     mine_guarantee,
@@ -35,6 +36,7 @@ from safecomp.compose import (
     replay_violation,
     system_from_json,
     wire_by_name,
+    _dnn_constraint,
 )
 from safecomp.contracts import (
     Always,
@@ -392,14 +394,41 @@ class TestCompiledAgainstReference:
         assert got == self.EBS_PINS[bt]
 
 
+class LatchedClassifier:
+    """Name-keyed reading of a DNN contract in premise 3, the oracle of
+    _dnn_constraint: the state is the previous token ("outside" at tick
+    zero), and a class the token's guarantee does not allow rejects."""
+
+    def __init__(self, token_map, labels, token_port="x", class_port="Class"):
+        self.allowed = {}
+        for token, g in token_map.items():
+            self.allowed[token] = ((g.label,) if isinstance(g, LabelIs) else labels if g is None
+                                   else tuple(l for l in labels if l not in g.labels))
+        self.labels, self.ports = labels, (token_port, class_port)
+
+    def initial(self):
+        return "outside"
+
+    def step(self, state, valuation):
+        token, cls = (valuation[p] for p in self.ports)
+        if state == "rejected" or cls not in self.allowed.get(state, self.labels):
+            return "rejected"
+        return token
+
+    @staticmethod
+    def is_bad(state):
+        return state == "rejected"
+
+
 def reference_implication(contracts, prop, ports):
     """Name-keyed premise 3, the oracle of check_implication over compiled
     contract monitors: breadth-first search over (ContractMonitor states,
     PropertyMonitor memory), one edge per valuation of every port in
     sorted-port lexicographic order. A violation of prop counts only while
     every contract prefix is still inside its language after that tick; a
-    node that leaves a language is not expanded."""
-    monitors = [ContractMonitor(c) for c in contracts]
+    node that leaves a language is not expanded. A contract may also be a
+    name-keyed monitor itself, such as LatchedClassifier."""
+    monitors = [c if hasattr(c, "step") else ContractMonitor(c) for c in contracts]
     mon = PropertyMonitor(prop)
     names = sorted(ports)
     valuations = [dict(zip(names, combo)) for combo in itertools.product(*(ports[n] for n in names))]
@@ -413,7 +442,7 @@ def reference_implication(contracts, prop, ports):
         cstates, mem = node
         for v in valuations:
             nxt = tuple(m.step(st, v) for m, st in zip(monitors, cstates))
-            in_language = not any(ContractMonitor.is_bad(st) for st in nxt)
+            in_language = not any(m.is_bad(st) for m, st in zip(monitors, nxt))
             violated, mem2 = mon.step(mem, v)
             if violated and in_language:
                 trace = [TraceStep((), v, v)]
@@ -435,8 +464,7 @@ class TestPremiseThree:
             pytest.skip("no holding guarantees mined")
         _, c1, _, c2, _, candidates = instance
         ports = {**c1.inputs, **c1.outputs, **c2.inputs, **c2.outputs}
-        monitors = [contract_monitor(c1, ports, "C1"),
-                    contract_monitor(c2, ports, "C2")]
+        monitors = [contract_monitor(c1), contract_monitor(c2)]
         for prop in candidates:
             assert check_implication(monitors, prop, ports) == \
                 reference_implication([c1, c2], prop, ports), prop
@@ -449,9 +477,7 @@ class TestPremiseThree:
                                outputs={"b": BIN})
         ports = {"a": BIN, "b": BIN, "c": BIN, "z": BIN}
         prop = parse_property("G (c=1 => b=1)")
-        monitors = [contract_monitor(c1, ports, "C1"),
-                    contract_monitor(c2, ports, "C2")]
-        result = check_implication(monitors, prop, ports)
+        result = check_implication([contract_monitor(c1), contract_monitor(c2)], prop, ports)
         assert not result.holds
         assert [st.valuation for st in result.counterexample] == \
             [{"a": "1", "b": "0", "c": "1", "z": "0"}]
@@ -463,18 +489,78 @@ class TestPremiseThree:
         c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"), outputs={"a": BIN})
         ports = {"a": BIN, "b": BIN}
         prop = parse_property("G (b=1 => a=1)")
-        monitor = contract_monitor(c1, ports, "C1")
-        result = check_implication([monitor], prop, ports)
+        result = check_implication([contract_monitor(c1)], prop, ports)
         assert result == reference_implication([c1], prop, ports) == CheckResult(True, None, 1)
         unconstrained = check_implication([], prop, ports)
         assert not unconstrained.holds
         assert [st.valuation for st in unconstrained.counterexample] == [{"a": "0", "b": "1"}]
 
-    def test_constraints_must_read_declared_domains(self):
-        c1 = ComponentContract("C1", None, parse_property("G (true => a=1)"), outputs={"a": BIN})
-        with pytest.raises(ValueError, match="declared ports"):
-            check_implication([contract_monitor(c1, {"a": ("0", "1", "2")}, "C1")],
-                              parse_property("G (true => a=1)"), {"a": BIN})
+    def test_atom_on_a_port_outside_the_ports_raises_naming_it(self):
+        c1 = ComponentContract("C1", None, parse_property("G (true => F<=2 (b=1))"),
+                               outputs={"a": BIN, "b": BIN})
+        with pytest.raises(ValueError, match="environment port is named 'b'"):
+            check_implication([contract_monitor(c1)], parse_property("G (true => a=1)"),
+                              {"a": BIN})
+
+    def test_atom_value_outside_its_domain_never_holds(self):
+        # C1 declares a over three values, but premise 3 ranges a over two:
+        # a=2 never holds, so C1 forbids nothing and only CB constrains
+        c1 = ComponentContract("C1", None, parse_property("G (a=2 => F<=1 (b=0))"),
+                               outputs={"a": TRI, "b": BIN})
+        c2 = ComponentContract("C2", parse_property("G (true => a=2)"),
+                               parse_property("G (true => b=1)"), inputs={"a": TRI},
+                               outputs={"b": BIN})
+        ports = {"a": BIN, "b": BIN}
+        for text in ("G (true => b=1)", "G (a=1 => F<=2 (b=0))", "G (b=0 => F<=1 (b=1))"):
+            prop = parse_property(text)
+            for contracts in ([c1], [c2], [c1, c2]):
+                assert check_implication([contract_monitor(c) for c in contracts], prop,
+                                         ports) == reference_implication(contracts, prop, ports)
+        held = check_implication([contract_monitor(c1)], parse_property("G (true => b=1)"), ports)
+        assert not held.holds and held.counterexample[0].valuation == {"a": "0", "b": "0"}
+
+    # (holds, states_explored) of premise 3 on the EBS demo under
+    # G (x=red => F<=k (velocity=0)), k = 1..6, per token map (TOKEN_MAPS, then
+    # None), the same for every braking tick; pinned so that a change to
+    # premise 3's search shows up as a diff
+    PREMISE_THREE_PINS = (
+        [(False, 5), (False, 10), (False, 34), (True, 41), (True, 41), (True, 41)],
+        [(False, 5), (False, 10), (False, 34), (True, 41), (True, 41), (True, 41)],
+        [(False, 5), (False, 10), (False, 34), (True, 41), (True, 41), (True, 41)],
+        [(False, 5), (False, 10), (False, 38), (False, 54), (False, 70), (False, 86)],
+        [(False, 6), (False, 14), (False, 34), (True, 41), (True, 41), (True, 41)],
+    )
+
+    @pytest.mark.parametrize("bt", [1, 2, 3, 4])
+    def test_ebs_premise_three_pinned_counts(self, bt):
+        demo = build_ebs_demo(bt)
+        for token_map, pins in zip(TOKEN_MAPS + (None,), self.PREMISE_THREE_PINS):
+            got = []
+            for k in range(1, 7):
+                report = check_assume_guarantee(
+                    demo.m1, demo.c1, demo.dnn_contract,
+                    parse_property(f"G (x=red => F<={k} (velocity=0))"),
+                    class_domain=LABELS, token_map=token_map)
+                premise = report.premise("C1 & C2 => P")
+                got.append((premise.holds, premise.states_explored))
+            assert got == pins, token_map
+
+    @pytest.mark.parametrize("steps", ["whole-levels", "small-steps"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fleet_with_dnn_constraint_equals_reference(self, n, steps, monkeypatch):
+        if steps == "small-steps":
+            import safecomp.compose as compose_module
+            monkeypatch.setattr(compose_module, "LEVEL_EDGES", 1)
+            monkeypatch.setattr(compose_module, "SORT_EDGES", 0)
+        _m1, c1, stopped = braking_fleet(n, 2)
+        ports = {**c1.inputs, **c1.outputs, "x": (*LABELS, "outside")}
+        for token_map in TOKEN_MAPS:
+            constraints = [contract_monitor(c1), _dnn_constraint(token_map, "x", "Class")]
+            oracles = [c1, LatchedClassifier(token_map, LABELS)]
+            for k in (3, 4, 5):
+                prop = parse_property(f"G (x=red => F<={k} ({stopped}))")
+                assert check_implication(constraints, prop, ports) == \
+                    reference_implication(oracles, prop, ports), (token_map, prop)
 
 
 class TestSplitStep:
@@ -551,8 +637,8 @@ class TestSplitStep:
         TestCompiledAgainstReference.assert_matches_reference(
             full, [parse_property(f"G (x=red => F<={k} ({stopped}))") for k in (3, 4)])
 
-    # an observer of a's one value steps alike on every edge (S), and goes bad
-    # at tick 2; one of no port is S and never goes bad; one of b and c is D
+    # CA reads a's one value and goes bad at tick 2; CN reads no port and
+    # never goes bad; CB reads b and c
     IMPLICATION = (
         ComponentContract("CA", None, parse_property("G (a=1 => F<=2 (a=0))"),
                           outputs={"a": ("1",)}),
@@ -565,7 +651,7 @@ class TestSplitStep:
     def test_implication_with_each_side(self, chosen):
         ports = {"a": ("1",), "b": BIN, "c": BIN}
         contracts = [self.IMPLICATION[i] for i in chosen]
-        monitors = [contract_monitor(c, ports, c.name) for c in contracts]
+        monitors = [contract_monitor(c) for c in contracts]
         for text in ("G (c=0 => F<=3 (b=1))", "G (true => b=0)", "G (b=1 => c=1)",
                      "G (a=1 => F<=2 (b=1 & c=0))"):
             prop = parse_property(text)
@@ -574,11 +660,12 @@ class TestSplitStep:
 
     @pytest.mark.parametrize("chosen", [(0,), (1,), (0, 1)])
     def test_implication_with_no_edge_side(self, chosen):
-        # every port has one value: D is empty, and CA's accept flags prune
+        # every port has one value: one env index, and CA's ok flags prune
         ports = {"a": ("1",)}
         contracts = [self.IMPLICATION[i] for i in chosen]
-        monitors = [contract_monitor(c, ports, c.name) for c in contracts]
-        assert Product(System(tuple(monitors)))._n_static == len(monitors)
+        monitors = [contract_monitor(c) for c in contracts]
+        prod = Product(System(()), ports)
+        assert all(monitor(prod)[0].shape[1] == 1 for monitor in monitors)
         for text in ("G (a=1 => F<=3 (a=1))", "G (true => true)"):
             prop = parse_property(text)
             assert check_implication(monitors, prop, ports) == \
@@ -709,16 +796,23 @@ class TestMonitors:
             results.append(violated)
         assert results == [False, False, True]
 
+    @staticmethod
+    def compiled(contract, ports):
+        """contract_monitor's tables over ports, and the env index of each
+        valuation, keyed by its values in sorted-port order."""
+        prod = Product(System(()), ports)
+        table, ok = contract_monitor(contract)(prod)
+        return table, ok, {tuple(v.values()): e for e, v in enumerate(prod.envs)}
+
     def test_monitor_component_ok_falls_after_violation(self):
         contract = ComponentContract("m", None, parse_property("G (a=1 => b=1)"))
-        mon = contract_monitor(contract, {"a": BIN, "b": BIN}, "m")
-        state = mon.initial[0]
-        assert mon.output_map[state]["m.ok"] == "true"
-        state = mon.step(state, {"a": "1", "b": "0"})
-        assert mon.output_map[state]["m.ok"] == "false"
+        table, ok, env = self.compiled(contract, {"a": BIN, "b": BIN})
+        state = 0  # the initial memory
+        assert ok[state]
+        state = table[state, env["1", "0"]]
+        assert not ok[state]
         # absorbing
-        state = mon.step(state, {"a": "0", "b": "0"})
-        assert mon.output_map[state]["m.ok"] == "false"
+        assert (table[state] == state).all()
 
     def test_monitor_matches_trace_semantics_exhaustively(self):
         prop = parse_property("G (p=1 => F<=2 (q=1))")
@@ -749,18 +843,17 @@ class TestMonitors:
             parse_property("G (true => b=1)"),
             inputs={"a": BIN}, outputs={"b": BIN},
         )
-        mon = contract_monitor(contract, {}, "c")
-        state = mon.initial[0]
-        state = mon.step(state, {"a": "1", "b": "1"})
-        assert mon.output_map[state]["c.ok"] == "true"
+        table, ok, env = self.compiled(contract, {"a": BIN, "b": BIN})
+        state = table[0, env["1", "1"]]
+        assert ok[state]
         # a=0 breaks the assumption exactly when b=0 breaks the guarantee
-        state = mon.step(state, {"a": "0", "b": "0"})
-        assert mon.output_map[state]["c.ok"] == "true"
+        state = table[state, env["0", "0"]]
+        assert ok[state]
+        assert not ok[table[0, env["1", "0"]]]  # guarantee alone dies
 
-        mon2 = contract_monitor(contract, {}, "c")
-        state2 = mon2.initial[0]
-        state2 = mon2.step(state2, {"a": "1", "b": "0"})  # guarantee alone dies
-        assert mon2.output_map[state2]["c.ok"] == "false"
+        cm = ContractMonitor(contract)  # the same on the monitor's own step
+        assert cm.advance(cm.initial(), True, False, True, False)[0] is False
+        assert cm.advance(cm.initial(), True, True, True, False)[0] is True
 
     def test_random_traces_monitor_equals_trace_evaluation(self, rng):
         props = [
@@ -862,8 +955,8 @@ class TestMostGeneralEnvironment:
             self._allowed_prefixes(contract, ["p", "q"], depth)
 
     def test_monitor_and_generator_models_pinned(self):
-        # state names follow BFS discovery order; pinned so a change to the
-        # search shows up as a diff in the generated machines
+        # memories and state names follow discovery order; pinned so a change
+        # to the search shows up as a diff in the compiled tables
         contract = ComponentContract(
             "resp", parse_property("G (c=1 => F<=1 (c=0))"),
             parse_property("G (c=1 => F<=1 (v=1))"),
@@ -874,13 +967,15 @@ class TestMostGeneralEnvironment:
             keys = list(model.input_keys())
             return {s: " ".join(model.transitions[(s, k)] for k in keys) for s in model.states}
 
-        mon = contract_monitor(contract, {}, "resp")
-        assert mon.initial == ("m0",)
-        assert [s for s in mon.states if mon.output_map[s]["resp.ok"] == "false"] == ["m3"]
-        assert table(mon) == {  # inputs (c, v)
-            "m0": "m0 m0 m1 m2", "m1": "m3 m0 m4 m5", "m2": "m0 m0 m6 m5",
-            "m3": "m3 m3 m3 m3", "m4": "m4 m4 m4 m4", "m5": "m5 m5 m6 m5",
-            "m6": "m4 m5 m4 m5",
+        # the monitor's memories over every cell of its four atoms' truths,
+        # so m1 and m5, which only cells that no valuation of (c, v) gives
+        # reach, are in it too; memory 0 is the initial one
+        mon, ok, _ = TestMonitors.compiled(contract, {"c": BIN, "v": BIN})
+        assert [m for m in range(len(ok)) if not ok[m]] == [4, 5]
+        assert {f"m{m}": " ".join(f"m{n}" for n in row) for m, row in enumerate(mon)} == {
+            "m0": "m0 m0 m3 m2", "m1": "m4 m0 m5 m2", "m2": "m0 m0 m7 m6",  # inputs (c, v)
+            "m3": "m4 m0 m8 m6", "m4": "m4 m4 m4 m4", "m5": "m5 m5 m5 m5",
+            "m6": "m6 m6 m7 m6", "m7": "m8 m6 m8 m6", "m8": "m8 m8 m8 m8",
         }
 
         gen = most_general_environment(contract)
