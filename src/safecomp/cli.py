@@ -89,6 +89,12 @@ def _read_net(path: str):
     return parse_network(Path(path).read_text())
 
 
+def _check_made_for(net, network: str) -> None:
+    """A regions file or a report names the network it was made for: --net's."""
+    if network != net.name:
+        raise ValueError(f"made for network {network!r}, not for --net's {net.name!r}")
+
+
 def _add_verifier_flags(sp: argparse.ArgumentParser):
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
@@ -127,8 +133,10 @@ def cmd_verify(args) -> int:
     check_budgets(args.node_budget, args.time_budget, args.eps)
     net = _read_net(args.net)
     with _naming(args.regions):
-        regions = [region_from_dict(r, net.labels) for r in
-                   json_field(_read_json(args.regions), "regions", list, "", items=dict)]
+        obj = _read_json(args.regions)
+        regions = [region_from_dict(r, net.labels)
+                   for r in json_field(obj, "regions", list, "", items=dict)]
+        _check_made_for(net, json_field(obj, "network", str, "", default=net.name))
     for r in regions:
         if r.centroid.shape != (net.input_dim,):
             raise ValueError(f"region {r.id!r} has a centroid of width {r.centroid.size}, "
@@ -178,8 +186,8 @@ def cmd_emit_contracts(args) -> int:
         report = _read_json(args.report)
         rebuilt = [_region_result(entry, net.labels)
                    for entry in json_field(report, "regions", list, "", items=dict)]
-        network = json_field(report, "network", str, "")
-    contract = emit_dnn_contract(network, net.labels, rebuilt)
+        _check_made_for(net, json_field(report, "network", str, ""))
+    contract = emit_dnn_contract(net.name, net.labels, rebuilt)
     _write_output(_dump_json(dnn_contract_to_json(contract)), args.out)
     return 0
 

@@ -1,10 +1,14 @@
-"""The field reader of the JSON records the CLI reads: the one place that
-checks the type of a field of a decoded record, so that a missing field or a
-field of the wrong type is a ValueError naming the record and the field."""
+"""The readers shared by the files the CLI reads. json_field is the one place
+that checks the type of a field of a decoded JSON record, so that a missing
+field or a field of the wrong type is a ValueError naming the record and the
+field. read_numbers reads a block of comma-separated numbers in one numpy pass
+for the dataset CSV and the network file."""
 
 from __future__ import annotations
 
 import sys
+
+import numpy as np
 
 NAME = (str, float)  # the kind of a state, a port value or a component name
 # per kind: the exact types json.loads gives it (so a bool is of no kind), its
@@ -47,3 +51,23 @@ def json_field(obj: dict, key: str, kind, where: str, *, items=None, each=None,
             if type(v) is int and not abs(v) <= sys.float_info.max:
                 raise ValueError(f"{where} {key} {v!r} lies beyond float range".lstrip())
     return value
+
+
+# characters np.loadtxt strips from around a number and float() does not
+_BLANK_TO_NUMPY_ONLY = "\x1c\x1d\x1e\x1f"
+
+
+def read_numbers(rows: list[str], width: int) -> np.ndarray | None:
+    """The rows, each of width comma-separated finite numbers, as one
+    (len(rows), width) float64 array, read in one numpy pass bit for bit as
+    float() reads each cell. None where that pass cannot tell: no rows, an empty
+    row, a cell numpy rejects, a row of another width or a non-finite number.
+    The caller's row loop reads the rows then, and its error names the row."""
+    text = "".join(rows)
+    if not rows or not all(rows) or any(c in text for c in _BLANK_TO_NUMPY_ONLY):
+        return None
+    try:
+        block = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return block if block.shape == (len(rows), width) and np.isfinite(block).all() else None

@@ -6,8 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import read_numbers
+
 ACTIVATIONS = ("relu", "identity")
 SCORE_ORDERS = ("min_best", "max_best")
+INPUT_VECTORS = ("input_min", "input_max", "input_mean", "input_range")  # in file order
 
 
 class NetworkFormatError(ValueError):
@@ -60,6 +63,9 @@ class Network:
     def __post_init__(self):
         if len(self.labels) < 2:
             raise ValueError("network needs at least 2 labels")
+        for i, label in enumerate(self.labels):
+            if label in self.labels[:i]:
+                raise ValueError(f"label {label!r} is repeated")
         if self.score_order not in SCORE_ORDERS:
             raise ValueError(f"unknown score_order {self.score_order!r}")
         if not self.layers:
@@ -77,7 +83,7 @@ class Network:
             raise ValueError(f"final width {width} != label count {len(self.labels)}")
         if self.layers[-1].activation != "identity":
             raise ValueError("final layer must use identity activation")
-        for vec_name in ("input_min", "input_max", "input_mean", "input_range"):
+        for vec_name in INPUT_VECTORS:
             vec = getattr(self, vec_name)
             if vec.shape != (self.input_dim,):
                 raise ValueError(f"{vec_name} must have length {self.input_dim}")
@@ -123,6 +129,9 @@ def parse_network(text: str) -> Network:
 
     Raises NetworkFormatError (with line number) on malformed headers,
     dimension mismatches, non-finite numbers, or unknown activations.
+    The input vectors, and each layer's weight rows and bias, are read in one
+    numpy pass per block; the line loop, _parse_floats, reads a block only
+    where that pass cannot tell, and so raises every error in it.
     """
     # (line_number, content) with comments and blanks stripped
     lines = []
@@ -156,6 +165,24 @@ def parse_network(text: str) -> Network:
             raise NetworkFormatError(f"{key} needs a value", ln)
         return ln, parts[1].strip()
 
+    def take_line(key: str | int) -> tuple[int, str]:
+        return take_value(key) if isinstance(key, str) else take()
+
+    def take_numbers(keys, width: int) -> np.ndarray:
+        """The next line for each of keys, each holding width numbers after
+        the key, as one (len(keys), width) array. A number in keys, as a range
+        holds, stands for a line of numbers alone."""
+        nonlocal pos
+        start = pos
+        try:
+            block = read_numbers([take_line(key)[1] for key in keys], width)
+        except NetworkFormatError:
+            block = None
+        if block is None:  # the line loop, which names the first bad line
+            pos = start
+            block = np.array([_parse_floats(text, width, ln) for ln, text in map(take_line, keys)])
+        return block
+
     _, name = take_value("name")
     _, labels_text = take_value("labels")
     labels = tuple(l.strip() for l in labels_text.split(",") if l.strip())
@@ -170,10 +197,7 @@ def parse_network(text: str) -> Network:
     if input_dim < 1:
         raise NetworkFormatError("inputs must be positive", ln)
 
-    bounds = {}
-    for key in ("input_min", "input_max", "input_mean", "input_range"):
-        ln, value = take_value(key)
-        bounds[key] = _parse_floats(value, input_dim, ln)
+    vectors = dict(zip(INPUT_VECTORS, take_numbers(INPUT_VECTORS, input_dim)))
 
     metadata: dict[str, str] = {}
     layers: list[Layer] = []
@@ -201,13 +225,8 @@ def parse_network(text: str) -> Network:
         activation = parts[2]
         if activation not in ACTIVATIONS:
             raise NetworkFormatError(f"unknown activation {activation!r}", ln)
-        rows = []
-        for _ in range(out_dim):
-            wln, wtext = take()
-            rows.append(_parse_floats(wtext, in_dim, wln))
-        bln, btext = take()
-        bias = _parse_floats(btext, out_dim, bln)
-        layers.append(Layer(np.array(rows), bias, activation))
+        weights = take_numbers(range(out_dim), in_dim)
+        layers.append(Layer(weights, take_numbers(range(1), out_dim)[0], activation))
 
     if not layers:
         raise NetworkFormatError("network has no layers", lines[-1][0] if lines else 0)
@@ -219,10 +238,7 @@ def parse_network(text: str) -> Network:
             score_order=score_order,
             input_dim=input_dim,
             layers=tuple(layers),
-            input_min=bounds["input_min"],
-            input_max=bounds["input_max"],
-            input_mean=bounds["input_mean"],
-            input_range=bounds["input_range"],
+            **vectors,
             metadata=metadata,
         )
     except ValueError as exc:
@@ -233,8 +249,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_text(what: str, text: str, banned: str = "#", word: bool = False) -> None:
+    """Raise unless parse_network reads text back as itself: one line, or one
+    word if word, with no blank at either end and no banned character ("#"
+    starts a comment)."""
+    if (text.split() if word else text.strip().splitlines()) != [text] or \
+            any(c in text for c in banned):
+        raise ValueError(f"{what} {text!r} would not read back from a network file")
+
+
 def render_network(net: Network) -> str:
-    """Serialize a network so that parse_network round-trips it exactly."""
+    """Serialize a network so that parse_network round-trips it exactly; a
+    name, label or meta text that it would read back otherwise is refused."""
+    _check_text("name", net.name)
+    for label in net.labels:
+        _check_text("label", label, banned="#,")
+    for key, value in net.metadata.items():
+        _check_text("meta key", key, word=True)
+        _check_text("meta value", value)
     out = [
         "RELUNET 1",
         f"name {net.name}",
@@ -242,7 +274,7 @@ def render_network(net: Network) -> str:
         f"score_order {net.score_order}",
         f"inputs {net.input_dim}",
     ]
-    for key in ("input_min", "input_max", "input_mean", "input_range"):
+    for key in INPUT_VECTORS:
         vec = getattr(net, key)
         out.append(f"{key} {','.join(_fmt(v) for v in vec)}")
     for key in sorted(net.metadata):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import json_field
+from .codec import json_field, read_numbers
 
 METRICS = ("L1", "L2", "Linf")
 KMEANS_MAX_ITER = 100  # Lloyd iterations before k-means stops short of a fixed point
@@ -278,7 +278,28 @@ def discover_regions(data: LabeledDataset, metric: str,
 def load_dataset_csv(text: str, label_names: list[str] | tuple[str, ...]) -> LabeledDataset:
     """Read the dataset CSV: header x1,...,xn,label on the first non-blank
     line; labels resolved by name. Blank lines are skipped, and an error names
-    the row by its line in the file."""
+    the row by its line in the file.
+
+    The data lines are read in one numpy pass. The row loop, _read_rows, reads
+    the file instead wherever that pass could differ from it: a quote, a line
+    break other than LF or CRLF, a cell numpy rejects, a non-finite number or
+    an unknown label. So it also raises every error."""
+    if '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n")):
+        lines = [line for line in text.split("\n") if line not in ("", "\r")]
+        header = lines[0].split(",") if lines else []
+        if len(header) >= 2 and header[-1].strip() == "label":
+            index = {name: i for i, name in enumerate(label_names)}
+            rows = [line.rpartition(",") for line in lines[1:]]
+            labels = [index.get(label.strip()) for _, _, label in rows]
+            points = read_numbers([cells for cells, _, _ in rows], len(header) - 1)
+            if points is not None and None not in labels:
+                return LabeledDataset(tuple(h.strip() for h in header[:-1]), points,
+                                      np.array(labels, dtype=np.int64))
+    return _read_rows(text, label_names)
+
+
+def _read_rows(text: str, label_names) -> LabeledDataset:
+    """load_dataset_csv, one csv row and one float() per cell at a time."""
     reader = csv.reader(io.StringIO(text))
     header = next((row for row in reader if row), None)
     if not header or len(header) < 2 or header[-1].strip() != "label":

@@ -560,6 +560,45 @@ class TestDiscoverInput:
         assert not out.exists()
         assert "row 6: non-finite number" in capsys.readouterr().err
 
+    def test_repeated_network_label_exits_2_naming_it(self, semaphore_files, tmp_path, capsys):
+        # one name for two label indices once mapped a region's expected
+        # label to one index in discover and to the other in verify
+        _, _, net_path, data_path = semaphore_files
+        bad_net = tmp_path / "repeated.net"
+        bad_net.write_text(net_path.read_text().replace("labels red,green,yellow",
+                                                        "labels red,red,yellow"))
+        out = tmp_path / "regions.json"
+        assert run(["discover", "--net", bad_net, "--data", data_path, "--out", out]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: label 'red' is repeated\n"
+
+
+class TestMadeForAnotherNetwork:
+    """verify and emit-contracts refuse a regions file or a report made for
+    another network than --net's, before --out is opened."""
+
+    @pytest.mark.parametrize("kind", ["regions", "report"])
+    def test_exits_2_naming_both_networks(self, pipeline_files, tmp_path, capsys, kind):
+        paths, prop = pipeline_files
+        other = tmp_path / "other.net"
+        other.write_text(paths["net"].read_text().replace("name semaphore", "name other"))
+        out = tmp_path / "out.txt"
+        out.write_text("before\n")
+        argv = stage_argvs(dict(paths, net=other), prop, kind, paths[kind])[0]
+        assert run(argv + ["--out", out]) == 2
+        assert out.read_text() == "before\n"
+        assert capsys.readouterr().err == (f"error: {paths[kind]}: made for network "
+                                           f"'semaphore', not for --net's 'other'\n")
+
+    def test_regions_file_naming_no_network_is_read(self, pipeline_files, tmp_path):
+        paths, _ = pipeline_files
+        obj = json.loads(paths["regions"].read_text())
+        del obj["network"]
+        regions = tmp_path / "regions.json"
+        regions.write_text(json.dumps(obj))
+        assert run(["verify", "--net", paths["net"], "--regions", regions,
+                    "--node-budget", 64, "--out", tmp_path / "report.json"]) == 0
+
 
 class TestVerifyInput:
     def test_regions_narrower_than_network_exits_2_without_output(

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from conftest import (
     random_network,
 )
 import safecomp
+from safecomp import network
 from safecomp.network import (
     Layer,
     NetworkFormatError,
@@ -121,6 +124,51 @@ class TestRoundTrip:
                              score_order="min_best" if seed % 2 else "max_best",
                              scale=float(rng.uniform(0.1, 10.0)))
         assert networks_equal(net, parse_network(render_network(net)))
+
+
+class TestRenderRefusesWhatWouldReadBackOtherwise:
+    # field, its value, and the text named in the error
+    CASES = {
+        "hash-in-name": ("name", "sema#phore", "name 'sema#phore'"),
+        "blank-before-name": ("name", " semaphore", "name ' semaphore'"),
+        "blank-after-name": ("name", "semaphore\t", "name 'semaphore\\t'"),
+        "newline-in-name": ("name", "sema\nphore", "name 'sema\\nphore'"),
+        "empty-name": ("name", "", "name ''"),
+        "hash-in-label": ("labels", ("red#1", "green"), "label 'red#1'"),
+        "comma-in-label": ("labels", ("red,green", "yellow"), "label 'red,green'"),
+        "blank-after-label": ("labels", ("red ", "green"), "label 'red '"),
+        "line-separator-in-label": ("labels", ("red\u2028", "green"), "label 'red\\u2028'"),
+        "hash-in-meta-value": ("metadata", {"k": "v#1"}, "meta value 'v#1'"),
+        "blank-before-meta-value": ("metadata", {"k": " v"}, "meta value ' v'"),
+        "newline-in-meta-value": ("metadata", {"k": "v\r\nw"}, "meta value 'v\\r\\nw'"),
+        "blank-in-meta-key": ("metadata", {"a b": "v"}, "meta key 'a b'"),
+        "hash-in-meta-key": ("metadata", {"k#": "v"}, "meta key 'k#'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_naming_the_text(self, case, monkeypatch):
+        field, value, named = self.CASES[case]
+        net = dataclasses.replace(identity_network(), **{field: value})
+        with pytest.raises(ValueError, match=re.escape(f"{named} would not read back")):
+            render_network(net)
+        # and without the refusal, the text does read back otherwise
+        monkeypatch.setattr(network, "_check_text", lambda *a, **k: None)
+        try:
+            back = parse_network(render_network(net))
+        except NetworkFormatError:
+            return
+        assert not networks_equal(net, back)
+
+    def test_inner_blanks_read_back(self):
+        net = dataclasses.replace(identity_network(), name="light net",
+                                  labels=("light red", "green"), metadata={"k": "a  b"})
+        assert networks_equal(net, parse_network(render_network(net)))
+
+    def test_repeated_label_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="label 'a' is repeated"):
+            dataclasses.replace(identity_network(), labels=("a", "a"))
+        with pytest.raises(NetworkFormatError, match="label 'a' is repeated"):
+            parse_network(MINIMAL.replace("labels a,b", "labels a,a"))
 
 
 class TestNormalize:
