@@ -70,7 +70,10 @@ def _write_report(args, obj: dict, lines: list[str]):
 
 def _read_json(path: str) -> dict:
     """A JSON file whose top level is an object."""
-    obj = json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
     if not isinstance(obj, dict):
         raise ValueError(f"the top level must be a JSON object, got {type(obj).__name__}")
     return obj
@@ -231,8 +234,10 @@ def _csv_rows(lines, width: int):
     """Data rows of a CSV stream, cut to `width` cells, as strings. Blank
     lines are skipped. A first non-blank row that does not parse as numbers
     is a header and is skipped; any other such row is passed on for the
-    guard to reject."""
-    rows = (row[:width] for row in csv.reader(lines) if row)
+    guard to reject. A row the csv module refuses, such as one with a field
+    longer than csv.field_size_limit(), is passed on as no cells, which the
+    guard rejects too, and reading goes on at the next line."""
+    rows = _csv_records(csv.reader(lines), width)
     for cells in itertools.islice(rows, 1):
         try:
             list(map(float, cells))
@@ -240,6 +245,17 @@ def _csv_rows(lines, width: int):
             continue  # header row
         yield cells
     yield from rows
+
+
+def _csv_records(reader, width: int):
+    """The non-blank rows of a csv.reader cut to `width` cells, and no cells
+    for a row it refuses; the reader then goes on at the next line."""
+    while True:
+        try:
+            yield from (row[:width] for row in reader if row)
+            return
+        except csv.Error:
+            yield ()
 
 
 def cmd_guard(args) -> int:

@@ -266,17 +266,16 @@ class Product:
         """The state names of a product state given in row order."""
         return tuple(c.states[s[r]] for c, r in zip(self.comps, self._row))
 
-    def _step(self, nodes: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    def _step(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The next states of F product states, given as (C, F) in row order:
         (S, F) for the S components, which every env index moves alike, and
-        (D, F, E) for the D others, one per (state, env) edge. The S side is
-        None when S is empty, the D side when D is empty and S is not."""
+        (D, F, E) for the D others, one per (state, env) edge; a side with no
+        components has no rows."""
         index = nodes * self._radix + self._offset
         for producer, consumer, keys in self._wires:
             index[consumer] += keys[nodes[producer]]
         s = self._n_static
-        return (self._table[index[:s]] if s else None,
-                None if 0 < s == len(index) else self._table[index[s:, :, None] + self._env_key])
+        return self._table[index[:s]], self._table[index[s:, :, None] + self._env_key]
 
     def _atom(self, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
         """Whether an atom's literals on a component's outputs hold, per state
@@ -296,7 +295,7 @@ class Product:
     def explore(self) -> list[tuple[str, ...]]:
         """Reachable product states in BFS order."""
         levels, _, _ = _check(self, Always(Atom(()), Atom(())))
-        return [self._names(s) for nodes, _, _ in levels for s in nodes.T.tolist()]
+        return [self._names(s) for nodes, _ in levels for s in nodes.T.tolist()]
 
 
 def _valuations(ports: dict[str, tuple[str, ...]]):
@@ -436,15 +435,6 @@ class CheckResult:
             raise ValueError("a failed check needs a counterexample")
 
 
-def _bind_check(ports: dict[str, tuple[str, ...]], p: Property):
-    for atom in (p.antecedent, p.consequent_atom):
-        for port, value in atom.literals:
-            if port not in ports:
-                raise ValueError(f"property references unknown port {port!r}")
-            if value not in ports[port]:
-                raise ValueError(f"property value {port}={value!r} outside domain {ports[port]}")
-
-
 # edges a step of the level search holds at most (a node's are never split);
 # a step with more than SORT_EDGES sorts out repeats before the set lookups
 LEVEL_EDGES = 1 << 13
@@ -456,21 +446,20 @@ def _check(prod: Product, p: Property, constraints=()) -> tuple[list, int, list 
     PropertyMonitor memory, a level at a time, for check_property,
     check_implication and Product.explore.
 
-    The first violating edge in (node, env) order ends it; else each new
-    (state, memories) is kept at its first edge in that order, as a FIFO
-    search finds it. A constraint (contract_monitor, _dnn_constraint) gives,
-    over prod's env indices, its next memory per (memory, env index) and an
-    ok flag per memory; its memory is one more D row of a node, and an edge
+    A node's rows are its states in Product's row order, then each
+    constraint's memory, then the monitor's memory. The first violating edge
+    in (node, env) order ends the search; else each new node is kept at its
+    first edge in that order, as a FIFO search finds it. A constraint
+    (contract_monitor, _dnn_constraint) gives, over prod's env indices, its
+    next memory per (memory, env index) and an ok flag per memory; an edge
     into a memory that is not ok is dropped, with any violation on it.
-    Returns the levels as (states, memories, edge from the previous level),
-    the nodes expanded, and the shortest (state, env index) path to a
-    violation, or None; states are in Product's row order, then the
-    constraints' memories.
+    Returns the levels as (nodes, edge from the previous level), the nodes
+    expanded, and the shortest (node, env index) path to a violation, or None.
 
-    Product._step moves the S components once per node and the D ones once
-    per edge. So an edge's key is the sum of a part per node and a part per
-    edge, and an edge's whole next state is put together only once the edge
-    is kept as new."""
+    Product._step moves the S components once per node; the D components,
+    the constraints and the monitor move once per edge. So an edge's key is
+    the sum of a part per node and a part per edge, and an edge's whole next
+    node is put together only once the edge is kept as new."""
     mon = PropertyMonitor(p)
     mems, viol, step = _compile(mon.initial(), mon.advance, 2)
     viol, step = viol.ravel(), step.ravel()
@@ -480,76 +469,77 @@ def _check(prod: Product, p: Property, constraints=()) -> tuple[list, int, list 
     (a_states, a_env), (c_states, c_env) = (prod._atom(atom) for atom in mon.atoms)
     codes, env_code = 2 * a_states + c_states, 2 * a_env + c_env | ~3
     tables = [constraint(prod) for constraint in constraints]
-    # a node's key: its state in mixed radix, then its memory, in Python ints
-    # past int64; a dropped edge's key is -1, seen from the start
-    n_comps, s, at = len(prod.comps), prod._n_static, prod._states_at
+    # a node's key: its rows in mixed radix, in Python ints past int64; a
+    # dropped edge's key is -1, seen from the start
+    n_comps, s, at, n_env = len(prod.comps), prod._n_static, prod._states_at, prod._n_env
     sizes = [len(prod.comps[c].states) for c in prod._order] + [len(ok) for _, ok in tables]
-    dtype = np.int64 if len(mems) * math.prod(sizes) < 2 ** 63 else object
-    strides = np.array([math.prod(sizes[i + 1:]) * len(mems) for i in range(len(sizes))], dtype)
-    roots = prod._initial()  # then each constraint's initial memory, 0
-    roots = np.concatenate((roots, np.zeros((len(tables), roots.shape[1]), np.intp)))
-    level = (roots, *np.zeros((2, roots.shape[1]), np.intp))
-    seen = {-1, *(strides @ roots).tolist()}
-    levels, explored, n_env = [], 0, prod._n_env
-    batch = max(1, LEVEL_EDGES // n_env)
+    sizes.append(len(mems))
+    dtype = np.int64 if math.prod(sizes) < 2 ** 63 else object
+    strides = np.array([math.prod(sizes[i + 1:]) for i in range(len(sizes))], dtype)
+    roots = prod._initial()  # then each constraint's initial memory and the monitor's, 0
+    roots = np.concatenate((roots, np.zeros((len(tables) + 1, roots.shape[1]), np.intp)))
+    level, seen = (roots, np.zeros(roots.shape[1], np.intp)), {-1, *(strides @ roots).tolist()}
+    levels, explored, batch = [], 0, max(1, LEVEL_EDGES // n_env)
     while len(level[1]):
         levels.append(level)
         found = []
         for lo in range(0, len(level[1]), batch):
             nodes = level[0][:, lo:lo + batch]
-            cell = ((4 * level[1][lo:lo + batch] + np.bitwise_and.reduce(
+            cell = ((4 * nodes[-1] + np.bitwise_and.reduce(
                 codes[nodes[:n_comps] + at], axis=0, initial=3))[:, None] & env_code).ravel()
-            # an edge's key: the D rows' part per edge, and the S rows' part
-            # per node, spread over its edges (one, with no D row)
+            # an edge's next node: the S rows per node, spread over its edges,
+            # then the rows per edge: the D rows, each constraint's memory and
+            # the monitor's; a multiply-add per row beats an integer matmul
             now, later = prod._step(nodes[:n_comps])
-            mem, ok = step[cell], None
-            if tables:
-                moved = np.stack([table[m] for (table, _), m in zip(tables, nodes[n_comps:])])
-                later = moved if later is None else np.concatenate((later, moved))
-                ok = np.all([flags[m] for (_, flags), m in zip(tables, moved)], axis=0).ravel()
-            if later is not None:
-                later = later.reshape(len(sizes) - s, len(cell))
-                key = strides[s:] @ later + mem
-            if now is not None:
-                part = strides[:s] @ now
-                key = part + mem if later is None else key + part.repeat(n_env)
-            bad = viol[cell] if ok is None else viol[cell] & ok
+            rows = [*later.reshape(-1, len(cell)), *(
+                table[m].ravel() for (table, _), m in zip(tables, nodes[n_comps:-1])), step[cell]]
+            key = (strides[:s] @ now).repeat(n_env)
+            for stride, row in zip(strides[s:, None], rows):
+                key += stride * row
+            bad = viol[cell]
+            for (_, flags), m in zip(tables, rows[n_comps - s:]):  # drop edges into memories not ok
+                ok = flags[m]
+                bad &= ok
+                key[~ok] = -1
             if bad[i := int(bad.argmax())]:
                 (f, e), path = divmod(lo * n_env + i, n_env), []
-                for nodes, _mem, edge in reversed(levels):  # back through the parents
+                for nodes, edge in reversed(levels):  # back through the parents
                     path.append((tuple(nodes[:, f].tolist()), e))
                     f, e = divmod(int(edge[f]), n_env)
                 return levels, explored + lo + i // n_env + 1, path[::-1]
-            if ok is not None:
-                key[~ok] = -1
             # on a large step, first find each key's first edge by sorting
             pos = np.sort(np.unique(key, return_index=True)[1]) if key.size > SORT_EDGES else None
             new = [i for i, k in enumerate((key if pos is None else key[pos]).tolist())
                    if k not in seen and not seen.add(k)]  # add returns None
             edge = np.array(new, np.intp) if pos is None else pos[new]
-            if now is None:
-                nxt = later[:, edge]
-            elif later is None:
-                nxt = now[:, edge]
-            else:
-                nxt = np.concatenate((now[:, edge // n_env], later[:, edge]))
-            found.append((nxt, mem[edge], lo * n_env + edge))
+            nxt = np.concatenate((now[:, edge // n_env], [row[edge] for row in rows]))
+            found.append((nxt, lo * n_env + edge))
         explored += len(level[1])
         level = found[0] if len(found) == 1 else \
             tuple(np.concatenate(part, axis=-1) for part in zip(*found))
     return levels, explored, None
 
 
+def _check_result(prod: Product, ports: dict[str, tuple[str, ...]], p: Property,
+                  constraints=()) -> CheckResult:
+    """check_property's and check_implication's result: p's literals checked
+    against `ports`, then _check's path named as a trace. A product of no
+    components names its states () and values a tick as its env valuation."""
+    for atom in (p.antecedent, p.consequent_atom):
+        for port, value in atom.literals:
+            if port not in ports:
+                raise ValueError(f"property references unknown port {port!r}")
+            if value not in ports[port]:
+                raise ValueError(f"property value {port}={value!r} outside domain {ports[port]}")
+    _, explored, path = _check(prod, p, constraints)
+    named = [(prod._names(s), prod.envs[e]) for s, e in path or ()]
+    return CheckResult(path is None, tuple(TraceStep(states, env, prod.valuation(states, env))
+                                           for states, env in named) or None, explored)
+
+
 def check_property(system: System, p: Property) -> CheckResult:
     """BFS over product x monitor states; a counterexample is a shortest trace."""
-    _bind_check(system.ports(), p)
-    prod = Product(system)
-    _, explored, path = _check(prod, p)
-    if path is None:
-        return CheckResult(True, None, explored)
-    named = [(prod._names(s), prod.envs[e]) for s, e in path]
-    return CheckResult(False, tuple(TraceStep(states, env, prod.valuation(states, env))
-                                    for states, env in named), explored)
+    return _check_result(Product(system), system.ports(), p)
 
 
 def replay_violation(system: System, p: Property, trace) -> bool:
@@ -585,12 +575,7 @@ def check_implication(constraints, p: Property, ports: dict[str, tuple[str, ...]
     `ports`: an edge into a memory that is not ok is dropped, so a constraint
     breaking at the tick of a violation absolves the trace."""
     ports = {q: tuple(d) for q, d in sorted(ports.items())}
-    _bind_check(ports, p)
-    prod = Product(System(()), ports)
-    _, explored, path = _check(prod, p, constraints)
-    trace = None if path is None else tuple(TraceStep((), prod.envs[e], prod.envs[e])
-                                            for _s, e in path)
-    return CheckResult(path is None, trace, explored)
+    return _check_result(Product(System(()), ports), ports, p, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -873,37 +858,51 @@ def check_assume_guarantee(m1: System, c1: ComponentContract,
        this safety fragment): check_implication over the compiled monitor
        tables of c1 and of the second contract. A DNN contract is read as the
        abstract classifier reads it, its class answering the previous tick's
-       token.
+       token. A port whose domain there lacks a value that m1, m2_model or
+       the classifier gives it raises ValueError before any premise runs.
 
     The conclusion m1 || m2 |= p is asserted only when all premises hold.
     """
-    premise1 = _model_check_premise("M1 |= C1", m1, c1)
-
+    # premise 3 reads each port over the domain a contract declares, C2's
+    # before C1's and C1's before the DNN contract's tokens and class_domain;
+    # that domain must hold every value a model gives the port, or the
+    # conclusion would not cover the others
     ports: dict[str, tuple[str, ...]] = dict(_contract_ports(c1))
+    declared = dict.fromkeys(ports, f"contract {c1.name!r}")
     if isinstance(m2, DnnContract):
-        ok, detail = audit_dnn_contract(m2, token_map)
-        premise2 = PremiseReport(name="M2 |= C2", holds=ok, method="provenance-audit",
-                                 detail=detail)
         if class_domain is None:
             raise ValueError("class_domain is required for a DNN contract")
-        token_map, tokens = _perception_tokens(m2, token_map)
-        ports.setdefault(token_port, tokens)
-        ports.setdefault(class_port, tuple(class_domain))
+        guarantees, tokens = _perception_tokens(m2, token_map)
+        m2_ports = {token_port: tokens, class_port: tuple(class_domain)}
+        ports = {**m2_ports, **ports}
+        declared = {**dict.fromkeys(m2_ports, "the DNN contract"), **declared}
+        constraint = _dnn_constraint(guarantees, token_port, class_port)
     else:
         if m2_model is None:
             raise ValueError("m2_model is required to check a component contract")
         m2_system = m2_model if isinstance(m2_model, System) else System((m2_model,))
-        premise2 = _model_check_premise("M2 |= C2", m2_system, m2)
+        m2_ports = m2_system.ports()
         ports.update(_contract_ports(m2))
-
+        declared.update(dict.fromkeys(_contract_ports(m2), f"contract {m2.name!r}"))
+        constraint = contract_monitor(m2)
+    for model, given in (("M1", m1.ports()), ("M2", m2_ports)):
+        for port, domain in given.items():
+            if missing := [v for v in domain if v not in ports.get(port, domain)]:
+                raise ValueError(f"{declared[port]} declares port {port!r} without "
+                                 f"{', '.join(map(repr, missing))}, which {model} gives it")
     for port in property_ports(p):
         if port not in ports:
             raise ValueError(f"property port {port!r} is not covered by the contracts")
-    constraints = [contract_monitor(c1), _dnn_constraint(token_map, token_port, class_port)
-                   if isinstance(m2, DnnContract) else contract_monitor(m2)]
+
+    premise1 = _model_check_premise("M1 |= C1", m1, c1)
+    if isinstance(m2, DnnContract):
+        ok, detail = audit_dnn_contract(m2, token_map)
+        premise2 = PremiseReport("M2 |= C2", ok, "provenance-audit", detail)
+    else:
+        premise2 = _model_check_premise("M2 |= C2", m2_system, m2)
     premise3 = _checked_premise("C1 & C2 => P", "monitored-implication",
                                 f"property {render_property(p)}",
-                                check_implication(constraints, p, ports))
+                                check_implication([contract_monitor(c1), constraint], p, ports))
 
     premises = (premise1, premise2, premise3)
     return AGReport(premises, all(pr.holds for pr in premises), render_property(p))

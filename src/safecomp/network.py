@@ -72,6 +72,8 @@ class Network:
             raise ValueError("network needs at least one layer")
         width = self.input_dim
         for i, layer in enumerate(self.layers):
+            if layer.weights.ndim != 2:
+                raise ValueError(f"layer {i + 1}: weights must be 2-D, not {layer.weights.ndim}-D")
             if layer.activation not in ACTIVATIONS:
                 raise ValueError(f"layer {i + 1}: unknown activation {layer.activation!r}")
             if layer.in_dim != width:
@@ -217,11 +219,13 @@ def parse_network(text: str) -> Network:
         parts = content.split()
         if len(parts) != 3 or "x" not in parts[1]:
             raise NetworkFormatError("layer line must be 'layer <out>x<in> <activation>'", ln)
-        dims = parts[1].split("x")
+        out_text, _, in_text = parts[1].partition("x")
         try:
-            out_dim, in_dim = int(dims[0]), int(dims[1])
-        except (ValueError, IndexError):
+            out_dim, in_dim = int(out_text), int(in_text)
+        except ValueError:
             raise NetworkFormatError(f"bad layer shape {parts[1]!r}", ln) from None
+        if out_dim < 1 or in_dim < 1:
+            raise NetworkFormatError(f"layer shape {parts[1]!r} needs widths of 1 or more", ln)
         activation = parts[2]
         if activation not in ACTIVATIONS:
             raise NetworkFormatError(f"unknown activation {activation!r}", ln)

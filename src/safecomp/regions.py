@@ -301,13 +301,14 @@ def load_dataset_csv(text: str, label_names: list[str] | tuple[str, ...]) -> Lab
 def _read_rows(text: str, label_names) -> LabeledDataset:
     """load_dataset_csv, one csv row and one float() per cell at a time."""
     reader = csv.reader(io.StringIO(text))
-    header = next((row for row in reader if row), None)
+    rows = _checked_rows(reader)
+    header = next((row for row in rows if row), None)
     if not header or len(header) < 2 or header[-1].strip() != "label":
         raise ValueError("dataset CSV needs a header ending in 'label'")
     attributes = tuple(h.strip() for h in header[:-1])
     points, labels = [], []
     index = {name: i for i, name in enumerate(label_names)}
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         row_num = reader.line_num
@@ -328,6 +329,15 @@ def _read_rows(text: str, label_names) -> LabeledDataset:
         raise ValueError("dataset CSV has no rows")
     return LabeledDataset(attributes, np.array(points, dtype=np.float64),
                           np.array(labels, dtype=np.int64))
+
+
+def _checked_rows(reader):
+    """The rows of a csv.reader; a row it refuses, such as one with a field
+    longer than csv.field_size_limit(), raises a ValueError naming the row."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
 
 
 def render_dataset_csv(data: LabeledDataset, label_names) -> str:

@@ -478,6 +478,28 @@ class TestCheckSystem:
         assert not out.exists()
         assert "transition from 'nowhere'" in capsys.readouterr().err
 
+    # each C1 declares a port narrower than M1 gives it; every premise passed,
+    # yet the monolithic check fails P (tests/test_compose.py has the oracle)
+    @pytest.mark.parametrize("key, domains, prop, message", [
+        ("outputs", {"velocity": ["0"]}, "G (true => velocity=0)",
+         "contract 'C1' declares port 'velocity' without '1', '2', which M1 gives it"),
+        ("inputs", {"Class": ["green"]}, "G (x=red => F<=1 (velocity=0))",
+         "contract 'C1' declares port 'Class' without 'red', 'yellow', which M1 gives it"),
+    ])
+    def test_contract_narrower_than_m1_exits_2_without_output(self, tmp_path, capsys, key,
+                                                             domains, prop, message):
+        sys_path, contract_path = self._write_system(tmp_path, 2)
+        sysobj = json.loads(sys_path.read_text())
+        sysobj["contract"][key] = domains
+        sys_path.write_text(json.dumps(sysobj))
+        out = tmp_path / "ag.json"
+        out.write_text("before\n")
+        code = run(["check-system", "--system", sys_path, "--contracts", contract_path,
+                    "--property", prop, "--out", out])
+        assert code == 2
+        assert out.read_text() == "before\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def _report(self, sys_path, contract_path, out, *flags):
         """Exit code and timing-masked report of one check-system run."""
         code = run(["check-system", "--system", sys_path, "--contracts", contract_path,
@@ -1151,6 +1173,79 @@ class TestMalformedInput:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "contract 'C1'" in err and "port 'bar'" in err
+
+
+# a quoted cell longer than the csv module's field limit, 131,072 characters
+_LONG_CELL = '"' + "1" * 140_000 + '"'
+
+
+def malformed_files(paths):
+    """(kind, name, bytes) of a small corpus of malformed files of each kind
+    the CLI reads: the network, the dataset CSV, and the regions, report,
+    contract, system and grid-layout JSON."""
+    valid = {kind: path.read_bytes() for kind, path in paths.items()}
+    for kind, text in valid.items():
+        yield kind, "empty", b""
+        yield kind, "not UTF-8", b"\xff\xfe" + text
+    for kind in ("regions", "report", "contract", "system", "layout"):
+        yield kind, "not JSON", b"{regions"
+        yield kind, "a list", b"[]"
+        yield kind, "cut in half", valid[kind][:len(valid[kind]) // 2]
+        yield kind, "nested too deeply", b"[" * 100_000
+    yield "net", "bad header", b"RELUNET 2\n" + valid["net"].split(b"\n", 1)[1]
+    yield "net", "no layers", valid["net"].split(b"layer")[0]
+    for shape in ("0x8", "0x0", "8x0", "-1x8"):
+        yield "net", f"layer {shape}", valid["net"].replace(b"16x8", shape.encode())
+    header, first, rest = valid["data"].split(b"\n", 2)
+    yield "data", "header only", header + b"\n"
+    yield "data", "a row short of a cell", b"\n".join([header, first.split(b",", 1)[1], rest])
+    yield "data", "a cell past the csv field limit", \
+        b"\n".join([header, first, _LONG_CELL.encode() + b",red", rest])
+
+
+class TestNoTraceback:
+    """Every file reader of the CLI, fed malformed input, ends in an exit code:
+    2 with one error line and --out as it was, or for the guard's rows an
+    invalid_input decision. No exception leaves cli_main."""
+
+    def test_malformed_files_exit_2(self, pipeline_files, tmp_path, capsys):
+        paths, prop = pipeline_files
+        bad, out = tmp_path / "bad", tmp_path / "out.txt"
+        readers = {"net": [["discover", "--net", bad, "--data", paths["data"]]],
+                   "data": [["discover", "--net", paths["net"], "--data", bad]]}
+        kinds = set()
+        for kind, name, text in malformed_files(paths):
+            bad.write_bytes(text)
+            for argv in readers.get(kind) or stage_argvs(paths, prop, kind, bad):
+                out.write_text("before\n")
+                capsys.readouterr()
+                code = run(argv + ["--out", out])
+                err = capsys.readouterr().err
+                case = f"{kind} {name}: {argv[0]} exited {code}: {err}"
+                assert code == 2, case
+                assert out.read_text() == "before\n", case
+                assert err.startswith("error: ") and err.count("\n") == 1, case
+                if name.startswith("layer"):
+                    assert f"line 11: layer shape '{name[6:]}'" in err, case
+                kinds.add(kind)
+        assert kinds == set(paths)
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_guard_decides_a_row_past_the_csv_field_limit(self, pipeline_files, tmp_path, at):
+        paths, _ = pipeline_files
+        lines = paths["data"].read_text().splitlines()[1:5]
+        rows = [line.rpartition(",")[0] for line in lines]
+        decided = {}
+        for name, text in (("valid", rows), ("bad", rows[:at] + [_LONG_CELL] + rows[at:])):
+            data, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+            data.write_text("\n".join(text) + "\n")
+            assert run(["guard", "--net", paths["net"], "--contracts", paths["contract"],
+                        "--data", data, "--out", out]) == 0
+            decided[name] = out.read_text().splitlines()
+        bad = decided["bad"].pop(at)
+        assert json.loads(bad)["reason"] == "invalid_input"
+        assert decided["bad"] == decided["valid"]
+        assert all(json.loads(line).get("reason") != "invalid_input" for line in decided["valid"])
 
 
 class TestParserReuse:

@@ -1184,6 +1184,68 @@ class TestAssumeGuarantee:
         for unbacked in (LabelNotIn(("green",)), LabelNotIn(("green", "red")), LabelIs("blue")):
             assert not premise_two({"red": LabelIs("red"), "other": unbacked}).holds
 
+    # a C1 that declares a port narrower than M1 gives it: premise 3 would
+    # read only the declared values, and every premise passed where the
+    # monolithic check fails
+    NARROW_C1 = [
+        ({"Class": ("red", "green", "yellow")}, {"velocity": ("0",)}, "G (true => velocity=0)",
+         "contract 'C1' declares port 'velocity' without '1', '2', which M1 gives it"),
+        ({"Class": ("green",)}, {"velocity": ("0", "1", "2")}, "G (x=red => F<=1 (velocity=0))",
+         "contract 'C1' declares port 'Class' without 'red', 'yellow', which M1 gives it"),
+    ]
+
+    @pytest.mark.parametrize("inputs, outputs, prop, message", NARROW_C1)
+    def test_contract_narrower_than_its_model_refused(self, inputs, outputs, prop, message):
+        demo = build_ebs_demo(braking_ticks=2)
+        p = parse_property(prop)
+        assert not check_property(demo.full_system, p).holds  # so no conclusion is sound
+        c1 = ComponentContract("C1", None, demo.c1.guarantee, inputs=inputs, outputs=outputs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_assume_guarantee(demo.m1, c1, demo.dnn_contract, p,
+                                   class_domain=("red", "green", "yellow"),
+                                   token_map={l: LabelIs(l) for l in ("red", "green", "yellow")})
+
+    def test_contract_narrower_than_the_classifier_refused(self):
+        # C1 reads the perception token over two of the four tokens there are
+        demo = build_ebs_demo(braking_ticks=2)
+        c1 = ComponentContract("C1", None, demo.c1.guarantee,
+                               inputs={**demo.c1.inputs, "x": ("red", "green")},
+                               outputs=demo.c1.outputs)
+        with pytest.raises(ValueError, match="contract 'C1' declares port 'x' without 'yellow', "
+                                             "'outside', which M2 gives it"):
+            check_assume_guarantee(demo.m1, c1, demo.dnn_contract, demo.p,
+                                   class_domain=("red", "green", "yellow"),
+                                   token_map={l: LabelIs(l) for l in ("red", "green", "yellow")})
+
+    def test_class_domain_narrower_than_m1_refused(self):
+        # C1 leaves Class undeclared, so premise 3 reads it over class_domain
+        demo = build_ebs_demo(braking_ticks=2)
+        c1 = ComponentContract("C1", None, demo.c1.guarantee, inputs={},
+                               outputs=demo.c1.outputs)
+        with pytest.raises(ValueError, match="the DNN contract declares port 'Class' without "
+                                             "'yellow', which M1 gives it"):
+            check_assume_guarantee(demo.m1, c1, demo.dnn_contract, demo.p,
+                                   class_domain=("red", "green"),
+                                   token_map={l: LabelIs(l) for l in ("red", "green")})
+
+    def test_component_contract_narrower_than_its_model_refused(self):
+        seed = next(s for s in range(12) if random_ag_instance(s) is not None)
+        m1_system, c1, m2_system, c2, _full, p_candidates = random_ag_instance(seed)
+        narrow = ComponentContract("C2", None, c2.guarantee, inputs={"e": ("1",)},
+                                   outputs=c2.outputs)
+        with pytest.raises(ValueError, match="contract 'C2' declares port 'e' without '0', "
+                                             "which M2 gives it"):
+            check_assume_guarantee(m1_system, c1, narrow, p_candidates[0], m2_model=m2_system)
+
+    def test_contract_wider_than_its_model_still_concludes(self):
+        demo = build_ebs_demo(braking_ticks=2)
+        c1 = ComponentContract("C1", None, demo.c1.guarantee, inputs=demo.c1.inputs,
+                               outputs={"velocity": ("0", "1", "2", "3")})
+        labels = ("red", "green", "yellow")
+        report = check_assume_guarantee(demo.m1, c1, demo.dnn_contract, demo.p, class_domain=labels,
+                                        token_map={l: LabelIs(l) for l in labels})
+        assert report.conclusion
+
     @pytest.mark.parametrize("seed", range(12))
     def test_rule_soundness_on_random_systems(self, seed):
         instance = random_ag_instance(seed)

@@ -96,6 +96,18 @@ class TestParse:
         with pytest.raises(NetworkFormatError):
             parse_network(bad)
 
+    @pytest.mark.parametrize("shape", ["0x2", "0x0", "2x0", "-1x2", "2x2x2"])
+    def test_layer_width_below_one_refused_at_its_line(self, shape):
+        bad = MINIMAL.replace("layer 2x2 identity", f"layer {shape} identity")
+        with pytest.raises(NetworkFormatError, match=f"line 10: .*layer shape '{shape}'") as exc:
+            parse_network(bad)
+        assert exc.value.line == 10
+
+    def test_weights_not_two_dimensional_rejected(self):
+        layer = Layer(np.zeros(2), np.zeros(2), "identity")
+        with pytest.raises(ValueError, match="layer 2: weights must be 2-D, not 1-D"):
+            make_network([Layer(np.eye(2), np.zeros(2), "relu"), layer])
+
     def test_meta_lines(self):
         text = MINIMAL.replace("layer 2x2", "meta tau 5\nmeta a_prev COC\nlayer 2x2")
         net = parse_network(text)

@@ -247,6 +247,15 @@ class TestCsvAndJson:
         with pytest.raises(ValueError, match=message):
             load_dataset_csv(f"x1,x2,label\n0.5,0.5,zero\n0.5,{cell},one\n", ["zero", "one"])
 
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_csv_cell_past_the_field_limit_rejected_with_row(self, where):
+        # a quoted cell longer than the csv module's limit of 131,072 characters
+        cell = '"' + "1" * 140_000 + '"'
+        text = f"{cell},label\n" if where == "header" else f"x1,label\n0.5,zero\n{cell},one\n"
+        row = 1 if where == "header" else 3
+        with pytest.raises(ValueError, match=f"row {row}: field larger than field limit"):
+            load_dataset_csv(text, ["zero", "one"])
+
     def test_csv_header_after_blank_lines(self):
         # the header is the first non-blank row, as the guard's CSV reader
         # takes it; errors still name the row by its line in the file
